@@ -191,8 +191,7 @@ def _paste_reconstruction(image: ImageBuffer, plan: MaskPlan, params, loss: Loss
     """Original pixels on visible patches, model output on masked ones."""
     grid = plan.grid
     patches = patchify(image, grid)
-    _, dec = forward_view(params, patches, plan)
-    pred = dec.predictions
+    _, pred = forward_view(params, patches, plan)
     out = patches.copy()
     for idx in plan.masked:
         row = pred[idx]

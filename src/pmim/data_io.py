@@ -423,7 +423,11 @@ def _read_array(f, path: str) -> tuple[str, np.ndarray]:
 
 
 def save_checkpoint(params, opt_state, step: int, path: str):
-    """Self-describing binary: magic, version, JSON config echo, named arrays."""
+    """Self-describing binary: magic, version, JSON config echo, named arrays.
+
+    Written to path + ".tmp" and renamed over `path` once complete, so a crash
+    partway through leaves any earlier file at `path` intact.
+    """
     meta = {
         "format": CHECKPOINT_VERSION,
         "step": int(step),
@@ -433,18 +437,25 @@ def save_checkpoint(params, opt_state, step: int, path: str):
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     names = list(params.arrays)
-    with open(path, "wb") as f:
-        f.write(CHECKPOINT_MAGIC)
-        f.write(struct.pack("<I", CHECKPOINT_VERSION))
-        f.write(struct.pack("<I", len(blob)))
-        f.write(blob)
-        f.write(struct.pack("<I", 3 * len(names)))
-        for name in names:
-            _write_array(f, "p." + name, params.arrays[name])
-        for name in names:
-            _write_array(f, "m." + name, opt_state.m[name])
-        for name in names:
-            _write_array(f, "v." + name, opt_state.v[name])
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as f:
+            f.write(CHECKPOINT_MAGIC)
+            f.write(struct.pack("<I", CHECKPOINT_VERSION))
+            f.write(struct.pack("<I", len(blob)))
+            f.write(blob)
+            f.write(struct.pack("<I", 3 * len(names)))
+            for name in names:
+                _write_array(f, "p." + name, params.arrays[name])
+            for name in names:
+                _write_array(f, "m." + name, opt_state.m[name])
+            for name in names:
+                _write_array(f, "v." + name, opt_state.v[name])
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path: str):

@@ -49,10 +49,6 @@ class LossBreakdown:
     total: float
 
 
-def _pred_matrix(pred) -> np.ndarray:
-    return np.asarray(getattr(pred, "predictions", pred), dtype=np.float64)
-
-
 def recon_loss(pred, target_patches: np.ndarray, plan: MaskPlan,
                cfg: LossConfig | None = None) -> float:
     """Mean squared error over masked rows only."""
@@ -65,7 +61,7 @@ def recon_loss_and_grad(pred, target_patches: np.ndarray, plan: MaskPlan,
     """Masked MSE and its gradient at the predictions (zero on visible rows)."""
     if cfg is None:
         cfg = LossConfig()
-    p = _pred_matrix(pred)
+    p = np.asarray(pred, dtype=np.float64)
     tgt = np.asarray(target_patches, dtype=np.float64)
     if p.shape != tgt.shape:
         raise ConfigError(f"prediction {p.shape} and target {tgt.shape} shapes differ")

@@ -2,8 +2,10 @@
 
 The encoder runs over visible patches plus a class token; the decoder fills
 masked positions with a shared mask token and predicts all patch pixels.
-Everything is float64 and deterministic. Forward passes can record their
-intermediates into a tape dict, which backward() consumes.
+Everything is float64 and deterministic. A forward pass given a tape dict
+records its intermediates there; backward() replays that tape and adds the
+view's gradients into a dict the caller owns, so a batch accumulates into one
+set of arrays in a fixed order.
 """
 
 from __future__ import annotations
@@ -162,17 +164,6 @@ class ModelParams:
     @property
     def n_params(self) -> int:
         return sum(v.size for v in self.arrays.values())
-
-
-@dataclass
-class EncoderOutput:
-    cls: np.ndarray  # (embed_dim,), unit norm
-    visible_tokens: np.ndarray  # (n_visible, embed_dim)
-
-
-@dataclass
-class DecoderOutput:
-    predictions: np.ndarray  # (n_patches, patch_size**2 * 3)
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
@@ -401,8 +392,8 @@ def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = N
 
 
 def encode(params: ModelParams, patches: np.ndarray, plan: MaskPlan,
-           tape: dict | None = None) -> EncoderOutput:
-    """Embed visible patches (projection + position), encode with class token."""
+           tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Embed visible patches (projection + position); returns (unit cls, visible tokens)."""
     cfg = params.cfg
     _check_inputs(cfg, patches, plan)
     vis = visible_indices(plan)
@@ -412,19 +403,19 @@ def encode(params: ModelParams, patches: np.ndarray, plan: MaskPlan,
     if tape is not None:
         tape["visible"] = vis
         tape["patches_vis"] = patches[vis]
-    return EncoderOutput(cls=cls, visible_tokens=tok_out)
+    return cls, tok_out
 
 
-def decode(params: ModelParams, enc: EncoderOutput, plan: MaskPlan,
-           tape: dict | None = None) -> DecoderOutput:
-    """Project visible tokens, fill masked slots with the mask token, predict pixels."""
+def decode(params: ModelParams, visible_tokens: np.ndarray, plan: MaskPlan,
+           tape: dict | None = None) -> np.ndarray:
+    """Project visible tokens, fill masked slots with the mask token; returns pixels."""
     cfg = params.cfg
     vis = visible_indices(plan)
-    if enc.visible_tokens.shape != (len(vis), cfg.embed_dim):
+    if visible_tokens.shape != (len(vis), cfg.embed_dim):
         raise ConfigError(
-            f"visible tokens {enc.visible_tokens.shape} do not match "
+            f"visible tokens {visible_tokens.shape} do not match "
             f"({len(vis)}, {cfg.embed_dim})")
-    v = enc.visible_tokens @ params["dec_proj_w"] + params["dec_proj_b"]
+    v = visible_tokens @ params["dec_proj_w"] + params["dec_proj_b"]
     tokens = np.tile(params["mask_token"], (cfg.n_patches, 1))
     tokens[vis] = v
     x = tokens + sincos_pos_embed(plan.grid, cfg.decoder_dim)
@@ -437,44 +428,27 @@ def decode(params: ModelParams, enc: EncoderOutput, plan: MaskPlan,
         tape["dec_head_in"] = z
         tape["visible"] = vis
         tape["masked"] = np.asarray(plan.masked, dtype=np.intp)
-        tape["enc_visible_tokens"] = enc.visible_tokens
-    return DecoderOutput(predictions=pred)
+        tape["enc_visible_tokens"] = visible_tokens
+    return pred
 
 
 def forward_view(params: ModelParams, patches: np.ndarray, plan: MaskPlan,
-                 tape: dict | None = None):
-    enc = encode(params, patches, plan, tape)
-    dec = decode(params, enc, plan, tape)
-    return enc, dec
-
-
-def forward_two_views(params: ModelParams, patches: np.ndarray,
-                      plan_a: MaskPlan, plan_b: MaskPlan,
-                      tapes: tuple[dict, dict] | None = None):
-    """Encode/decode the same patches under two masks with shared weights."""
-    ta, tb = tapes if tapes is not None else (None, None)
-    return forward_view(params, patches, plan_a, ta), forward_view(params, patches, plan_b, tb)
-
-
-def zero_grads(params: ModelParams) -> dict[str, np.ndarray]:
-    return {k: np.zeros_like(v) for k, v in params.arrays.items()}
-
-
-def add_grads(acc: dict[str, np.ndarray], grads: dict[str, np.ndarray]):
-    """In-place accumulate; callers keep a fixed order for bit-determinism."""
-    for k in acc:
-        acc[k] += grads[k]
+                 tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode then decode one masked view; returns (cls vector, predictions)."""
+    cls, visible_tokens = encode(params, patches, plan, tape)
+    return cls, decode(params, visible_tokens, plan, tape)
 
 
 def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
-             d_cls: np.ndarray) -> dict[str, np.ndarray]:
-    """Exact gradients of one view given upstream seeds.
+             d_cls: np.ndarray, grads: dict[str, np.ndarray]) -> None:
+    """Add one view's exact gradients into `grads`, given upstream seeds.
 
     d_pred is the loss gradient at the decoder predictions, d_cls at the
     normalized class vector. Requires the tape recorded by forward_view.
+    `grads` holds one array per parameter group, and each group receives at
+    most one in-place addition per view.
     """
     cfg = params.cfg
-    grads = zero_grads(params)
     vis = tape["visible"]
     masked = tape["masked"]
 
@@ -518,7 +492,6 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     dtok = dseq[1:]
     grads["patch_proj_w"] += tape["patches_vis"].T @ dtok
     grads["patch_proj_b"] += dtok.sum(axis=0)
-    return grads
 
 
 def attention_maps(params: ModelParams, patches: np.ndarray, plan: MaskPlan) -> np.ndarray:

@@ -2,8 +2,10 @@
 
 Every random draw comes from a seed sequence keyed by (seed, purpose, epoch,
 sample index), never from carried generator state, so a resumed run replays
-the exact uninterrupted trajectory. Gradient reduction is serial and in fixed
-batch order to keep runs bit-for-bit reproducible.
+the exact uninterrupted trajectory. The objective has one forward loop,
+batch_loss; given a tape it records every view, and batch_backward replays
+the tape serially in fixed batch order into one gradient dict, which keeps
+runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
 from .mask_sampling import SamplerConfig, part_guided_mask, random_mask
-from .model import (ModelConfig, ModelParams, add_grads, backward, forward_view,
-                    init_params, zero_grads)
+from .model import ModelConfig, ModelParams, backward, forward_view, init_params
 
 logger = logging.getLogger("pmim")
 
@@ -133,9 +134,12 @@ class MetricsLog:
     def read(path: str) -> "MetricsLog":
         log = MetricsLog()
         with open(path, "r", encoding="utf-8") as f:
-            for line in f:
+            for lineno, line in enumerate(f, 1):
                 if line.strip():
-                    log.records.append(json.loads(line))
+                    try:
+                        log.records.append(json.loads(line))
+                    except json.JSONDecodeError as e:
+                        raise ConfigError(f"{path}:{lineno}: unreadable metrics row ({e})")
         return log
 
 
@@ -200,65 +204,46 @@ def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
     return (patches_a, kps_a, plan_a), (patches_b, kps_b, plan_b)
 
 
-def batch_loss(params: ModelParams, views, loss_cfg: LossConfig) -> LossBreakdown:
+def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
+               tape: dict | None = None) -> LossBreakdown:
     """Objective over a batch of (patches_a, plan_a, patches_b, plan_b) items.
 
     Reconstruction averages the per-view masked MSE over both views of every
-    item; alignment is InfoNCE over the batch of class-vector pairs.
+    item; alignment is InfoNCE over the batch of class-vector pairs. Given a
+    tape dict, records each view's tape and weighted seeds for batch_backward.
     """
     if not views:
         raise ConfigError("empty batch")
     b = len(views)
+    scale = 1.0 / (2 * b)
     z = np.zeros((b, params.cfg.embed_dim))
     zt = np.zeros((b, params.cfg.embed_dim))
     recon_sum = 0.0
+    items = []
     for i, (pa, plan_a, pb, plan_b) in enumerate(views):
-        enc_a, dec_a = forward_view(params, pa, plan_a)
-        enc_b, dec_b = forward_view(params, pb, plan_b)
-        ra, _ = recon_loss_and_grad(dec_a, pa, plan_a, loss_cfg)
-        rb, _ = recon_loss_and_grad(dec_b, pb, plan_b, loss_cfg)
+        ta, tb = ({}, {}) if tape is not None else (None, None)
+        z[i], pred_a = forward_view(params, pa, plan_a, ta)
+        zt[i], pred_b = forward_view(params, pb, plan_b, tb)
+        ra, da = recon_loss_and_grad(pred_a, pa, plan_a, loss_cfg)
+        rb, db = recon_loss_and_grad(pred_b, pb, plan_b, loss_cfg)
         recon_sum += ra + rb
-        z[i] = enc_a.cls
-        zt[i] = enc_b.cls
+        if tape is not None:
+            items.append((ta, da * scale, tb, db * scale))
     recon = recon_sum / (2 * b)
-    align, _, _ = align_loss_and_grad(z, zt, loss_cfg)
+    align, dz, dzt = align_loss_and_grad(z, zt, loss_cfg)
+    if tape is not None:
+        gamma = loss_cfg.align_weight
+        tape.update(items=items, dz=gamma * dz, dzt=gamma * dzt)
     return total_loss(recon, align, loss_cfg)
 
 
-def batch_loss_and_grads(params: ModelParams, views, loss_cfg: LossConfig):
-    """Same objective plus exact gradients, reduced serially in batch order."""
-    if not views:
-        raise ConfigError("empty batch")
-    b = len(views)
-    z = np.zeros((b, params.cfg.embed_dim))
-    zt = np.zeros((b, params.cfg.embed_dim))
-    recon_sum = 0.0
-    tapes = []
-    dpreds = []
-    for i, (pa, plan_a, pb, plan_b) in enumerate(views):
-        ta: dict = {}
-        tb: dict = {}
-        enc_a, dec_a = forward_view(params, pa, plan_a, ta)
-        enc_b, dec_b = forward_view(params, pb, plan_b, tb)
-        ra, da = recon_loss_and_grad(dec_a, pa, plan_a, loss_cfg)
-        rb, db = recon_loss_and_grad(dec_b, pb, plan_b, loss_cfg)
-        recon_sum += ra + rb
-        z[i] = enc_a.cls
-        zt[i] = enc_b.cls
-        tapes.append((ta, tb))
-        dpreds.append((da, db))
-    recon = recon_sum / (2 * b)
-    align, dz, dzt = align_loss_and_grad(z, zt, loss_cfg)
-    gamma = loss_cfg.align_weight
-
-    grads = zero_grads(params)
-    scale = 1.0 / (2 * b)
-    for i in range(b):
-        ta, tb = tapes[i]
-        da, db = dpreds[i]
-        add_grads(grads, backward(params, ta, da * scale, gamma * dz[i]))
-        add_grads(grads, backward(params, tb, db * scale, gamma * dzt[i]))
-    return total_loss(recon, align, loss_cfg), grads
+def batch_backward(params: ModelParams, tape: dict) -> dict[str, np.ndarray]:
+    """Exact gradients of a taped batch_loss, reduced serially in batch order."""
+    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    for (ta, da, tb, db), dz, dzt in zip(tape["items"], tape["dz"], tape["dzt"]):
+        backward(params, ta, da, dz, grads)
+        backward(params, tb, db, dzt, grads)
+    return grads
 
 
 def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConfig,
@@ -284,13 +269,14 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
         used.append(record.sample_id)
     if not views:
         raise ConfigError(f"no loadable record in batch {[r.sample_id for r in records]}")
-    breakdown, grads = batch_loss_and_grads(params, views, cfg.loss)
+    tape: dict = {}
+    breakdown = batch_loss(params, views, cfg.loss, tape)
     if not (math.isfinite(breakdown.total) and math.isfinite(breakdown.recon)
             and math.isfinite(breakdown.align)):
         raise NumericsError(
             f"non-finite loss {breakdown} at step {opt.step + 1}; batch ids {used}")
     lr = lr_at(opt.step, cfg)
-    adamw_update(params, grads, opt, lr, cfg.weight_decay)
+    adamw_update(params, batch_backward(params, tape), opt, lr, cfg.weight_decay)
     return params, opt, breakdown
 
 
@@ -302,7 +288,8 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     With out_dir set, writes metrics.jsonl, a checkpoint_ep{N}.bin every
     checkpoint_every epochs, and a final checkpoint.bin. resume_from
     restarts at the checkpoint's epoch boundary and replays the original
-    trajectory exactly.
+    trajectory exactly; rows of an existing out_dir/metrics.jsonl up to the
+    checkpoint step are kept, so the log holds the whole history.
     """
     if not len(manifest):
         raise ConfigError("manifest is empty")
@@ -330,6 +317,10 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     log = MetricsLog()
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
+        metrics_path = os.path.join(out_dir, "metrics.jsonl")
+        if resume_from is not None and os.path.exists(metrics_path):
+            log.records = [r for r in MetricsLog.read(metrics_path).records
+                           if r["step"] <= step0]
 
     for epoch in range(start_epoch, n_epochs):
         shuffle_rng = np.random.default_rng(
@@ -355,7 +346,7 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     if out_dir is not None:
         data_io.save_checkpoint(params, opt, opt.step,
                                 os.path.join(out_dir, "checkpoint.bin"))
-        log.write(os.path.join(out_dir, "metrics.jsonl"))
+        log.write(metrics_path)
     return params, opt, log
 
 
@@ -407,7 +398,9 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         plan_b = random_mask(rng, grid, target)
         views.append((patches, plan_a, patches, plan_b))
 
-    _, analytic = batch_loss_and_grads(params, views, loss_cfg)
+    tape: dict = {}
+    batch_loss(params, views, loss_cfg, tape)
+    analytic = batch_backward(params, tape)
     if corrupt is not None:
         if corrupt not in analytic:
             raise ConfigError(f"no parameter group named {corrupt!r}")

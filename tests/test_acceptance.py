@@ -298,8 +298,8 @@ def test_criterion_10_encoder_invariants():
         rng = np.random.default_rng(1000 + i)
         patches = rng.uniform(0.0, 1.0, (cfg.n_patches, cfg.patch_dim))
         plan = random_mask(rng, cfg.grid, int(rng.integers(0, cfg.n_patches + 1)))
-        enc = encode(params, patches, plan)
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(enc.cls)) - 1.0))
+        cls, _ = encode(params, patches, plan)
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(cls)) - 1.0))
 
     worst_perm = 0.0
     for i in range(100):

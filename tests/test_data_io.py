@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from pmim import data_io
 from pmim.data_io import (
     DatasetManifest,
     SampleRecord,
@@ -263,6 +264,31 @@ def test_checkpoint_rejects_garbage(tmp_path):
     open(cut, "wb").write(open(good, "rb").read()[:200])
     with pytest.raises(ConfigError, match="truncated"):
         load_checkpoint(cut)
+
+
+def test_checkpoint_crash_keeps_previous_file(tmp_path, monkeypatch):
+    cfg = ModelConfig(embed_dim=8, depth=1, decoder_dim=8, grid_h=2, grid_w=2)
+    params = init_params(np.random.default_rng(0), cfg)
+    opt = init_optimizer(params)
+    path = str(tmp_path / "checkpoint.bin")
+    save_checkpoint(params, opt, 0, path)
+    before = open(path, "rb").read()
+
+    real_write = data_io._write_array
+    written = []
+
+    def crash_on_fifth(f, name, arr):
+        written.append(name)
+        if len(written) == 5:
+            raise OSError("disk full")
+        real_write(f, name, arr)
+
+    monkeypatch.setattr(data_io, "_write_array", crash_on_fifth)
+    params.arrays["head_b"] += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(params, opt, 1, path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["checkpoint.bin"]
 
 
 def test_mask_plan_round_trip(tmp_path):

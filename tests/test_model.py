@@ -131,10 +131,10 @@ def test_visible_indices_complement():
 
 def test_encode_outputs():
     params, patches, plan = tiny_setup()
-    enc = encode(params, patches, plan)
-    assert enc.cls.shape == (8,)
-    np.testing.assert_allclose(np.linalg.norm(enc.cls), 1.0, atol=1e-12)
-    assert enc.visible_tokens.shape == (2, 8)
+    cls, tokens = encode(params, patches, plan)
+    assert cls.shape == (8,)
+    np.testing.assert_allclose(np.linalg.norm(cls), 1.0, atol=1e-12)
+    assert tokens.shape == (2, 8)
 
 
 def test_encode_rejects_mismatches():
@@ -150,10 +150,10 @@ def test_encoder_ignores_masked_patch_content():
     params, patches, plan = tiny_setup(seed=3)
     tampered = patches.copy()
     tampered[plan.masked] = 0.123
-    a = encode(params, patches, plan)
-    b = encode(params, tampered, plan)
-    np.testing.assert_array_equal(a.cls, b.cls)
-    np.testing.assert_array_equal(a.visible_tokens, b.visible_tokens)
+    cls_a, tokens_a = encode(params, patches, plan)
+    cls_b, tokens_b = encode(params, tampered, plan)
+    np.testing.assert_array_equal(cls_a, cls_b)
+    np.testing.assert_array_equal(tokens_a, tokens_b)
 
 
 def test_encoder_token_order_equivariant():
@@ -169,27 +169,17 @@ def test_encoder_token_order_equivariant():
 
 def test_decoder_fills_every_patch():
     params, patches, plan = tiny_setup(seed=5)
-    enc = encode(params, patches, plan)
-    dec = decode(params, enc, plan)
-    assert dec.predictions.shape == (TINY.n_patches, TINY.patch_dim)
-    assert np.isfinite(dec.predictions).all()
-
-
-def test_decoder_never_sees_class_vector():
-    params, patches, plan = tiny_setup(seed=6)
-    enc = encode(params, patches, plan)
-    dec_a = decode(params, enc, plan)
-    enc.cls = np.roll(enc.cls, 1)  # scramble; predictions must not move
-    dec_b = decode(params, enc, plan)
-    np.testing.assert_array_equal(dec_a.predictions, dec_b.predictions)
+    _, tokens = encode(params, patches, plan)
+    pred = decode(params, tokens, plan)
+    assert pred.shape == (TINY.n_patches, TINY.patch_dim)
+    assert np.isfinite(pred).all()
 
 
 def test_decode_rejects_wrong_token_count():
     params, patches, plan = tiny_setup(seed=7)
-    enc = encode(params, patches, plan)
-    enc.visible_tokens = enc.visible_tokens[:1]
+    _, tokens = encode(params, patches, plan)
     with pytest.raises(ConfigError):
-        decode(params, enc, plan)
+        decode(params, tokens[:1], plan)
 
 
 def test_backward_zero_pred_seed_leaves_decoder_untouched():
@@ -197,7 +187,8 @@ def test_backward_zero_pred_seed_leaves_decoder_untouched():
     tape = {}
     forward_view(params, patches, plan, tape)
     u = np.random.default_rng(1).normal(size=8)
-    grads = backward(params, tape, np.zeros((4, 48)), u)
+    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    backward(params, tape, np.zeros((4, 48)), u, grads)
     for name in ("head_w", "head_b", "dec_proj_w", "mask_token", "dec_norm_g"):
         assert not grads[name].any()
     assert grads["patch_proj_w"].any()  # class-vector seed reaches the encoder
@@ -212,18 +203,19 @@ def test_backward_directional_derivative():
     m = np.asarray(plan.masked)
 
     tape = {}
-    enc, dec = forward_view(params, patches, plan, tape)
-    d_pred = np.zeros_like(dec.predictions)
+    _, pred = forward_view(params, patches, plan, tape)
+    d_pred = np.zeros_like(pred)
     d_pred[m] = w_pred
-    grads = backward(params, tape, d_pred, u)
+    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    backward(params, tape, d_pred, u, grads)
 
     delta = {k: rng.normal(size=v.shape) for k, v in params.arrays.items()}
     analytic = sum(float((grads[k] * delta[k]).sum()) for k in sorted(grads))
 
     def value(t):
         arrays = {k: v + t * delta[k] for k, v in params.arrays.items()}
-        e, d = forward_view(ModelParams(TINY, arrays), patches, plan)
-        return float((d.predictions[m] * w_pred).sum() + e.cls @ u)
+        cls, pred = forward_view(ModelParams(TINY, arrays), patches, plan)
+        return float((pred[m] * w_pred).sum() + cls @ u)
 
     h = 1e-6
     fd = (value(h) - value(-h)) / (2 * h)
@@ -241,14 +233,14 @@ def test_projection_head_leaves_pixels_alone():
                   proj2_w=rng.normal(size=(8, 8)), proj2_b=rng.normal(size=8))
     with_head = ModelParams(cfg2, arrays)
 
-    enc_a = encode(params, patches, plan)
-    enc_b = encode(with_head, patches, plan)
-    np.testing.assert_array_equal(enc_b.visible_tokens, enc_a.visible_tokens)
-    assert not np.allclose(enc_b.cls, enc_a.cls)
-    np.testing.assert_allclose(np.linalg.norm(enc_b.cls), 1.0, atol=1e-12)
-    dec_a = decode(params, enc_a, plan)
-    dec_b = decode(with_head, enc_b, plan)
-    np.testing.assert_array_equal(dec_b.predictions, dec_a.predictions)
+    cls_a, tokens_a = encode(params, patches, plan)
+    cls_b, tokens_b = encode(with_head, patches, plan)
+    np.testing.assert_array_equal(tokens_b, tokens_a)
+    assert not np.allclose(cls_b, cls_a)
+    np.testing.assert_allclose(np.linalg.norm(cls_b), 1.0, atol=1e-12)
+    pred_a = decode(params, tokens_a, plan)
+    pred_b = decode(with_head, tokens_b, plan)
+    np.testing.assert_array_equal(pred_b, pred_a)
 
 
 def test_attention_maps_are_distributions():

@@ -15,9 +15,10 @@ from pmim.training import (
     MetricsLog,
     TrainConfig,
     adamw_update,
+    batch_backward,
     batch_loss,
-    batch_loss_and_grads,
     build_views,
+    finite_difference_grads,
     gradient_check,
     init_optimizer,
     lr_at,
@@ -162,7 +163,7 @@ def test_batch_loss_matches_grad_variant():
     params = init_params(np.random.default_rng(2), MICRO)
     views = micro_views()
     a = batch_loss(params, views, LossConfig())
-    b, _ = batch_loss_and_grads(params, views, LossConfig())
+    b = batch_loss(params, views, LossConfig(), tape={})
     assert (a.recon, a.align, a.total) == (b.recon, b.align, b.total)
     with pytest.raises(ConfigError):
         batch_loss(params, [], LossConfig())
@@ -172,7 +173,9 @@ def test_batch_gradients_directional_check():
     params = init_params(np.random.default_rng(3), MICRO)
     views = micro_views(seed=4)
     loss_cfg = LossConfig()
-    _, grads = batch_loss_and_grads(params, views, loss_cfg)
+    tape = {}
+    batch_loss(params, views, loss_cfg, tape)
+    grads = batch_backward(params, tape)
     rng = np.random.default_rng(5)
     delta = {k: rng.normal(size=v.shape) for k, v in params.arrays.items()}
     analytic = sum(float((grads[k] * delta[k]).sum()) for k in sorted(grads))
@@ -212,6 +215,13 @@ def test_metrics_log_round_trip(tmp_path):
     log.write(path)
     back = MetricsLog.read(path)
     assert back.records == log.records
+
+
+def test_metrics_log_read_rejects_garbage(tmp_path):
+    path = str(tmp_path / "metrics.jsonl")
+    open(path, "w").write('{"step": 1}\n{"step": 2, "lr"\n')
+    with pytest.raises(ConfigError, match=":2:"):
+        MetricsLog.read(path)
 
 
 def test_pretrain_writes_artifacts(tmp_path, disk_dataset):
@@ -254,6 +264,21 @@ def test_pretrain_resume_is_bitwise(tmp_path, disk_dataset):
     assert log_res.records == log_full.records[2:]
 
 
+def test_pretrain_resume_keeps_metrics_history(tmp_path, disk_dataset):
+    cfg = run_cfg()
+    frozen = lambda: 0.0
+    out = str(tmp_path / "run")
+    metrics = os.path.join(out, "metrics.jsonl")
+    run_pretrain(cfg, disk_dataset, out_dir=out, timer=frozen)
+    uninterrupted = open(metrics, "rb").read()
+    _, _, log = run_pretrain(cfg, disk_dataset, out_dir=out, timer=frozen,
+                             resume_from=os.path.join(out, "checkpoint_ep1.bin"))
+    assert [r["step"] for r in log.records] == [1, 2, 3, 4]
+    assert open(metrics, "rb").read() == uninterrupted
+    run_pretrain(cfg, disk_dataset, out_dir=out, timer=frozen)  # fresh run: overwrite
+    assert open(metrics, "rb").read() == uninterrupted
+
+
 def test_pretrain_resume_rejects_mismatch(tmp_path, disk_dataset):
     other = init_params(np.random.default_rng(0), ModelConfig())
     path = str(tmp_path / "other.bin")
@@ -284,6 +309,37 @@ def test_gradient_check_clean_and_corrupt():
     assert broken["head_b"] > 1e-4
     with pytest.raises(ConfigError):
         gradient_check(model_cfg=MICRO, corrupt="nonexistent")
+
+
+@pytest.mark.parametrize("loss_cfg", [LossConfig(negatives="same_view"),
+                                      LossConfig(symmetrize=True)],
+                         ids=["same_view", "symmetrize"])
+def test_gradient_check_loss_variants(loss_cfg):
+    report = gradient_check(model_cfg=MICRO, loss_cfg=loss_cfg)
+    assert max(report.values()) < 1e-4
+
+
+def test_batch_backward_cosine_stopgrad():
+    # Stop-gradient holds each view's partner fixed, so the alignment term
+    # contributes half the derivative of its reported value (as in
+    # test_losses); gradient_check, which differentiates the value, cannot
+    # take this variant.
+    cfg = LossConfig(align_mode="cosine_stopgrad")
+    params = init_params(np.random.default_rng(3), MICRO)
+    views = micro_views(seed=4)
+    tape = {}
+    batch_loss(params, views, cfg, tape)
+    analytic = batch_backward(params, tape)
+
+    def halved_alignment(p):
+        lb = batch_loss(p, views, cfg)
+        return lb.recon + 0.5 * cfg.align_weight * lb.align
+
+    fd = finite_difference_grads(halved_alignment, params)
+    for name, a in analytic.items():
+        f = fd[name]
+        rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
+        assert rel.max() < 1e-4, name
 
 
 def test_gradient_check_projection_head():
