@@ -25,7 +25,7 @@ from .geometry import (CropParams, ImageBuffer, apply_crop, patchify,
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
                             part_guided_mask, random_mask, stats_delta)
-from .model import ModelConfig, attention_maps, forward_view, param_shapes
+from .model import ModelConfig, attention_maps, forward, param_shapes
 from .training import (TINY_CHECK_MODEL, TrainConfig, gradient_check, run_pretrain)
 
 _SEED_PLAN = 5
@@ -191,7 +191,7 @@ def _paste_reconstruction(image: ImageBuffer, plan: MaskPlan, params, loss: Loss
     """Original pixels on visible patches, model output on masked ones."""
     grid = plan.grid
     patches = patchify(image, grid)
-    _, pred = forward_view(params, patches, plan)
+    _, pred = forward(params, patches, plan)
     out = patches.copy()
     for idx in plan.masked:
         row = pred[idx]

@@ -44,9 +44,16 @@ class LossConfig:
 
 @dataclass
 class LossBreakdown:
+    """Loss terms, plus `objective`: the scalar whose gradient training computes.
+
+    It is `total`, except under cosine_stopgrad, whose stop-gradient halves the
+    alignment derivative: there it is recon + 0.5 * align_weight * align.
+    """
+
     recon: float
     align: float
     total: float
+    objective: float
 
 
 def recon_loss(pred, target_patches: np.ndarray, plan: MaskPlan,
@@ -146,8 +153,8 @@ def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
     """Alignment value plus gradients at both (normalized) class batches.
 
     cosine_stopgrad treats each view's partner as constant, so the gradients
-    are the symmetrized stop-gradient ones even though the value is a plain
-    mean cosine.
+    are the symmetrized stop-gradient ones, those of half the plain mean
+    cosine it reports (see LossBreakdown.objective).
     """
     if cfg is None:
         cfg = LossConfig()
@@ -173,8 +180,10 @@ def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
 
 
 def total_loss(recon: float, align: float, cfg: LossConfig | None = None) -> LossBreakdown:
-    """Weighted sum: total = recon + align_weight * align."""
+    """Weighted sum total = recon + align_weight * align, plus the objective."""
     if cfg is None:
         cfg = LossConfig()
-    return LossBreakdown(recon=recon, align=align,
-                         total=recon + cfg.align_weight * align)
+    total = recon + cfg.align_weight * align
+    objective = (recon + 0.5 * cfg.align_weight * align
+                 if cfg.align_mode == "cosine_stopgrad" else total)
+    return LossBreakdown(recon=recon, align=align, total=total, objective=objective)

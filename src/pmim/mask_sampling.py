@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +122,13 @@ class MaskPlan:
         for i in self.masked:
             if not (0 <= i < self.grid.n_patches):
                 raise ConfigError(f"patch index {i} outside grid of {self.grid.n_patches}")
+
+    @cached_property
+    def visible(self) -> np.ndarray:
+        """Sorted indices of the unmasked patches, built once per plan (read-only)."""
+        vis = np.setdiff1d(np.arange(self.grid.n_patches), np.asarray(self.masked, dtype=np.intp))
+        vis.flags.writeable = False
+        return vis
 
     def mask_vector(self) -> np.ndarray:
         """Binary (n_patches,) vector, 1 where masked."""

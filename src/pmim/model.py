@@ -2,14 +2,20 @@
 
 The encoder runs over visible patches plus a class token; the decoder fills
 masked positions with a shared mask token and predicts all patch pixels.
-Everything is float64 and deterministic. A forward pass given a tape dict
-records its intermediates there; backward() replays that tape and adds the
-view's gradients into a dict the caller owns, so a batch accumulates into one
-set of arrays in a fixed order.
+Everything is float64 and deterministic. Views run together on a leading view
+axis: patches (V, N, P) with V mask plans (or (N, P) with one plan). The plans
+of a batch must hide the same number of patches, so the encoder runs on one
+(V, 1 + n_vis, d) tensor and the decoder on one (V, N, d_dec) tensor. A forward
+pass given a tape dict records its intermediates there; backward() replays it
+and adds into a dict the caller owns. Each gradient is formed per view (a
+stacked x^T @ dy or a token-axis sum), then reduced with .sum(axis=0) in view
+order: bit-identical to adding the views one by one, which folding the view
+axis into one matrix product, or einsum, is not.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -189,11 +195,13 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig) -> ModelParams:
     return ModelParams(cfg, arrays)
 
 
+@functools.lru_cache(maxsize=8)
 def sincos_pos_embed(grid: PatchGrid, dim: int) -> np.ndarray:
     """2D sine-cosine position table, (n_patches, dim), raster order.
 
     Half the channels encode the patch row, half the column; each half is
-    sin then cos over dim/4 frequencies 10000^(-k/(dim/4)).
+    sin then cos over dim/4 frequencies 10000^(-k/(dim/4)). The table depends
+    only on (grid, dim), so it is built once per pair and returned read-only.
     """
     if dim % 4 != 0:
         raise ConfigError(f"position embedding dim must be divisible by 4, got {dim}")
@@ -203,97 +211,99 @@ def sincos_pos_embed(grid: PatchGrid, dim: int) -> np.ndarray:
     cols = np.arange(grid.grid_w, dtype=np.float64)
     r = np.repeat(rows, grid.grid_w)[:, None] * omega[None, :]  # (N, dim/4)
     c = np.tile(cols, grid.grid_h)[:, None] * omega[None, :]
-    return np.concatenate([np.sin(r), np.cos(r), np.sin(c), np.cos(c)], axis=1)
-
-
-def visible_indices(plan: MaskPlan) -> np.ndarray:
-    """Sorted indices of unmasked patches."""
-    return np.setdiff1d(np.arange(plan.grid.n_patches), np.asarray(plan.masked, dtype=np.intp))
+    table = np.concatenate([np.sin(r), np.cos(r), np.sin(c), np.cos(c)], axis=1)
+    table.flags.writeable = False
+    return table
 
 
 # ---------------------------------------------------------------------------
-# layer primitives (forward returns a cache tuple, backward consumes it)
+# layer primitives, named by their parameter prefix. They broadcast over
+# leading axes; backward adds each parameter's per-view gradients into grads.
 
-def _layernorm_fwd(x, g, b):
+def _add(grads: dict[str, np.ndarray], name: str, per_view: np.ndarray):
+    """grads[name] += per-view gradients, summed over the view axis in view order."""
+    g = grads[name]
+    g += per_view.reshape((-1,) + g.shape).sum(axis=0)
+
+
+def _layernorm_fwd(x, params, name):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
-    return g * xhat + b, (xhat, inv)
+    return params[name + "_g"] * xhat + params[name + "_b"], (xhat, inv)
 
 
-def _layernorm_bwd(dy, g, cache):
+def _layernorm_bwd(dy, params, name, cache, grads):
     xhat, inv = cache
-    dg = (dy * xhat).sum(axis=0)
-    db = dy.sum(axis=0)
-    dxhat = dy * g
-    dx = inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
-    return dx, dg, db
+    _add(grads, name + "_g", (dy * xhat).sum(axis=-2))
+    _add(grads, name + "_b", dy.sum(axis=-2))
+    dxhat = dy * params[name + "_g"]
+    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
+                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
 
 
 def _gelu(x):
-    return 0.5 * x * (1.0 + erf(x / math.sqrt(2.0)))
+    """x * Phi(x), plus the normal CDF Phi(x), which _gelu_grad reuses."""
+    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    return x * cdf, cdf
 
 
-def _gelu_grad(x):
-    return (0.5 * (1.0 + erf(x / math.sqrt(2.0)))
-            + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi))
+def _gelu_grad(x, cdf):
+    return cdf + x * np.exp(-0.5 * x * x) / math.sqrt(2.0 * math.pi)
 
 
-def _attn_fwd(x, wqkv, bqkv, wo, bo, n_heads):
-    n, d = x.shape
+def _attn_fwd(x, params, p, n_heads):
+    *lead, n, d = x.shape
     dh = d // n_heads
-    qkv = x @ wqkv + bqkv  # (n, 3d)
-    q, k, v = [a.reshape(n, n_heads, dh).transpose(1, 0, 2)
-               for a in np.split(qkv, 3, axis=1)]  # each (h, n, dh)
-    scores = (q @ k.transpose(0, 2, 1)) / math.sqrt(dh)  # (h, n, n)
-    scores = scores - scores.max(axis=2, keepdims=True)
+    qkv = x @ params[p + "qkv_w"] + params[p + "qkv_b"]  # (..., n, 3d)
+    q, k, v = [a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+               for a in np.split(qkv, 3, axis=-1)]  # each (..., h, n, dh)
+    scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)  # (..., h, n, n)
+    scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
-    attn = e / e.sum(axis=2, keepdims=True)
-    ctx = attn @ v  # (h, n, dh)
-    merged = ctx.transpose(1, 0, 2).reshape(n, d)
-    return merged @ wo + bo, (x, q, k, v, attn, merged)
+    attn = e / e.sum(axis=-1, keepdims=True)
+    ctx = attn @ v  # (..., h, n, dh)
+    merged = ctx.swapaxes(-2, -3).reshape(*lead, n, d)
+    return merged @ params[p + "attn_out_w"] + params[p + "attn_out_b"], (x, q, k, v, attn, merged)
 
 
-def _attn_bwd(dout, wqkv, wo, cache, n_heads):
+def _attn_bwd(dout, params, p, cache, n_heads, grads):
     x, q, k, v, attn, merged = cache
-    n, d = x.shape
+    *lead, n, d = x.shape
     dh = d // n_heads
-    dwo = merged.T @ dout
-    dbo = dout.sum(axis=0)
-    dmerged = dout @ wo.T
-    dctx = dmerged.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    dattn = dctx @ v.transpose(0, 2, 1)
-    dv = attn.transpose(0, 2, 1) @ dctx
-    ds = attn * (dattn - (dattn * attn).sum(axis=2, keepdims=True))
+    _add(grads, p + "attn_out_w", merged.swapaxes(-1, -2) @ dout)
+    _add(grads, p + "attn_out_b", dout.sum(axis=-2))
+    dmerged = dout @ params[p + "attn_out_w"].T
+    dctx = dmerged.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+    dattn = dctx @ v.swapaxes(-1, -2)
+    dv = attn.swapaxes(-1, -2) @ dctx
+    ds = attn * (dattn - (dattn * attn).sum(axis=-1, keepdims=True))
     ds = ds / math.sqrt(dh)
     dq = ds @ k
-    dk = ds.transpose(0, 2, 1) @ q
+    dk = ds.swapaxes(-1, -2) @ q
     dqkv = np.concatenate(
-        [a.transpose(1, 0, 2).reshape(n, d) for a in (dq, dk, dv)], axis=1)
-    dwqkv = x.T @ dqkv
-    dbqkv = dqkv.sum(axis=0)
-    dx = dqkv @ wqkv.T
-    return dx, dwqkv, dbqkv, dwo, dbo
+        [a.swapaxes(-2, -3).reshape(*lead, n, d) for a in (dq, dk, dv)], axis=-1)
+    _add(grads, p + "qkv_w", x.swapaxes(-1, -2) @ dqkv)
+    _add(grads, p + "qkv_b", dqkv.sum(axis=-2))
+    return dqkv @ params[p + "qkv_w"].T
 
 
-def _mlp_fwd(x, w1, b1, w2, b2):
-    h_pre = x @ w1 + b1
-    h_act = _gelu(h_pre)
-    return h_act @ w2 + b2, (x, h_pre, h_act)
+def _mlp_fwd(x, params, p):
+    h_pre = x @ params[p + "mlp1_w"] + params[p + "mlp1_b"]
+    h_act, cdf = _gelu(h_pre)
+    return h_act @ params[p + "mlp2_w"] + params[p + "mlp2_b"], (x, h_pre, cdf, h_act)
 
 
-def _mlp_bwd(dout, w1, w2, cache):
-    x, h_pre, h_act = cache
-    dw2 = h_act.T @ dout
-    db2 = dout.sum(axis=0)
-    dh_pre = (dout @ w2.T) * _gelu_grad(h_pre)
-    dw1 = x.T @ dh_pre
-    db1 = dh_pre.sum(axis=0)
-    dx = dh_pre @ w1.T
-    return dx, dw1, db1, dw2, db2
+def _mlp_bwd(dout, params, p, cache, grads):
+    x, h_pre, cdf, h_act = cache
+    _add(grads, p + "mlp2_w", h_act.swapaxes(-1, -2) @ dout)
+    _add(grads, p + "mlp2_b", dout.sum(axis=-2))
+    dh_pre = (dout @ params[p + "mlp2_w"].T) * _gelu_grad(h_pre, cdf)
+    _add(grads, p + "mlp1_w", x.swapaxes(-1, -2) @ dh_pre)
+    _add(grads, p + "mlp1_b", dh_pre.sum(axis=-2))
+    return dh_pre @ params[p + "mlp1_w"].T
 
 
 def _stack_fwd(params: ModelParams, prefix: str, depth: int, n_heads: int, x):
@@ -301,15 +311,13 @@ def _stack_fwd(params: ModelParams, prefix: str, depth: int, n_heads: int, x):
     tapes = []
     for i in range(depth):
         p = f"{prefix}{i}_"
-        n1, ln1c = _layernorm_fwd(x, params[p + "ln1_g"], params[p + "ln1_b"])
-        a, attnc = _attn_fwd(n1, params[p + "qkv_w"], params[p + "qkv_b"],
-                             params[p + "attn_out_w"], params[p + "attn_out_b"], n_heads)
+        n1, ln1c = _layernorm_fwd(x, params, p + "ln1")
+        a, attnc = _attn_fwd(n1, params, p, n_heads)
         x1 = x + a
-        n2, ln2c = _layernorm_fwd(x1, params[p + "ln2_g"], params[p + "ln2_b"])
-        m, mlpc = _mlp_fwd(n2, params[p + "mlp1_w"], params[p + "mlp1_b"],
-                           params[p + "mlp2_w"], params[p + "mlp2_b"])
+        n2, ln2c = _layernorm_fwd(x1, params, p + "ln2")
+        m, mlpc = _mlp_fwd(n2, params, p)
         x = x1 + m
-        tapes.append({"ln1": ln1c, "attn": attnc, "ln2": ln2c, "mlp": mlpc})
+        tapes.append((ln1c, attnc, ln2c, mlpc))
     return x, tapes
 
 
@@ -318,184 +326,167 @@ def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
     dx = dy
     for i in reversed(range(depth)):
         p = f"{prefix}{i}_"
-        t = tapes[i]
-        dn2, dw1, db1, dw2, db2 = _mlp_bwd(dx, params[p + "mlp1_w"],
-                                           params[p + "mlp2_w"], t["mlp"])
-        grads[p + "mlp1_w"] += dw1
-        grads[p + "mlp1_b"] += db1
-        grads[p + "mlp2_w"] += dw2
-        grads[p + "mlp2_b"] += db2
-        dln2_in, dg2, dbg2 = _layernorm_bwd(dn2, params[p + "ln2_g"], t["ln2"])
-        grads[p + "ln2_g"] += dg2
-        grads[p + "ln2_b"] += dbg2
-        dx1 = dx + dln2_in
-        dn1, dwqkv, dbqkv, dwo, dbo = _attn_bwd(dx1, params[p + "qkv_w"],
-                                                params[p + "attn_out_w"],
-                                                t["attn"], n_heads)
-        grads[p + "qkv_w"] += dwqkv
-        grads[p + "qkv_b"] += dbqkv
-        grads[p + "attn_out_w"] += dwo
-        grads[p + "attn_out_b"] += dbo
-        dln1_in, dg1, dbg1 = _layernorm_bwd(dn1, params[p + "ln1_g"], t["ln1"])
-        grads[p + "ln1_g"] += dg1
-        grads[p + "ln1_b"] += dbg1
-        dx = dx1 + dln1_in
+        ln1c, attnc, ln2c, mlpc = tapes[i]
+        dn2 = _mlp_bwd(dx, params, p, mlpc, grads)
+        dx1 = dx + _layernorm_bwd(dn2, params, p + "ln2", ln2c, grads)
+        dn1 = _attn_bwd(dx1, params, p, attnc, n_heads, grads)
+        dx = dx1 + _layernorm_bwd(dn1, params, p + "ln1", ln1c, grads)
     return dx
 
 
 # ---------------------------------------------------------------------------
 # model forward / backward
 
-def _check_inputs(cfg: ModelConfig, patches: np.ndarray, plan: MaskPlan):
-    if (plan.grid.grid_h, plan.grid.grid_w) != (cfg.grid_h, cfg.grid_w):
-        raise ConfigError(
-            f"plan grid {plan.grid.grid_h}x{plan.grid.grid_w} does not match "
-            f"model grid {cfg.grid_h}x{cfg.grid_w}")
-    if patches.shape != (cfg.n_patches, cfg.patch_dim):
-        raise ConfigError(
-            f"patches shape {patches.shape} does not match "
-            f"({cfg.n_patches}, {cfg.patch_dim})")
+def _plan_indices(cfg: ModelConfig, plans):
+    """(visible, masked) patch indices: (n,) for one plan, (V, n) for V plans.
+
+    Plans must match the model grid, and the plans of a batch must hide one
+    number of patches, so that their views stack densely.
+    """
+    one = isinstance(plans, MaskPlan)
+    batch = [plans] if one else list(plans)
+    for plan in batch:
+        if (plan.grid.grid_h, plan.grid.grid_w) != (cfg.grid_h, cfg.grid_w):
+            raise ConfigError(f"plan grid {plan.grid.grid_h}x{plan.grid.grid_w} does not "
+                              f"match model grid {cfg.grid_h}x{cfg.grid_w}")
+    counts = sorted({plan.n_masked for plan in batch})
+    if len(counts) != 1:
+        raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
+    vis = np.stack([plan.visible for plan in batch])
+    masked = np.array([plan.masked for plan in batch], dtype=np.intp)
+    return (vis[0], masked[0]) if one else (vis, masked)
 
 
 def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = None):
-    """Encoder over already-embedded tokens (any row order).
+    """Encoder over already-embedded tokens (any row order), (n, d) or (V, n, d).
 
     Prepends the class token, runs the blocks and final norm, and returns
     (unit-norm cls vector, per-token outputs). Row order of `tokens` is
     preserved in the outputs.
     """
     cfg = params.cfg
-    if tokens.ndim != 2 or tokens.shape[1] != cfg.embed_dim:
-        raise ConfigError(f"tokens must be (n, {cfg.embed_dim}), got {tokens.shape}")
-    seq = np.vstack([params["cls_token"][None, :], tokens])
-    y, block_tapes = _stack_fwd(params, "enc", cfg.depth, cfg.n_heads, seq)
-    z, lnc = _layernorm_fwd(y, params["enc_norm_g"], params["enc_norm_b"])
-    pre_norm = z[0]
-    proj_cache = None
+    if tokens.ndim not in (2, 3) or tokens.shape[-1] != cfg.embed_dim:
+        raise ConfigError(f"tokens must be ([V,] n, {cfg.embed_dim}), got {tokens.shape}")
+    cls_token = np.broadcast_to(params["cls_token"], tokens.shape[:-2] + (1, cfg.embed_dim))
+    y, block_tapes = _stack_fwd(params, "enc", cfg.depth, cfg.n_heads,
+                                np.concatenate([cls_token, tokens], axis=-2))
+    z, lnc = _layernorm_fwd(y, params, "enc_norm")
+    # The class row keeps its length-1 token axis: the head and the norm are
+    # then one vector-matrix product and one dot product per view.
+    pre = raw = z[..., :1, :]
+    proj = None
     if cfg.proj_head:
-        h_pre = pre_norm @ params["proj1_w"] + params["proj1_b"]
-        h_act = _gelu(h_pre)
-        proj_cache = (pre_norm, h_pre, h_act)
-        pre_norm = h_act @ params["proj2_w"] + params["proj2_b"]
-    nrm = float(np.linalg.norm(pre_norm))
-    if not np.isfinite(nrm) or nrm < 1e-30:
-        raise NumericsError(f"class token norm degenerate: {nrm}")
-    cls = pre_norm / nrm
+        h_pre = pre @ params["proj1_w"] + params["proj1_b"]
+        h_act, cdf = _gelu(h_pre)
+        proj = (h_pre, cdf, h_act)
+        raw = h_act @ params["proj2_w"] + params["proj2_b"]
+    nrm = np.sqrt(raw @ raw.swapaxes(-1, -2))  # (..., 1, 1)
+    bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
+    if bad.any():
+        raise NumericsError(f"class token norm degenerate: {float(nrm[bad][0])}")
+    cls = raw / nrm
     if tape is not None:
-        tape["enc_blocks"] = block_tapes
-        tape["enc_ln"] = lnc
-        tape["cls"] = cls
-        tape["cls_nrm"] = nrm
-        if proj_cache is not None:
-            tape["proj"] = proj_cache
-    return cls, z[1:]
+        tape["enc"] = (block_tapes, lnc, pre, proj, cls, nrm)
+    return cls[..., 0, :], z[..., 1:, :]
 
 
-def encode(params: ModelParams, patches: np.ndarray, plan: MaskPlan,
+def encode(params: ModelParams, patches: np.ndarray, plans,
            tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Embed visible patches (projection + position); returns (unit cls, visible tokens)."""
+    """Embed visible patches (projection + position); returns (unit cls, visible tokens).
+
+    One view is patches (N, P) with one MaskPlan; a batch is (V, N, P) with a
+    sequence of V plans, and every output gains the leading view axis.
+    """
     cfg = params.cfg
-    _check_inputs(cfg, patches, plan)
-    vis = visible_indices(plan)
-    pos = sincos_pos_embed(plan.grid, cfg.embed_dim)
-    tok = patches[vis] @ params["patch_proj_w"] + params["patch_proj_b"] + pos[vis]
-    cls, tok_out = encode_tokens(params, tok, tape)
+    vis, _ = _plan_indices(cfg, plans)
+    want = vis.shape[:-1] + (cfg.n_patches, cfg.patch_dim)
+    if patches.shape != want:
+        raise ConfigError(f"patches shape {patches.shape} does not match {want}")
+    patches_vis = np.take_along_axis(patches, vis[..., None], axis=-2)
     if tape is not None:
-        tape["visible"] = vis
-        tape["patches_vis"] = patches[vis]
-    return cls, tok_out
+        tape["patches"] = patches_vis
+    tok = (patches_vis @ params["patch_proj_w"] + params["patch_proj_b"]
+           + sincos_pos_embed(cfg.grid, cfg.embed_dim)[vis])
+    return encode_tokens(params, tok, tape)
 
 
-def decode(params: ModelParams, visible_tokens: np.ndarray, plan: MaskPlan,
+def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
            tape: dict | None = None) -> np.ndarray:
     """Project visible tokens, fill masked slots with the mask token; returns pixels."""
     cfg = params.cfg
-    vis = visible_indices(plan)
-    if visible_tokens.shape != (len(vis), cfg.embed_dim):
-        raise ConfigError(
-            f"visible tokens {visible_tokens.shape} do not match "
-            f"({len(vis)}, {cfg.embed_dim})")
-    v = visible_tokens @ params["dec_proj_w"] + params["dec_proj_b"]
-    tokens = np.tile(params["mask_token"], (cfg.n_patches, 1))
-    tokens[vis] = v
-    x = tokens + sincos_pos_embed(plan.grid, cfg.decoder_dim)
+    vis, masked = _plan_indices(cfg, plans)
+    if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
+        raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
+                          f"{vis.shape + (cfg.embed_dim,)}")
+    tokens = np.tile(params["mask_token"], vis.shape[:-1] + (cfg.n_patches, 1))
+    np.put_along_axis(tokens, vis[..., None],
+                      visible_tokens @ params["dec_proj_w"] + params["dec_proj_b"], axis=-2)
+    x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
     y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
-    z, lnc = _layernorm_fwd(y, params["dec_norm_g"], params["dec_norm_b"])
-    pred = z @ params["head_w"] + params["head_b"]
+    z, lnc = _layernorm_fwd(y, params, "dec_norm")
     if tape is not None:
-        tape["dec_blocks"] = block_tapes
-        tape["dec_ln"] = lnc
-        tape["dec_head_in"] = z
-        tape["visible"] = vis
-        tape["masked"] = np.asarray(plan.masked, dtype=np.intp)
-        tape["enc_visible_tokens"] = visible_tokens
-    return pred
+        tape["dec"] = (block_tapes, lnc, z, visible_tokens, vis, masked)
+    return z @ params["head_w"] + params["head_b"]
 
 
-def forward_view(params: ModelParams, patches: np.ndarray, plan: MaskPlan,
-                 tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Encode then decode one masked view; returns (cls vector, predictions)."""
-    cls, visible_tokens = encode(params, patches, plan, tape)
-    return cls, decode(params, visible_tokens, plan, tape)
+def forward(params: ModelParams, patches: np.ndarray, plans,
+            tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Encode then decode one view or a batch (see encode); returns (cls, predictions)."""
+    cls, visible_tokens = encode(params, patches, plans, tape)
+    return cls, decode(params, visible_tokens, plans, tape)
 
 
 def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
              d_cls: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Add one view's exact gradients into `grads`, given upstream seeds.
+    """Add the exact gradients of the taped views into `grads`, given upstream seeds.
 
     d_pred is the loss gradient at the decoder predictions, d_cls at the
-    normalized class vector. Requires the tape recorded by forward_view.
-    `grads` holds one array per parameter group, and each group receives at
-    most one in-place addition per view.
+    normalized class vectors, shaped like forward's outputs. Requires the tape
+    recorded by forward. Each group receives one in-place addition per call.
     """
     cfg = params.cfg
-    vis = tape["visible"]
-    masked = tape["masked"]
+    enc_blocks, enc_ln, pre, proj, cls, nrm = tape["enc"]
+    dec_blocks, dec_ln, z, visible_tokens, vis, masked = tape["dec"]
 
     # prediction head and decoder stack
-    z = tape["dec_head_in"]
-    grads["head_w"] += z.T @ d_pred
-    grads["head_b"] += d_pred.sum(axis=0)
-    dz = d_pred @ params["head_w"].T
-    dy, dg, db = _layernorm_bwd(dz, params["dec_norm_g"], tape["dec_ln"])
-    grads["dec_norm_g"] += dg
-    grads["dec_norm_b"] += db
+    _add(grads, "head_w", z.swapaxes(-1, -2) @ d_pred)
+    _add(grads, "head_b", d_pred.sum(axis=-2))
+    dy = _layernorm_bwd(d_pred @ params["head_w"].T, params, "dec_norm", dec_ln, grads)
     dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads,
-                         tape["dec_blocks"], dy, grads)
-    if len(masked):
-        grads["mask_token"] += dtokens[masked].sum(axis=0)
-    dv = dtokens[vis]
-    grads["dec_proj_w"] += tape["enc_visible_tokens"].T @ dv
-    grads["dec_proj_b"] += dv.sum(axis=0)
-    d_vt = dv @ params["dec_proj_w"].T
+                         dec_blocks, dy, grads)
+    if masked.shape[-1]:
+        _add(grads, "mask_token",
+             np.take_along_axis(dtokens, masked[..., None], axis=-2).sum(axis=-2))
+    dv = np.take_along_axis(dtokens, vis[..., None], axis=-2)
+    _add(grads, "dec_proj_w", visible_tokens.swapaxes(-1, -2) @ dv)
+    _add(grads, "dec_proj_b", dv.sum(axis=-2))
 
-    # class-vector normalization: cls = raw / |raw|
-    cls = tape["cls"]
-    d_raw = (d_cls - cls * float(cls @ d_cls)) / tape["cls_nrm"]
-    if "proj" in tape:
-        enc_cls, h_pre, h_act = tape["proj"]
-        grads["proj2_w"] += np.outer(h_act, d_raw)
-        grads["proj2_b"] += d_raw
-        dh_pre = (params["proj2_w"] @ d_raw) * _gelu_grad(h_pre)
-        grads["proj1_w"] += np.outer(enc_cls, dh_pre)
-        grads["proj1_b"] += dh_pre
-        d_raw = params["proj1_w"] @ dh_pre
+    # class-vector normalization cls = raw / |raw| on (..., 1, d) rows; W @ d
+    # runs on column vectors (swapaxes) as one matrix-vector product per view
+    d_cls = d_cls[..., None, :]
+    d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
+    if proj is not None:
+        h_pre, cdf, h_act = proj
+        _add(grads, "proj2_w", h_act.swapaxes(-1, -2) * d_raw)
+        _add(grads, "proj2_b", d_raw)
+        dh_pre = ((params["proj2_w"] @ d_raw.swapaxes(-1, -2)).swapaxes(-1, -2)
+                  * _gelu_grad(h_pre, cdf))
+        _add(grads, "proj1_w", pre.swapaxes(-1, -2) * dh_pre)
+        _add(grads, "proj1_b", dh_pre)
+        d_raw = (params["proj1_w"] @ dh_pre.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     # encoder stack and embedding
-    dz_enc = np.vstack([d_raw[None, :], d_vt])
-    dy_enc, dg, db = _layernorm_bwd(dz_enc, params["enc_norm_g"], tape["enc_ln"])
-    grads["enc_norm_g"] += dg
-    grads["enc_norm_b"] += db
-    dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads,
-                      tape["enc_blocks"], dy_enc, grads)
-    grads["cls_token"] += dseq[0]
-    dtok = dseq[1:]
-    grads["patch_proj_w"] += tape["patches_vis"].T @ dtok
-    grads["patch_proj_b"] += dtok.sum(axis=0)
+    dz_enc = np.concatenate([d_raw, dv @ params["dec_proj_w"].T], axis=-2)
+    dy_enc = _layernorm_bwd(dz_enc, params, "enc_norm", enc_ln, grads)
+    dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads, enc_blocks, dy_enc, grads)
+    _add(grads, "cls_token", dseq[..., 0, :])
+    dtok = dseq[..., 1:, :]
+    _add(grads, "patch_proj_w", tape["patches"].swapaxes(-1, -2) @ dtok)
+    _add(grads, "patch_proj_b", dtok.sum(axis=-2))
 
 
 def attention_maps(params: ModelParams, patches: np.ndarray, plan: MaskPlan) -> np.ndarray:
     """Encoder attention weights, (depth, heads, seq, seq); row 0 is the class token."""
     tape: dict = {}
     encode(params, patches, plan, tape)
-    return np.stack([t["attn"][4] for t in tape["enc_blocks"]])
+    return np.stack([attnc[4] for _, attnc, _, _ in tape["enc"][0]])

@@ -2,10 +2,10 @@
 
 Every random draw comes from a seed sequence keyed by (seed, purpose, epoch,
 sample index), never from carried generator state, so a resumed run replays
-the exact uninterrupted trajectory. The objective has one forward loop,
-batch_loss; given a tape it records every view, and batch_backward replays
-the tape serially in fixed batch order into one gradient dict, which keeps
-runs bit-for-bit reproducible.
+the exact uninterrupted trajectory. batch_loss runs a batch's 2B views as
+one model batch (a0, b0, a1, b1, ...); given a tape, batch_backward makes one
+backward pass and reduces each gradient over the views in that fixed order,
+which keeps runs bit-for-bit reproducible.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
 from .mask_sampling import SamplerConfig, part_guided_mask, random_mask
-from .model import ModelConfig, ModelParams, backward, forward_view, init_params
+from .model import ModelConfig, ModelParams, backward, forward, init_params
 
 logger = logging.getLogger("pmim")
 
@@ -208,41 +208,34 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
                tape: dict | None = None) -> LossBreakdown:
     """Objective over a batch of (patches_a, plan_a, patches_b, plan_b) items.
 
-    Reconstruction averages the per-view masked MSE over both views of every
-    item; alignment is InfoNCE over the batch of class-vector pairs. Given a
-    tape dict, records each view's tape and weighted seeds for batch_backward.
+    The 2B views, laid out a0, b0, a1, b1, ..., run as one model batch and must
+    all hide the same number of patches. Reconstruction averages the per-view
+    masked MSE; alignment is InfoNCE over the class-vector pairs. Given a tape
+    dict, records the model tape and the weighted seeds for batch_backward.
     """
     if not views:
         raise ConfigError("empty batch")
     b = len(views)
-    scale = 1.0 / (2 * b)
-    z = np.zeros((b, params.cfg.embed_dim))
-    zt = np.zeros((b, params.cfg.embed_dim))
+    patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
+    plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
+    cls, pred = forward(params, patches, plans, tape)
+    recon_terms = [recon_loss_and_grad(p, t, plan, loss_cfg)
+                   for p, t, plan in zip(pred, patches, plans)]
     recon_sum = 0.0
-    items = []
-    for i, (pa, plan_a, pb, plan_b) in enumerate(views):
-        ta, tb = ({}, {}) if tape is not None else (None, None)
-        z[i], pred_a = forward_view(params, pa, plan_a, ta)
-        zt[i], pred_b = forward_view(params, pb, plan_b, tb)
-        ra, da = recon_loss_and_grad(pred_a, pa, plan_a, loss_cfg)
-        rb, db = recon_loss_and_grad(pred_b, pb, plan_b, loss_cfg)
+    for (ra, _), (rb, _) in zip(recon_terms[0::2], recon_terms[1::2]):
         recon_sum += ra + rb
-        if tape is not None:
-            items.append((ta, da * scale, tb, db * scale))
     recon = recon_sum / (2 * b)
-    align, dz, dzt = align_loss_and_grad(z, zt, loss_cfg)
+    align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
     if tape is not None:
-        gamma = loss_cfg.align_weight
-        tape.update(items=items, dz=gamma * dz, dzt=gamma * dzt)
+        tape.update(d_pred=np.stack([d for _, d in recon_terms]) * (1.0 / (2 * b)),
+                    d_cls=loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape))
     return total_loss(recon, align, loss_cfg)
 
 
 def batch_backward(params: ModelParams, tape: dict) -> dict[str, np.ndarray]:
-    """Exact gradients of a taped batch_loss, reduced serially in batch order."""
+    """Exact gradients of a taped batch_loss's objective, views reduced in batch order."""
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    for (ta, da, tb, db), dz, dzt in zip(tape["items"], tape["dz"], tape["dzt"]):
-        backward(params, ta, da, dz, grads)
-        backward(params, tb, db, dzt, grads)
+    backward(params, tape, tape["d_pred"], tape["d_cls"], grads)
     return grads
 
 
@@ -285,11 +278,12 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
                  timer=None):
     """Epoch loop with seeded shuffling; returns (params, opt, MetricsLog).
 
-    With out_dir set, writes metrics.jsonl, a checkpoint_ep{N}.bin every
-    checkpoint_every epochs, and a final checkpoint.bin. resume_from
-    restarts at the checkpoint's epoch boundary and replays the original
-    trajectory exactly; rows of an existing out_dir/metrics.jsonl up to the
-    checkpoint step are kept, so the log holds the whole history.
+    With out_dir set, writes metrics.jsonl one row per step as it goes (a
+    fresh run truncates it), a checkpoint_ep{N}.bin every checkpoint_every
+    epochs, and a final checkpoint.bin. resume_from restarts at the
+    checkpoint's epoch boundary and replays the original trajectory exactly;
+    rows of an existing out_dir/metrics.jsonl up to the checkpoint step are
+    rewritten first, so the log holds the whole history.
     """
     if not len(manifest):
         raise ConfigError("manifest is empty")
@@ -321,6 +315,7 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
         if resume_from is not None and os.path.exists(metrics_path):
             log.records = [r for r in MetricsLog.read(metrics_path).records
                            if r["step"] <= step0]
+        log.write(metrics_path)  # then one appended row per step: a crash keeps them
 
     for epoch in range(start_epoch, n_epochs):
         shuffle_rng = np.random.default_rng(
@@ -338,6 +333,9 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
             t0 = timer()
             params, opt, lb = train_step(params, opt, records, rcfg, rngs, manifest.root)
             log.append(opt.step, lr_used, lb.recon, lb.align, lb.total, timer() - t0)
+            if out_dir is not None:
+                with open(metrics_path, "a", encoding="utf-8") as f:
+                    f.write(json.dumps(log.records[-1]) + "\n")
         if out_dir is not None and (epoch + 1) % rcfg.checkpoint_every == 0:
             data_io.save_checkpoint(
                 params, opt, opt.step,
@@ -346,7 +344,6 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     if out_dir is not None:
         data_io.save_checkpoint(params, opt, opt.step,
                                 os.path.join(out_dir, "checkpoint.bin"))
-        log.write(metrics_path)
     return params, opt, log
 
 
@@ -405,7 +402,7 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         if corrupt not in analytic:
             raise ConfigError(f"no parameter group named {corrupt!r}")
         analytic[corrupt] = analytic[corrupt] + 1e-3
-    fd = finite_difference_grads(lambda p: batch_loss(p, views, loss_cfg).total, params, h)
+    fd = finite_difference_grads(lambda p: batch_loss(p, views, loss_cfg).objective, params, h)
 
     report = {}
     for name in params.arrays:

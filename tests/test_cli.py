@@ -220,6 +220,8 @@ def test_grad_check_cli():
     assert code == 0
     report = json.loads(stdout)
     assert max(report.values()) < 1e-4
+    stopgrad = ["--set", "loss.align_mode=cosine_stopgrad"]
+    assert run_cli(["grad-check", *MICRO_SET, *stopgrad])[0] == 0
 
     code, _, err = run_cli(["grad-check", *MICRO_SET, "--corrupt", "head_b"])
     assert code == 3

@@ -14,11 +14,10 @@ from pmim.model import (
     decode,
     encode,
     encode_tokens,
-    forward_view,
+    forward,
     init_params,
     param_shapes,
     sincos_pos_embed,
-    visible_indices,
 )
 
 TINY = ModelConfig(embed_dim=8, depth=1, n_heads=2, decoder_dim=8,
@@ -103,6 +102,7 @@ def test_params_validation():
 
 def test_pos_embed_origin_row():
     emb = sincos_pos_embed(PatchGrid(4, 4, 8), 16)
+    assert sincos_pos_embed(PatchGrid(4, 4, 8), 16) is emb and not emb.flags.writeable
     q = 4
     np.testing.assert_array_equal(emb[0, :q], 0.0)  # sin(row 0)
     np.testing.assert_array_equal(emb[0, q:2 * q], 1.0)  # cos(row 0)
@@ -126,7 +126,8 @@ def test_pos_embed_rejects_odd_dim():
 def test_visible_indices_complement():
     grid = PatchGrid(2, 4, 8)
     plan = MaskPlan(grid, 3, [1, 6, 2], ["fill"] * 3)
-    np.testing.assert_array_equal(visible_indices(plan), [0, 3, 4, 5, 7])
+    np.testing.assert_array_equal(plan.visible, [0, 3, 4, 5, 7])
+    assert plan.visible is plan.visible and not plan.visible.flags.writeable
 
 
 def test_encode_outputs():
@@ -185,7 +186,7 @@ def test_decode_rejects_wrong_token_count():
 def test_backward_zero_pred_seed_leaves_decoder_untouched():
     params, patches, plan = tiny_setup(seed=8)
     tape = {}
-    forward_view(params, patches, plan, tape)
+    forward(params, patches, plan, tape)
     u = np.random.default_rng(1).normal(size=8)
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
     backward(params, tape, np.zeros((4, 48)), u, grads)
@@ -203,7 +204,7 @@ def test_backward_directional_derivative():
     m = np.asarray(plan.masked)
 
     tape = {}
-    _, pred = forward_view(params, patches, plan, tape)
+    _, pred = forward(params, patches, plan, tape)
     d_pred = np.zeros_like(pred)
     d_pred[m] = w_pred
     grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
@@ -214,7 +215,7 @@ def test_backward_directional_derivative():
 
     def value(t):
         arrays = {k: v + t * delta[k] for k, v in params.arrays.items()}
-        cls, pred = forward_view(ModelParams(TINY, arrays), patches, plan)
+        cls, pred = forward(ModelParams(TINY, arrays), patches, plan)
         return float((pred[m] * w_pred).sum() + cls @ u)
 
     h = 1e-6

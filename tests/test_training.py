@@ -3,14 +3,16 @@
 import dataclasses
 import math
 import os
+import warnings
 
 import numpy as np
 import pytest
 
+from pmim import training
 from pmim.data_io import make_synthetic_dataset, save_checkpoint
 from pmim.errors import ConfigError
 from pmim.losses import LossConfig
-from pmim.model import ModelConfig, ModelParams, init_params
+from pmim.model import ModelConfig, ModelParams, backward, forward, init_params
 from pmim.training import (
     MetricsLog,
     TrainConfig,
@@ -169,6 +171,60 @@ def test_batch_loss_matches_grad_variant():
         batch_loss(params, [], LossConfig())
 
 
+def test_batch_matches_batch_of_one_views():
+    # The batched engine equals its views run one at a time (a0, b0, a1, b1,
+    # ...), and batch_backward equals their gradients added in that order.
+    cfg = dataclasses.replace(MICRO, proj_head=True)
+    params = init_params(np.random.default_rng(6), cfg)
+    views = micro_views(seed=7, n=3)
+    tape = {}
+    batch_loss(params, views, LossConfig(), tape)
+    grads = batch_backward(params, tape)
+    patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
+    plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
+    cls_batch, pred_batch = forward(params, np.stack(patches), plans)
+    serial = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    for i, (p, plan) in enumerate(zip(patches, plans)):
+        one = {}
+        cls, pred = forward(params, p[None], [plan], one)
+        assert np.array_equal(cls[0], cls_batch[i]) and np.array_equal(pred[0], pred_batch[i])
+        g = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        backward(params, one, tape["d_pred"][i:i + 1], tape["d_cls"][i:i + 1], g)
+        for k in serial:
+            serial[k] += g[k]
+    for k in grads:
+        assert np.array_equal(grads[k], serial[k]), k
+
+    ragged = views[:2] + [(views[2][0], random_mask(np.random.default_rng(0), MICRO.grid, 1),
+                           views[2][2], views[2][3])]
+    with pytest.raises(ConfigError, match="one number of patches"):
+        batch_loss(params, ragged, LossConfig())
+
+
+@pytest.mark.parametrize("n_masked", [0, 4], ids=["ratio0", "ratio1"])
+def test_batch_at_extreme_masking_ratios(n_masked):
+    params = init_params(np.random.default_rng(8), MICRO)
+    rng = np.random.default_rng(9)
+    views = []
+    for _ in range(3):
+        patches = rng.uniform(0.0, 1.0, (4, 48))
+        views.append((patches, random_mask(rng, MICRO.grid, n_masked),
+                      patches, random_mask(rng, MICRO.grid, n_masked)))
+    tape = {}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        lb = batch_loss(params, views, LossConfig(), tape)
+    grads = batch_backward(params, tape)
+    assert all(np.isfinite(g).all() for g in grads.values())
+    assert math.isfinite(lb.total) and grads["cls_token"].any()
+    if n_masked == 0:  # nothing to reconstruct: one warning per view, no decoder gradient
+        assert lb.recon == 0.0 and len(caught) == 6
+        assert not grads["head_w"].any() and not grads["mask_token"].any()
+    else:  # nothing visible: the patch embedding and decoder projection get no gradient
+        assert lb.recon > 0.0 and not caught
+        assert not grads["patch_proj_w"].any() and not grads["dec_proj_w"].any()
+
+
 def test_batch_gradients_directional_check():
     params = init_params(np.random.default_rng(3), MICRO)
     views = micro_views(seed=4)
@@ -279,6 +335,26 @@ def test_pretrain_resume_keeps_metrics_history(tmp_path, disk_dataset):
     assert open(metrics, "rb").read() == uninterrupted
 
 
+def test_pretrain_crash_keeps_streamed_rows(tmp_path, disk_dataset, monkeypatch):
+    cfg = run_cfg()
+    frozen = lambda: 0.0
+    full = str(tmp_path / "full")
+    run_pretrain(cfg, disk_dataset, out_dir=full, timer=frozen)
+    real_step = training.train_step
+
+    def crash_at_step_3(params, opt, *args):
+        if opt.step == 2:
+            raise RuntimeError("simulated crash")
+        return real_step(params, opt, *args)
+
+    monkeypatch.setattr(training, "train_step", crash_at_step_3)
+    out = str(tmp_path / "crashed")
+    with pytest.raises(RuntimeError, match="simulated crash"):
+        run_pretrain(cfg, disk_dataset, out_dir=out, timer=frozen)
+    kept = open(os.path.join(out, "metrics.jsonl"), "rb").read()
+    assert kept.splitlines() == open(os.path.join(full, "metrics.jsonl"), "rb").read().splitlines()[:2]
+
+
 def test_pretrain_resume_rejects_mismatch(tmp_path, disk_dataset):
     other = init_params(np.random.default_rng(0), ModelConfig())
     path = str(tmp_path / "other.bin")
@@ -311,35 +387,16 @@ def test_gradient_check_clean_and_corrupt():
         gradient_check(model_cfg=MICRO, corrupt="nonexistent")
 
 
+# cosine_stopgrad holds each view's partner fixed, so its gradients are those
+# of the objective recon + 0.5 * align_weight * align, which gradient_check
+# differences in place of the reported total.
 @pytest.mark.parametrize("loss_cfg", [LossConfig(negatives="same_view"),
-                                      LossConfig(symmetrize=True)],
-                         ids=["same_view", "symmetrize"])
+                                      LossConfig(symmetrize=True),
+                                      LossConfig(align_mode="cosine_stopgrad")],
+                         ids=["same_view", "symmetrize", "cosine_stopgrad"])
 def test_gradient_check_loss_variants(loss_cfg):
     report = gradient_check(model_cfg=MICRO, loss_cfg=loss_cfg)
     assert max(report.values()) < 1e-4
-
-
-def test_batch_backward_cosine_stopgrad():
-    # Stop-gradient holds each view's partner fixed, so the alignment term
-    # contributes half the derivative of its reported value (as in
-    # test_losses); gradient_check, which differentiates the value, cannot
-    # take this variant.
-    cfg = LossConfig(align_mode="cosine_stopgrad")
-    params = init_params(np.random.default_rng(3), MICRO)
-    views = micro_views(seed=4)
-    tape = {}
-    batch_loss(params, views, cfg, tape)
-    analytic = batch_backward(params, tape)
-
-    def halved_alignment(p):
-        lb = batch_loss(p, views, cfg)
-        return lb.recon + 0.5 * cfg.align_weight * lb.align
-
-    fd = finite_difference_grads(halved_alignment, params)
-    for name, a in analytic.items():
-        f = fd[name]
-        rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        assert rel.max() < 1e-4, name
 
 
 def test_gradient_check_projection_head():
