@@ -24,7 +24,7 @@ from .geometry import (CropParams, ImageBuffer, apply_crop, patchify,
                        transform_keypoints, unpatchify)
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
-                            part_guided_mask, random_mask, stats_delta)
+                            part_guided_mask, plan_indices, random_mask, stats_delta)
 from .model import ModelConfig, attention_maps, forward, param_shapes
 from .training import (TINY_CHECK_MODEL, TrainConfig, gradient_check, run_pretrain)
 
@@ -124,6 +124,22 @@ def _build_configs(cfg: dict):
     return train
 
 
+def _load_manifest(args, train: TrainConfig) -> data_io.DatasetManifest:
+    """The manifest named by --manifest, else by data.manifest."""
+    path = args.manifest or train.dataset
+    if not path:
+        raise ConfigError("no manifest: pass --manifest or set data.manifest")
+    return data_io.load_manifest(path)
+
+
+def _load_params(checkpoint: str, model: ModelConfig):
+    """Checkpoint parameters, which must be for the configured model."""
+    params, _, _ = data_io.load_checkpoint(checkpoint)
+    if params.cfg != model:
+        raise ConfigError("checkpoint model config does not match configured model")
+    return params
+
+
 def _full_frame_view(record, manifest, model: ModelConfig):
     """Deterministic mapping of a record into the model frame: resize only."""
     image = data_io.load_image(manifest.image_path(record))
@@ -139,10 +155,7 @@ def _full_frame_view(record, manifest, model: ModelConfig):
 
 def cmd_pretrain(args) -> int:
     train = _build_configs(_load_config(args))
-    manifest_path = args.manifest or train.dataset
-    if not manifest_path:
-        raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    manifest = data_io.load_manifest(manifest_path)
+    manifest = _load_manifest(args, train)
     out_dir = args.out or "run"
     params, opt, log = run_pretrain(train, manifest, out_dir=out_dir,
                                     resume_from=args.resume)
@@ -155,10 +168,7 @@ def cmd_pretrain(args) -> int:
 
 def cmd_mask_plan(args) -> int:
     train = _build_configs(_load_config(args))
-    manifest_path = args.manifest or train.dataset
-    if not manifest_path:
-        raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    manifest = data_io.load_manifest(manifest_path)
+    manifest = _load_manifest(args, train)
     out_path = args.out or "plans.jsonl"
     grid = train.model.grid
     scfg = train.sampler()
@@ -205,27 +215,18 @@ def _paste_reconstruction(image: ImageBuffer, plan: MaskPlan, params, loss: Loss
 
 def cmd_visualize(args) -> int:
     train = _build_configs(_load_config(args))
-    manifest_path = args.manifest or train.dataset
-    if not manifest_path:
-        raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    manifest = data_io.load_manifest(manifest_path)
+    manifest = _load_manifest(args, train)
     entries = data_io.read_mask_plan(args.plans, patch_size=train.model.patch_size)
     if not entries:
         raise ConfigError(f"empty plan file: {args.plans}")
-    params = None
-    if args.checkpoint:
-        params, _, _ = data_io.load_checkpoint(args.checkpoint)
-        if params.cfg != train.model:
-            raise ConfigError("checkpoint model config does not match configured model")
+    params = _load_params(args.checkpoint, train.model) if args.checkpoint else None
     out_dir = args.out or "viz"
     os.makedirs(out_dir, exist_ok=True)
     written = []
     for sample_id, view, plan in entries:
         record = manifest.by_id(sample_id)
+        plan_indices(plan, train.model.grid)  # rejects a plan made for another grid
         original, _ = _full_frame_view(record, manifest, train.model)
-        if (plan.grid.grid_h, plan.grid.grid_w) != (train.model.grid_h, train.model.grid_w):
-            raise ConfigError(
-                f"plan grid {plan.grid.grid_h}x{plan.grid.grid_w} does not match model")
         masked = _gray_masked(original, plan)
         if params is not None:
             recon = _paste_reconstruction(original, plan, params, train.loss)
@@ -245,10 +246,7 @@ def cmd_visualize(args) -> int:
 
 def cmd_stats(args) -> int:
     train = _build_configs(_load_config(args))
-    manifest_path = args.manifest or train.dataset
-    if not manifest_path:
-        raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    manifest = data_io.load_manifest(manifest_path)
+    manifest = _load_manifest(args, train)
     scfg = train.sampler()
     regions_by_id: dict[str, set[int]] = {}
     reports = {}
@@ -278,13 +276,8 @@ def cmd_stats(args) -> int:
 
 def cmd_attn_map(args) -> int:
     train = _build_configs(_load_config(args))
-    manifest_path = args.manifest or train.dataset
-    if not manifest_path:
-        raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    manifest = data_io.load_manifest(manifest_path)
-    params, _, _ = data_io.load_checkpoint(args.checkpoint)
-    if params.cfg != train.model:
-        raise ConfigError("checkpoint model config does not match configured model")
+    manifest = _load_manifest(args, train)
+    params = _load_params(args.checkpoint, train.model)
     record = manifest.by_id(args.id)
     grid = train.model.grid
     if not (0 <= args.query < grid.n_patches):

@@ -406,19 +406,21 @@ def _write_array(f, name: str, arr: np.ndarray):
 
 
 def _read_exact(f, n: int, path: str) -> bytes:
-    buf = f.read(n)
-    if len(buf) != n:
+    # a header may claim any size: check it against the file before reading
+    if n > os.fstat(f.fileno()).st_size - f.tell():
         raise ConfigError(f"truncated checkpoint: {path}")
-    return buf
+    return f.read(n)
 
 
 def _read_array(f, path: str) -> tuple[str, np.ndarray]:
     (name_len,) = struct.unpack("<I", _read_exact(f, 4, path))
-    name = _read_exact(f, name_len, path).decode("utf-8")
+    try:
+        name = _read_exact(f, name_len, path).decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise ConfigError(f"{path}: unreadable array name ({e})")
     (rank,) = struct.unpack("<I", _read_exact(f, 4, path))
     dims = struct.unpack(f"<{rank}I", _read_exact(f, 4 * rank, path))
-    count = int(np.prod(dims)) if rank else 1
-    data = np.frombuffer(_read_exact(f, 8 * count, path), dtype="<f8")
+    data = np.frombuffer(_read_exact(f, 8 * math.prod(dims), path), dtype="<f8")
     return name, data.reshape(dims).astype(np.float64)
 
 
@@ -485,15 +487,18 @@ def load_checkpoint(path: str):
                 raise ConfigError(f"{path}: unexpected array {name!r}")
             groups[prefix][base] = arr
 
-    cfg = ModelConfig(**meta["model"])
-    params = ModelParams(cfg, groups["p"])
-    hyper = meta["optimizer"]
-    opt = OptimizerState(m=groups["m"], v=groups["v"], step=int(hyper["step"]),
-                         beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
-                         eps=float(hyper["eps"]))
+    try:
+        params = ModelParams(ModelConfig(**meta["model"]), groups["p"])
+        hyper = meta["optimizer"]
+        opt = OptimizerState(m=groups["m"], v=groups["v"], step=int(hyper["step"]),
+                             beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
+                             eps=float(hyper["eps"]))
+        step = int(meta["step"])
+    except (ConfigError, TypeError, KeyError, ValueError) as e:
+        raise ConfigError(f"{path}: malformed config echo or arrays ({e!r})")
     if set(opt.m) != set(params.arrays) or set(opt.v) != set(params.arrays):
         raise ConfigError(f"{path}: optimizer arrays do not mirror parameters")
-    return params, opt, int(meta["step"])
+    return params, opt, step
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +537,8 @@ def read_mask_plan(path: str, patch_size: int = 1) -> list[tuple[str, str, MaskP
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{where}: invalid JSON ({e.msg})")
+        if not isinstance(obj, dict):
+            raise ConfigError(f"{where}: plan must be a JSON object")
         for key in ("id", "view", "grid", "masked", "provenance"):
             if key not in obj:
                 raise ConfigError(f"{where}: missing field {key!r}")
@@ -544,14 +551,9 @@ def read_mask_plan(path: str, patch_size: int = 1) -> list[tuple[str, str, MaskP
         provenance = obj["provenance"]
         if not isinstance(masked, list) or not all(isinstance(i, int) for i in masked):
             raise ConfigError(f"{where}: field 'masked' must be a list of indices")
-        if len(provenance) != len(masked):
-            raise ConfigError(
-                f"{where}: provenance length {len(provenance)} != mask length {len(masked)}")
-        for i in masked:
-            if not (0 <= i < grid.n_patches):
-                raise ConfigError(
-                    f"{where}: index {i} outside the {grid.grid_h}x{grid.grid_w} grid")
-        try:
+        if not isinstance(provenance, list):
+            raise ConfigError(f"{where}: field 'provenance' must be a list of tags")
+        try:  # MaskPlan checks the lengths and the index range
             plan = MaskPlan(grid, len(masked), masked, [str(t) for t in provenance])
         except ConfigError as e:
             raise ConfigError(f"{where}: {e}")

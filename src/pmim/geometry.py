@@ -253,9 +253,9 @@ def unpatchify(patches: np.ndarray, grid: PatchGrid) -> ImageBuffer:
 
 
 def normalize_targets(patches: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Standardize each patch row to mean 0 and (regularized) unit variance."""
+    """Standardize each patch row (last axis) to mean 0 and (regularized) unit variance."""
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
-    mean = patches.mean(axis=1, keepdims=True)
-    var = patches.var(axis=1, keepdims=True)
+    mean = patches.mean(axis=-1, keepdims=True)
+    var = patches.var(axis=-1, keepdims=True)
     return (patches - mean) / np.sqrt(var + eps)

@@ -1,10 +1,12 @@
 """Masked-reconstruction MSE, cross-view InfoNCE alignment, and their gradients.
 
-The alignment loss compares the normalized class vectors of two differently
-masked views of the same batch. Its denominator ranges over the opposite
-view's batch and includes the positive, so the value is nonnegative and a
-batch of one gives exactly zero. The literal same-view denominator and a
-negative-free cosine variant are kept behind flags.
+Reconstruction takes the model's view axis: (N, P) arrays with one MaskPlan
+give a float, (V, N, P) arrays with V plans a (V,) array, each bit-equal to
+its view's own call. The alignment loss compares the normalized class vectors
+of two differently masked views of the same batch. Its denominator ranges over
+the opposite view's batch and includes the positive, so the value is
+nonnegative and a batch of one gives exactly zero. The literal same-view
+denominator and a negative-free cosine variant are kept behind flags.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .geometry import normalize_targets
-from .mask_sampling import MaskPlan
+from .mask_sampling import MaskPlan, plan_indices
 
 ALIGN_MODES = ("infonce", "cosine_stopgrad")
 NEGATIVE_POOLS = ("cross_view", "same_view")
@@ -56,36 +58,35 @@ class LossBreakdown:
     objective: float
 
 
-def recon_loss(pred, target_patches: np.ndarray, plan: MaskPlan,
-               cfg: LossConfig | None = None) -> float:
-    """Mean squared error over masked rows only."""
-    value, _ = recon_loss_and_grad(pred, target_patches, plan, cfg)
+def recon_loss(pred, target_patches: np.ndarray, plans,
+               cfg: LossConfig | None = None):
+    """Mean squared error over masked rows only (per view for V plans)."""
+    value, _ = recon_loss_and_grad(pred, target_patches, plans, cfg)
     return value
 
 
-def recon_loss_and_grad(pred, target_patches: np.ndarray, plan: MaskPlan,
+def recon_loss_and_grad(pred, target_patches: np.ndarray, plans,
                         cfg: LossConfig | None = None):
     """Masked MSE and its gradient at the predictions (zero on visible rows)."""
     if cfg is None:
         cfg = LossConfig()
     p = np.asarray(pred, dtype=np.float64)
     tgt = np.asarray(target_patches, dtype=np.float64)
-    if p.shape != tgt.shape:
-        raise ConfigError(f"prediction {p.shape} and target {tgt.shape} shapes differ")
-    if p.shape[0] != plan.grid.n_patches:
-        raise ConfigError(
-            f"{p.shape[0]} prediction rows for a grid of {plan.grid.n_patches} patches")
+    one = isinstance(plans, MaskPlan)
+    grid = (plans if one else plans[0]).grid
+    _, masked = plan_indices(plans, grid)
+    if p.shape != tgt.shape or p.shape[:-1] != masked.shape[:-1] + (grid.n_patches,):
+        raise ConfigError(f"shapes {p.shape}, {tgt.shape} do not fit {grid.n_patches}-patch plans")
     d_pred = np.zeros_like(p)
-    if plan.n_masked == 0:
+    if masked.shape[-1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
-        return 0.0, d_pred
-    if cfg.normalize_targets:
-        tgt = normalize_targets(tgt)
-    rows = np.asarray(plan.masked, dtype=np.intp)
-    diff = p[rows] - tgt[rows]
-    value = float(np.mean(diff * diff))
-    d_pred[rows] = 2.0 * diff / diff.size
-    return value, d_pred
+        return (0.0 if one else np.zeros(len(masked))), d_pred
+    rows = masked if one else (np.arange(len(masked))[:, None], masked)
+    tgt = normalize_targets(tgt[rows]) if cfg.normalize_targets else tgt[rows]
+    diff = p[rows] - tgt
+    value = np.mean(diff * diff, axis=(-2, -1))
+    d_pred[rows] = 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    return (float(value) if one else value), d_pred
 
 
 def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:

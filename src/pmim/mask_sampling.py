@@ -137,6 +137,24 @@ class MaskPlan:
         return m
 
 
+def plan_indices(plans, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
+    """The plan-batch rule: every plan matches `grid`, and a batch hides one number of patches.
+
+    Returns (visible, masked) index arrays, (n,) for one MaskPlan and (V, n) for V plans.
+    """
+    one = isinstance(plans, MaskPlan)
+    batch = [plans] if one else list(plans)
+    shapes = {(plan.grid.grid_h, plan.grid.grid_w) for plan in batch}
+    if shapes - {(grid.grid_h, grid.grid_w)}:
+        raise ConfigError(f"plan grids {sorted(shapes)} do not match {grid.grid_h}x{grid.grid_w}")
+    counts = sorted({plan.n_masked for plan in batch})
+    if len(counts) != 1:
+        raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
+    vis = np.stack([plan.visible for plan in batch])
+    masked = np.array([plan.masked for plan in batch], dtype=np.intp)
+    return (vis[0], masked[0]) if one else (vis, masked)
+
+
 @dataclass
 class BlockFillResult:
     """Outcome of blockwise_fill, with enough bookkeeping to audit the draws."""

@@ -3,14 +3,15 @@
 The encoder runs over visible patches plus a class token; the decoder fills
 masked positions with a shared mask token and predicts all patch pixels.
 Everything is float64 and deterministic. Views run together on a leading view
-axis: patches (V, N, P) with V mask plans (or (N, P) with one plan). The plans
-of a batch must hide the same number of patches, so the encoder runs on one
+axis: patches (V, N, P) with V mask plans (or (N, P) with one plan) that hide
+one number of patches (mask_sampling.plan_indices), so the encoder runs on one
 (V, 1 + n_vis, d) tensor and the decoder on one (V, N, d_dec) tensor. A forward
-pass given a tape dict records its intermediates there; backward() replays it
-and adds into a dict the caller owns. Each gradient is formed per view (a
-stacked x^T @ dy or a token-axis sum), then reduced with .sum(axis=0) in view
-order: bit-identical to adding the views one by one, which folding the view
-axis into one matrix product, or einsum, is not.
+pass given a tape dict records its intermediates there (a GELU keeps its input
+and CDF, and backward recomputes their product); backward() replays it and adds
+into a dict the caller owns. Each gradient is formed per view (a stacked
+x^T @ dy or a token-axis sum), then reduced with .sum(axis=0) in view order:
+bit-identical to adding the views one by one, which folding the view axis into
+one matrix product, or einsum, is not.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, NumericsError
 from .geometry import PatchGrid
-from .mask_sampling import MaskPlan
+from .mask_sampling import MaskPlan, plan_indices
 
 LN_EPS = 1e-6
 
@@ -293,12 +294,12 @@ def _attn_bwd(dout, params, p, cache, n_heads, grads):
 def _mlp_fwd(x, params, p):
     h_pre = x @ params[p + "mlp1_w"] + params[p + "mlp1_b"]
     h_act, cdf = _gelu(h_pre)
-    return h_act @ params[p + "mlp2_w"] + params[p + "mlp2_b"], (x, h_pre, cdf, h_act)
+    return h_act @ params[p + "mlp2_w"] + params[p + "mlp2_b"], (x, h_pre, cdf)
 
 
 def _mlp_bwd(dout, params, p, cache, grads):
-    x, h_pre, cdf, h_act = cache
-    _add(grads, p + "mlp2_w", h_act.swapaxes(-1, -2) @ dout)
+    x, h_pre, cdf = cache
+    _add(grads, p + "mlp2_w", (h_pre * cdf).swapaxes(-1, -2) @ dout)
     _add(grads, p + "mlp2_b", dout.sum(axis=-2))
     dh_pre = (dout @ params[p + "mlp2_w"].T) * _gelu_grad(h_pre, cdf)
     _add(grads, p + "mlp1_w", x.swapaxes(-1, -2) @ dh_pre)
@@ -337,26 +338,6 @@ def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
 # ---------------------------------------------------------------------------
 # model forward / backward
 
-def _plan_indices(cfg: ModelConfig, plans):
-    """(visible, masked) patch indices: (n,) for one plan, (V, n) for V plans.
-
-    Plans must match the model grid, and the plans of a batch must hide one
-    number of patches, so that their views stack densely.
-    """
-    one = isinstance(plans, MaskPlan)
-    batch = [plans] if one else list(plans)
-    for plan in batch:
-        if (plan.grid.grid_h, plan.grid.grid_w) != (cfg.grid_h, cfg.grid_w):
-            raise ConfigError(f"plan grid {plan.grid.grid_h}x{plan.grid.grid_w} does not "
-                              f"match model grid {cfg.grid_h}x{cfg.grid_w}")
-    counts = sorted({plan.n_masked for plan in batch})
-    if len(counts) != 1:
-        raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
-    vis = np.stack([plan.visible for plan in batch])
-    masked = np.array([plan.masked for plan in batch], dtype=np.intp)
-    return (vis[0], masked[0]) if one else (vis, masked)
-
-
 def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = None):
     """Encoder over already-embedded tokens (any row order), (n, d) or (V, n, d).
 
@@ -378,7 +359,7 @@ def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = N
     if cfg.proj_head:
         h_pre = pre @ params["proj1_w"] + params["proj1_b"]
         h_act, cdf = _gelu(h_pre)
-        proj = (h_pre, cdf, h_act)
+        proj = (h_pre, cdf)
         raw = h_act @ params["proj2_w"] + params["proj2_b"]
     nrm = np.sqrt(raw @ raw.swapaxes(-1, -2))  # (..., 1, 1)
     bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
@@ -398,7 +379,7 @@ def encode(params: ModelParams, patches: np.ndarray, plans,
     sequence of V plans, and every output gains the leading view axis.
     """
     cfg = params.cfg
-    vis, _ = _plan_indices(cfg, plans)
+    vis, _ = plan_indices(plans, cfg.grid)
     want = vis.shape[:-1] + (cfg.n_patches, cfg.patch_dim)
     if patches.shape != want:
         raise ConfigError(f"patches shape {patches.shape} does not match {want}")
@@ -414,7 +395,7 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
            tape: dict | None = None) -> np.ndarray:
     """Project visible tokens, fill masked slots with the mask token; returns pixels."""
     cfg = params.cfg
-    vis, masked = _plan_indices(cfg, plans)
+    vis, masked = plan_indices(plans, cfg.grid)
     if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")
@@ -466,8 +447,8 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     d_cls = d_cls[..., None, :]
     d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
     if proj is not None:
-        h_pre, cdf, h_act = proj
-        _add(grads, "proj2_w", h_act.swapaxes(-1, -2) * d_raw)
+        h_pre, cdf = proj
+        _add(grads, "proj2_w", (h_pre * cdf).swapaxes(-1, -2) * d_raw)
         _add(grads, "proj2_b", d_raw)
         dh_pre = ((params["proj2_w"] @ d_raw.swapaxes(-1, -2)).swapaxes(-1, -2)
                   * _gelu_grad(h_pre, cdf))

@@ -210,8 +210,8 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
 
     The 2B views, laid out a0, b0, a1, b1, ..., run as one model batch and must
     all hide the same number of patches. Reconstruction averages the per-view
-    masked MSE; alignment is InfoNCE over the class-vector pairs. Given a tape
-    dict, records the model tape and the weighted seeds for batch_backward.
+    masked MSE (one loss call); alignment is InfoNCE over the class-vector
+    pairs. Given a tape dict, records the model tape and the weighted seeds.
     """
     if not views:
         raise ConfigError("empty batch")
@@ -219,15 +219,15 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
     patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
     plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
     cls, pred = forward(params, patches, plans, tape)
-    recon_terms = [recon_loss_and_grad(p, t, plan, loss_cfg)
-                   for p, t, plan in zip(pred, patches, plans)]
+    recon_views, d_pred = recon_loss_and_grad(pred, patches, plans, loss_cfg)
     recon_sum = 0.0
-    for (ra, _), (rb, _) in zip(recon_terms[0::2], recon_terms[1::2]):
-        recon_sum += ra + rb
+    for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
+        recon_sum += pair
     recon = recon_sum / (2 * b)
     align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
     if tape is not None:
-        tape.update(d_pred=np.stack([d for _, d in recon_terms]) * (1.0 / (2 * b)),
+        d_pred *= 1.0 / (2 * b)
+        tape.update(d_pred=d_pred,
                     d_cls=loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape))
     return total_loss(recon, align, loss_cfg)
 

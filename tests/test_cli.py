@@ -5,6 +5,7 @@ import io
 import json
 import os
 import shutil
+import struct
 import subprocess
 
 import numpy as np
@@ -171,6 +172,11 @@ def test_visualize_writes_triptychs(tmp_path, manifest_path):
     raw = open(os.path.join(out, "synth0000_a.ppm"), "rb").read()
     assert raw.startswith(b"P6\n98 64\n255\n")  # three 32-wide panes + gaps
 
+    # plans of the default 8x4 grid against a 2x2 model
+    code, _, err = run_cli(["visualize", "--manifest", manifest_path, "--plans", plans,
+                            "--out", out, *MICRO_SET])
+    assert code == 2 and "do not match 2x2" in err
+
 
 def test_visualize_with_checkpoint(tmp_path, manifest_path, micro_run):
     plans = str(tmp_path / "p.jsonl")
@@ -213,6 +219,21 @@ def test_attn_map(tmp_path, manifest_path, micro_run):
     assert run_cli(["attn-map", "--manifest", manifest_path, "--checkpoint",
                     ckpt, "--id", "ghost", "--query", "0", "--out", out,
                     *MICRO_SET])[0] == 2
+
+
+def test_malformed_files_exit_2(tmp_path, manifest_path):
+    plans = str(tmp_path / "plans.jsonl")
+    open(plans, "w").write("5\n")
+    code, _, err = run_cli(["stats", "--manifest", manifest_path, "--plans", plans])
+    assert code == 2 and f"{plans}:1:" in err
+
+    ckpt = str(tmp_path / "ck.bin")
+    blob = json.dumps({"format": 1, "step": 0}).encode("utf-8")
+    open(ckpt, "wb").write(b"PMIM" + struct.pack("<II", 1, len(blob)) + blob
+                           + struct.pack("<I", 0))
+    code, _, err = run_cli(["attn-map", "--manifest", manifest_path, "--checkpoint",
+                            ckpt, "--id", "synth0001", "--query", "0"])
+    assert code == 2 and ckpt in err and "'model'" in err
 
 
 def test_grad_check_cli():

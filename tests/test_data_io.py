@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import os
+import re
+import struct
 
 import numpy as np
 import pytest
@@ -331,3 +333,43 @@ def test_mask_plan_read_errors(tmp_path):
     open(path, "w").write(json.dumps({"id": "x", "view": "a"}) + "\n")
     with pytest.raises(ConfigError, match="missing field"):
         read_mask_plan(path)
+
+
+def _plan_line(**fields):
+    line = {"id": "x", "view": "a", "grid": [2, 2], "masked": [0], "provenance": ["fill"]}
+    return json.dumps({**line, **fields})
+
+
+def _checkpoint_bytes(echo, arrays=struct.pack("<I", 0)):
+    blob = json.dumps(echo).encode("utf-8")
+    return (data_io.CHECKPOINT_MAGIC + struct.pack("<I", data_io.CHECKPOINT_VERSION)
+            + struct.pack("<I", len(blob)) + blob + arrays)
+
+
+MODEL_ECHO = dataclasses.asdict(ModelConfig())
+OPT_ECHO = {"beta1": 0.9, "beta2": 0.95, "eps": 1e-8, "step": 0}
+GOOD_ECHO = {"format": 1, "step": 0, "optimizer": OPT_ECHO, "model": MODEL_ECHO}
+
+
+@pytest.mark.parametrize("kind, body", [
+    ("plan", "5"),
+    ("plan", _plan_line(provenance=5)),
+    ("checkpoint", _checkpoint_bytes([1])),
+    ("checkpoint", _checkpoint_bytes({"format": 1, "step": 0, "optimizer": OPT_ECHO})),
+    ("checkpoint", _checkpoint_bytes(dict(GOOD_ECHO, model=dict(MODEL_ECHO, bogus=1)))),
+    ("checkpoint", _checkpoint_bytes(GOOD_ECHO, struct.pack("<II", 1, 1) + b"\xff")),
+    ("checkpoint", _checkpoint_bytes(GOOD_ECHO, struct.pack("<II", 1, 3) + b"p.x"
+                                     + struct.pack("<III", 2, 2**31, 2**31))),
+], ids=["plan-not-object", "plan-provenance-int", "echo-list", "echo-no-model",
+        "echo-unknown-key", "array-name-not-utf8", "array-dims-oversized"])
+def test_malformed_files_name_the_file(tmp_path, kind, body):
+    if kind == "plan":
+        path = str(tmp_path / "plans.jsonl")
+        open(path, "w").write(_plan_line() + "\n" + body + "\n")
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:2:")):
+            read_mask_plan(path)
+    else:
+        path = str(tmp_path / "ck.bin")
+        open(path, "wb").write(body)
+        with pytest.raises(ConfigError, match=re.escape(path)):
+            load_checkpoint(path)

@@ -101,6 +101,37 @@ def test_recon_shape_checks():
         recon_loss(np.zeros((3, 48)), np.zeros((3, 48)), plan)
 
 
+@pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
+def test_recon_view_axis_matches_single_views(normalize):
+    rng = np.random.default_rng(4)
+    grid = make_patch_grid(8, 8, 4)
+    plans = [MaskPlan(grid, 2, list(rng.permutation(4)[:2]), ["fill", "fill"])
+             for _ in range(3)]
+    pred = rng.random((3, 4, 48))
+    tgt = rng.random((3, 4, 48))
+    cfg = LossConfig(normalize_targets=normalize)
+    values, grads = recon_loss_and_grad(pred, tgt, plans, cfg)
+    assert values.shape == (3,)
+    for v, plan in enumerate(plans):
+        value, grad = recon_loss_and_grad(pred[v], tgt[v], plan, cfg)
+        assert values[v] == value
+        assert np.array_equal(grads[v], grad)
+
+
+def test_recon_view_axis_checks():
+    grid = make_patch_grid(8, 8, 4)
+    ragged = [plan_2x2(), MaskPlan(grid, 1, [2], ["fill"])]
+    with pytest.raises(ConfigError, match="one number of patches"):
+        recon_loss(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), ragged)
+    with pytest.raises(ConfigError):
+        recon_loss(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)), [plan_2x2()] * 2)
+    empty = [MaskPlan(grid, 0, [], [])] * 3
+    with pytest.warns(RuntimeWarning) as caught:
+        values, grads = recon_loss_and_grad(np.ones((3, 4, 48)), np.zeros((3, 4, 48)), empty)
+    assert len(caught) == 1
+    assert np.array_equal(values, np.zeros(3)) and not grads.any()
+
+
 def test_align_orthogonal_negatives():
     z = np.eye(2, 8)  # two orthonormal rows
     value = align_loss(z, z.copy(), tau=0.2)
