@@ -24,7 +24,7 @@ from .geometry import (CropParams, ImageBuffer, apply_crop, patchify,
                        transform_keypoints, unpatchify)
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
-                            part_guided_mask, plan_indices, random_mask, stats_delta)
+                            part_guided_mask, random_mask, stats_delta)
 from .model import ModelConfig, attention_maps, forward, param_shapes
 from .training import (TINY_CHECK_MODEL, TrainConfig, gradient_check, run_pretrain)
 
@@ -225,7 +225,7 @@ def cmd_visualize(args) -> int:
     written = []
     for sample_id, view, plan in entries:
         record = manifest.by_id(sample_id)
-        plan_indices(plan, train.model.grid)  # rejects a plan made for another grid
+        MaskPlan.batch_indices(plan, train.model.grid)  # rejects a plan made for another grid
         original, _ = _full_frame_view(record, manifest, train.model)
         masked = _gray_masked(original, plan)
         if params is not None:

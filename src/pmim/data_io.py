@@ -487,18 +487,24 @@ def load_checkpoint(path: str):
                 raise ConfigError(f"{path}: unexpected array {name!r}")
             groups[prefix][base] = arr
 
+    if not (isinstance(meta, dict) and "step" in meta and isinstance(meta.get("model"), dict)
+            and isinstance(meta.get("optimizer"), dict)
+            and {"step", "beta1", "beta2", "eps"} <= set(meta["optimizer"])):
+        raise ConfigError(f"{path}: config echo lacks step, model or optimizer fields")
+    hyper = meta["optimizer"]
+    unknown = set(meta["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
+    if unknown:
+        raise ConfigError(f"{path}: unknown model config keys {sorted(unknown)}")
     try:
         params = ModelParams(ModelConfig(**meta["model"]), groups["p"])
-        hyper = meta["optimizer"]
-        opt = OptimizerState(m=groups["m"], v=groups["v"], step=int(hyper["step"]),
-                             beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
-                             eps=float(hyper["eps"]))
-        step = int(meta["step"])
-    except (ConfigError, TypeError, KeyError, ValueError) as e:
-        raise ConfigError(f"{path}: malformed config echo or arrays ({e!r})")
+    except ConfigError as e:
+        raise ConfigError(f"{path}: {e}")
+    opt = OptimizerState(m=groups["m"], v=groups["v"], step=int(hyper["step"]),
+                         beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
+                         eps=float(hyper["eps"]))
     if set(opt.m) != set(params.arrays) or set(opt.v) != set(params.arrays):
         raise ConfigError(f"{path}: optimizer arrays do not mirror parameters")
-    return params, opt, step
+    return params, opt, int(meta["step"])
 
 
 # ---------------------------------------------------------------------------
@@ -544,12 +550,12 @@ def read_mask_plan(path: str, patch_size: int = 1) -> list[tuple[str, str, MaskP
                 raise ConfigError(f"{where}: missing field {key!r}")
         grid_field = obj["grid"]
         if (not isinstance(grid_field, list) or len(grid_field) != 2
-                or not all(isinstance(g, int) and g >= 1 for g in grid_field)):
+                or not all(type(g) is int and g >= 1 for g in grid_field)):
             raise ConfigError(f"{where}: field 'grid' must be [rows, cols]")
         grid = PatchGrid(grid_field[0], grid_field[1], patch_size)
         masked = obj["masked"]
         provenance = obj["provenance"]
-        if not isinstance(masked, list) or not all(isinstance(i, int) for i in masked):
+        if not isinstance(masked, list) or not all(type(i) is int for i in masked):
             raise ConfigError(f"{where}: field 'masked' must be a list of indices")
         if not isinstance(provenance, list):
             raise ConfigError(f"{where}: field 'provenance' must be a list of tags")

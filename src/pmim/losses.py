@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, NumericsError
 from .geometry import normalize_targets
-from .mask_sampling import MaskPlan, plan_indices
+from .mask_sampling import MaskPlan
 
 ALIGN_MODES = ("infonce", "cosine_stopgrad")
 NEGATIVE_POOLS = ("cross_view", "same_view")
@@ -74,7 +74,7 @@ def recon_loss_and_grad(pred, target_patches: np.ndarray, plans,
     tgt = np.asarray(target_patches, dtype=np.float64)
     one = isinstance(plans, MaskPlan)
     grid = (plans if one else plans[0]).grid
-    _, masked = plan_indices(plans, grid)
+    _, masked = MaskPlan.batch_indices(plans, grid)
     if p.shape != tgt.shape or p.shape[:-1] != masked.shape[:-1] + (grid.n_patches,):
         raise ConfigError(f"shapes {p.shape}, {tgt.shape} do not fit {grid.n_patches}-patch plans")
     d_pred = np.zeros_like(p)

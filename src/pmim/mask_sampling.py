@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -111,6 +110,7 @@ class MaskPlan:
     n_masked: int
     masked: list[int]
     provenance: list[str]
+    _last_batch = ((), None, None)  # no annotation, so not a field: batch_indices' memo
 
     def __post_init__(self):
         if len(self.masked) != self.n_masked or len(self.provenance) != self.n_masked:
@@ -123,36 +123,38 @@ class MaskPlan:
             if not (0 <= i < self.grid.n_patches):
                 raise ConfigError(f"patch index {i} outside grid of {self.grid.n_patches}")
 
-    @cached_property
-    def visible(self) -> np.ndarray:
-        """Sorted indices of the unmasked patches, built once per plan (read-only)."""
-        vis = np.setdiff1d(np.arange(self.grid.n_patches), np.asarray(self.masked, dtype=np.intp))
-        vis.flags.writeable = False
-        return vis
+    @staticmethod
+    def batch_indices(plans, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
+        """The plan-batch rule: plans match `grid`, and a batch hides one number of patches.
+
+        Read-only (visible, masked) indices, (n,) for one plan and (V, n) for V plans.
+        The last batch's are kept (plans do not change once made), so it is checked once.
+        """
+        one = isinstance(plans, MaskPlan)
+        batch = (plans,) if one else tuple(plans)
+        key = (one, grid.grid_h, grid.grid_w, len(batch))
+        last_batch, last_key, last = MaskPlan._last_batch
+        if key == last_key and all(a is b for a, b in zip(batch, last_batch)):
+            return last
+        shapes = {(plan.grid.grid_h, plan.grid.grid_w) for plan in batch}
+        if shapes - {(grid.grid_h, grid.grid_w)}:
+            raise ConfigError(f"plan grids {sorted(shapes)} do not match {grid.grid_h}x{grid.grid_w}")
+        counts = sorted({plan.n_masked for plan in batch})
+        if len(counts) != 1:
+            raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
+        masked = np.array([plan.masked for plan in batch], dtype=np.intp).reshape(len(batch), -1)
+        hidden = np.zeros((len(batch), grid.n_patches), dtype=bool)
+        np.put_along_axis(hidden, masked, True, axis=1)
+        vis = np.nonzero(~hidden)[1].reshape(len(batch), -1)  # sorted within each row
+        vis.flags.writeable = masked.flags.writeable = False
+        MaskPlan._last_batch = (batch, key, (vis[0], masked[0]) if one else (vis, masked))
+        return MaskPlan._last_batch[2]
 
     def mask_vector(self) -> np.ndarray:
         """Binary (n_patches,) vector, 1 where masked."""
         m = np.zeros(self.grid.n_patches, dtype=np.float64)
         m[self.masked] = 1.0
         return m
-
-
-def plan_indices(plans, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
-    """The plan-batch rule: every plan matches `grid`, and a batch hides one number of patches.
-
-    Returns (visible, masked) index arrays, (n,) for one MaskPlan and (V, n) for V plans.
-    """
-    one = isinstance(plans, MaskPlan)
-    batch = [plans] if one else list(plans)
-    shapes = {(plan.grid.grid_h, plan.grid.grid_w) for plan in batch}
-    if shapes - {(grid.grid_h, grid.grid_w)}:
-        raise ConfigError(f"plan grids {sorted(shapes)} do not match {grid.grid_h}x{grid.grid_w}")
-    counts = sorted({plan.n_masked for plan in batch})
-    if len(counts) != 1:
-        raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
-    vis = np.stack([plan.visible for plan in batch])
-    masked = np.array([plan.masked for plan in batch], dtype=np.intp)
-    return (vis[0], masked[0]) if one else (vis, masked)
 
 
 @dataclass

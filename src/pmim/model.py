@@ -4,7 +4,7 @@ The encoder runs over visible patches plus a class token; the decoder fills
 masked positions with a shared mask token and predicts all patch pixels.
 Everything is float64 and deterministic. Views run together on a leading view
 axis: patches (V, N, P) with V mask plans (or (N, P) with one plan) that hide
-one number of patches (mask_sampling.plan_indices), so the encoder runs on one
+one number of patches (MaskPlan.batch_indices), so the encoder runs on one
 (V, 1 + n_vis, d) tensor and the decoder on one (V, N, d_dec) tensor. A forward
 pass given a tape dict records its intermediates there (a GELU keeps its input
 and CDF, and backward recomputes their product); backward() replays it and adds
@@ -25,7 +25,7 @@ from scipy.special import erf
 
 from .errors import ConfigError, NumericsError
 from .geometry import PatchGrid
-from .mask_sampling import MaskPlan, plan_indices
+from .mask_sampling import MaskPlan
 
 LN_EPS = 1e-6
 
@@ -379,7 +379,7 @@ def encode(params: ModelParams, patches: np.ndarray, plans,
     sequence of V plans, and every output gains the leading view axis.
     """
     cfg = params.cfg
-    vis, _ = plan_indices(plans, cfg.grid)
+    vis, _ = MaskPlan.batch_indices(plans, cfg.grid)
     want = vis.shape[:-1] + (cfg.n_patches, cfg.patch_dim)
     if patches.shape != want:
         raise ConfigError(f"patches shape {patches.shape} does not match {want}")
@@ -395,7 +395,7 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
            tape: dict | None = None) -> np.ndarray:
     """Project visible tokens, fill masked slots with the mask token; returns pixels."""
     cfg = params.cfg
-    vis, masked = plan_indices(plans, cfg.grid)
+    vis, masked = MaskPlan.batch_indices(plans, cfg.grid)
     if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")

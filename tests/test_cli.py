@@ -233,7 +233,7 @@ def test_malformed_files_exit_2(tmp_path, manifest_path):
                            + struct.pack("<I", 0))
     code, _, err = run_cli(["attn-map", "--manifest", manifest_path, "--checkpoint",
                             ckpt, "--id", "synth0001", "--query", "0"])
-    assert code == 2 and ckpt in err and "'model'" in err
+    assert code == 2 and ckpt in err and "model" in err
 
 
 def test_grad_check_cli():

@@ -354,14 +354,18 @@ GOOD_ECHO = {"format": 1, "step": 0, "optimizer": OPT_ECHO, "model": MODEL_ECHO}
 @pytest.mark.parametrize("kind, body", [
     ("plan", "5"),
     ("plan", _plan_line(provenance=5)),
+    ("plan", _plan_line(grid=[True, 2])),
+    ("plan", _plan_line(masked=[True])),
     ("checkpoint", _checkpoint_bytes([1])),
     ("checkpoint", _checkpoint_bytes({"format": 1, "step": 0, "optimizer": OPT_ECHO})),
     ("checkpoint", _checkpoint_bytes(dict(GOOD_ECHO, model=dict(MODEL_ECHO, bogus=1)))),
     ("checkpoint", _checkpoint_bytes(GOOD_ECHO, struct.pack("<II", 1, 1) + b"\xff")),
     ("checkpoint", _checkpoint_bytes(GOOD_ECHO, struct.pack("<II", 1, 3) + b"p.x"
                                      + struct.pack("<III", 2, 2**31, 2**31))),
-], ids=["plan-not-object", "plan-provenance-int", "echo-list", "echo-no-model",
-        "echo-unknown-key", "array-name-not-utf8", "array-dims-oversized"])
+    ("checkpoint", _checkpoint_bytes(GOOD_ECHO)),
+], ids=["plan-not-object", "plan-provenance-int", "plan-grid-bool", "plan-index-bool",
+        "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
+        "array-dims-oversized", "no-arrays"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")

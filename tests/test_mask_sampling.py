@@ -221,6 +221,23 @@ def test_mask_plan_validation():
     assert v.sum() == 2.0 and v[0] == 1.0 and v[5] == 1.0
 
 
+def test_batch_indices_rule_and_reuse():
+    grid = make_patch_grid(16, 16, 8)  # 2x2
+    a, b = MaskPlan(grid, 1, [3], ["fill"]), MaskPlan(grid, 1, [0], ["fill"])
+    vis, masked = MaskPlan.batch_indices([a, b], grid)
+    assert vis.tolist() == [[0, 1, 2], [1, 2, 3]] and masked.tolist() == [[3], [0]]
+    assert not vis.flags.writeable and not masked.flags.writeable
+    again = MaskPlan.batch_indices([a, b], grid)
+    assert again[0] is vis and again[1] is masked  # same plans: checked and stacked once
+    one_vis, one_masked = MaskPlan.batch_indices(a, grid)
+    assert one_vis.tolist() == [0, 1, 2] and one_masked.tolist() == [3]
+    assert MaskPlan.batch_indices([b, a], grid)[1].tolist() == [[0], [3]]
+    with pytest.raises(ConfigError, match="one number of patches"):
+        MaskPlan.batch_indices([a, MaskPlan(grid, 0, [], [])], grid)
+    with pytest.raises(ConfigError, match="do not match"):
+        MaskPlan.batch_indices([a, b], make_patch_grid(16, 8, 8))
+
+
 def test_blockwise_fill_hits_target_exactly():
     grid = make_patch_grid(128, 64, 8)  # 16x8
     cfg = SamplerConfig()

@@ -126,8 +126,9 @@ def test_pos_embed_rejects_odd_dim():
 def test_visible_indices_complement():
     grid = PatchGrid(2, 4, 8)
     plan = MaskPlan(grid, 3, [1, 6, 2], ["fill"] * 3)
-    np.testing.assert_array_equal(plan.visible, [0, 3, 4, 5, 7])
-    assert plan.visible is plan.visible and not plan.visible.flags.writeable
+    vis, _ = MaskPlan.batch_indices(plan, grid)
+    np.testing.assert_array_equal(vis, [0, 3, 4, 5, 7])
+    assert not vis.flags.writeable
 
 
 def test_encode_outputs():
