@@ -492,6 +492,9 @@ def load_checkpoint(path: str):
             and {"step", "beta1", "beta2", "eps"} <= set(meta["optimizer"])):
         raise ConfigError(f"{path}: config echo lacks step, model or optimizer fields")
     hyper = meta["optimizer"]
+    if (any(type(v) is not int for v in (meta["step"], hyper["step"]))
+            or any(type(hyper[k]) not in (int, float) for k in ("beta1", "beta2", "eps"))):
+        raise ConfigError(f"{path}: config echo step or optimizer value is not a number")
     unknown = set(meta["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown model config keys {sorted(unknown)}")

@@ -111,28 +111,18 @@ def _infonce_one_way(z_anchor: np.ndarray, z_key: np.ndarray, tau: float,
     """
     b = z_anchor.shape[0]
     pos = np.sum(z_anchor * z_key, axis=1) / tau  # (B,)
+    pool = z_key if negatives == "cross_view" else z_anchor
+    s = (z_anchor @ pool.T) / tau  # (B, B)
+    m = s.max(axis=1, keepdims=True)
+    e = np.exp(s - m)
+    denom = e.sum(axis=1, keepdims=True)
+    lse = (m + np.log(denom))[:, 0]
+    value = float(np.mean(lse - pos))
+    p = e / denom  # softmax rows
     if negatives == "cross_view":
-        s = (z_anchor @ z_key.T) / tau  # (B, B)
-        m = s.max(axis=1, keepdims=True)
-        e = np.exp(s - m)
-        denom = e.sum(axis=1, keepdims=True)
-        lse = (m + np.log(denom))[:, 0]
-        value = float(np.mean(lse - pos))
-        p = e / denom  # softmax rows
         ds = (p - np.eye(b)) / (b * tau)
-        d_anchor = ds @ z_key
-        d_key = ds.T @ z_anchor
-    else:
-        s = (z_anchor @ z_anchor.T) / tau
-        m = s.max(axis=1, keepdims=True)
-        e = np.exp(s - m)
-        denom = e.sum(axis=1, keepdims=True)
-        lse = (m + np.log(denom))[:, 0]
-        value = float(np.mean(lse - pos))
-        p = e / denom
-        d_anchor = ((p + p.T) @ z_anchor) / (b * tau) - z_key / (b * tau)
-        d_key = -z_anchor / (b * tau)
-    return value, d_anchor, d_key
+        return value, ds @ z_key, ds.T @ z_anchor
+    return value, ((p + p.T) @ z_anchor) / (b * tau) - z_key / (b * tau), -z_anchor / (b * tau)
 
 
 def align_loss(z: np.ndarray, z_tilde: np.ndarray, tau: float = 0.2,

@@ -77,7 +77,6 @@ class PartSelection:
 @dataclass(frozen=True)
 class SamplerConfig:
     masking_ratio: float = 0.5
-    part_count_max: int = 6
     keypoint_conf_threshold: float = 0.2
     blockwise_min_area: int = 4
     blockwise_aspect: tuple[float, float] = (0.3, 10.0 / 3.0)
@@ -89,8 +88,6 @@ class SamplerConfig:
         if not (0.0 <= self.keypoint_conf_threshold <= 1.0):
             raise ConfigError(
                 f"keypoint_conf_threshold must be in [0, 1], got {self.keypoint_conf_threshold}")
-        if self.part_count_max != len(PART_IDS):
-            raise ConfigError(f"part_count_max must be {len(PART_IDS)}")
         if self.blockwise_min_area < 1:
             raise ConfigError("blockwise_min_area must be >= 1")
         lo, hi = self.blockwise_aspect
@@ -110,7 +107,6 @@ class MaskPlan:
     n_masked: int
     masked: list[int]
     provenance: list[str]
-    _last_batch = ((), None, None)  # no annotation, so not a field: batch_indices' memo
 
     def __post_init__(self):
         if len(self.masked) != self.n_masked or len(self.provenance) != self.n_masked:
@@ -128,14 +124,9 @@ class MaskPlan:
         """The plan-batch rule: plans match `grid`, and a batch hides one number of patches.
 
         Read-only (visible, masked) indices, (n,) for one plan and (V, n) for V plans.
-        The last batch's are kept (plans do not change once made), so it is checked once.
         """
         one = isinstance(plans, MaskPlan)
         batch = (plans,) if one else tuple(plans)
-        key = (one, grid.grid_h, grid.grid_w, len(batch))
-        last_batch, last_key, last = MaskPlan._last_batch
-        if key == last_key and all(a is b for a, b in zip(batch, last_batch)):
-            return last
         shapes = {(plan.grid.grid_h, plan.grid.grid_w) for plan in batch}
         if shapes - {(grid.grid_h, grid.grid_w)}:
             raise ConfigError(f"plan grids {sorted(shapes)} do not match {grid.grid_h}x{grid.grid_w}")
@@ -144,17 +135,10 @@ class MaskPlan:
             raise ConfigError(f"the views of a batch must hide one number of patches, got {counts}")
         masked = np.array([plan.masked for plan in batch], dtype=np.intp).reshape(len(batch), -1)
         hidden = np.zeros((len(batch), grid.n_patches), dtype=bool)
-        np.put_along_axis(hidden, masked, True, axis=1)
+        hidden[np.arange(len(batch))[:, None], masked] = True
         vis = np.nonzero(~hidden)[1].reshape(len(batch), -1)  # sorted within each row
         vis.flags.writeable = masked.flags.writeable = False
-        MaskPlan._last_batch = (batch, key, (vis[0], masked[0]) if one else (vis, masked))
-        return MaskPlan._last_batch[2]
-
-    def mask_vector(self) -> np.ndarray:
-        """Binary (n_patches,) vector, 1 where masked."""
-        m = np.zeros(self.grid.n_patches, dtype=np.float64)
-        m[self.masked] = 1.0
-        return m
+        return (vis[0], masked[0]) if one else (vis, masked)
 
 
 @dataclass
@@ -265,6 +249,7 @@ def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
     rectangle is rejected when it would overshoot the budget or adds nothing.
     After blockwise_attempts rejections in total, the remaining shortfall is
     filled with uniformly random single patches so the count is always exact.
+    A set already at `target` is returned as is, with no draws.
     """
     if cfg is None:
         cfg = SamplerConfig()
@@ -310,14 +295,14 @@ def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid
     """Mask exactly floor(beta * N) patches, guided by body-part regions.
 
     Selected parts accumulate a patch union in draw order. With N_p patches
-    in the union and a budget of N_m, three cases apply: equal counts keep
-    the union as-is; a short union is completed by blockwise_fill; an
+    in the union and a budget of N_m, two cases apply: a union within budget
+    is completed by blockwise_fill (which draws nothing when N_p == N_m); an
     oversized union keeps whole parts in selection order and takes a uniform
     random subset of the first part that would overflow, dropping the rest.
 
     Random draws, in order: select_parts, then either the blockwise_fill
-    draws (short case) or one subset draw over the overflowing part's new
-    patches (long case).
+    draws (within budget) or one subset draw over the overflowing part's new
+    patches (oversized).
     """
     if cfg is None:
         cfg = SamplerConfig()
@@ -335,11 +320,7 @@ def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid
 
     masked: list[int] = []
     provenance: list[str] = []
-    if n_p == n_m:
-        for part, new in per_part_new:
-            masked.extend(new)
-            provenance.extend([part] * len(new))
-    elif n_p < n_m:
+    if n_p <= n_m:
         for part, new in per_part_new:
             masked.extend(new)
             provenance.extend([part] * len(new))

@@ -2,16 +2,20 @@
 
 The encoder runs over visible patches plus a class token; the decoder fills
 masked positions with a shared mask token and predicts all patch pixels.
-Everything is float64 and deterministic. Views run together on a leading view
-axis: patches (V, N, P) with V mask plans (or (N, P) with one plan) that hide
-one number of patches (MaskPlan.batch_indices), so the encoder runs on one
-(V, 1 + n_vis, d) tensor and the decoder on one (V, N, d_dec) tensor. A forward
-pass given a tape dict records its intermediates there (a GELU keeps its input
-and CDF, and backward recomputes their product); backward() replays it and adds
-into a dict the caller owns. Each gradient is formed per view (a stacked
-x^T @ dy or a token-axis sum), then reduced with .sum(axis=0) in view order:
-bit-identical to adding the views one by one, which folding the view axis into
-one matrix product, or einsum, is not.
+Every layer is built from four primitives, each with its own backward:
+linear, layernorm, attention and the GELU MLP. The optional projection head is
+the block MLP run on the class row. Everything is float64 and deterministic.
+
+Views run together on a leading view axis: patches (V, N, P) with V mask plans
+(or (N, P) with one plan) that hide one number of patches
+(MaskPlan.batch_indices), so the encoder runs on one (V, 1 + n_vis, d) tensor
+and the decoder on one (V, N, d_dec) tensor. A forward pass given a tape dict
+records its intermediates there (a GELU keeps its input and CDF, and backward
+recomputes their product); backward() replays it and adds into a dict the
+caller owns. Each gradient is formed per view (a stacked x^T @ dy in
+_linear_bwd, or a token-axis sum), then reduced with .sum(axis=0) in view
+order: bit-identical to adding the views one by one, which folding the view
+axis into one matrix product, or einsum, is not.
 """
 
 from __future__ import annotations
@@ -47,8 +51,11 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("embed_dim", "depth", "n_heads", "decoder_dim", "decoder_depth",
                      "decoder_heads", "patch_size", "grid_h", "grid_w"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if type(value) is not int or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if type(self.mlp_ratio) not in (int, float) or not math.isfinite(self.mlp_ratio):
+            raise ConfigError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")
@@ -227,6 +234,17 @@ def _add(grads: dict[str, np.ndarray], name: str, per_view: np.ndarray):
     g += per_view.reshape((-1,) + g.shape).sum(axis=0)
 
 
+def _linear(x, params, name):
+    return x @ params[name + "_w"] + params[name + "_b"]
+
+
+def _linear_bwd(dy, x, params, name, grads):
+    """Adds the gradients of name_w and name_b; returns the input gradient."""
+    _add(grads, name + "_w", x.swapaxes(-1, -2) @ dy)
+    _add(grads, name + "_b", dy.sum(axis=-2))
+    return dy @ params[name + "_w"].T
+
+
 def _layernorm_fwd(x, params, name):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -258,7 +276,7 @@ def _gelu_grad(x, cdf):
 def _attn_fwd(x, params, p, n_heads):
     *lead, n, d = x.shape
     dh = d // n_heads
-    qkv = x @ params[p + "qkv_w"] + params[p + "qkv_b"]  # (..., n, 3d)
+    qkv = _linear(x, params, p + "qkv")  # (..., n, 3d)
     q, k, v = [a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
                for a in np.split(qkv, 3, axis=-1)]  # each (..., h, n, dh)
     scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)  # (..., h, n, n)
@@ -267,16 +285,14 @@ def _attn_fwd(x, params, p, n_heads):
     attn = e / e.sum(axis=-1, keepdims=True)
     ctx = attn @ v  # (..., h, n, dh)
     merged = ctx.swapaxes(-2, -3).reshape(*lead, n, d)
-    return merged @ params[p + "attn_out_w"] + params[p + "attn_out_b"], (x, q, k, v, attn, merged)
+    return _linear(merged, params, p + "attn_out"), (x, q, k, v, attn, merged)
 
 
 def _attn_bwd(dout, params, p, cache, n_heads, grads):
     x, q, k, v, attn, merged = cache
     *lead, n, d = x.shape
     dh = d // n_heads
-    _add(grads, p + "attn_out_w", merged.swapaxes(-1, -2) @ dout)
-    _add(grads, p + "attn_out_b", dout.sum(axis=-2))
-    dmerged = dout @ params[p + "attn_out_w"].T
+    dmerged = _linear_bwd(dout, merged, params, p + "attn_out", grads)
     dctx = dmerged.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
     dattn = dctx @ v.swapaxes(-1, -2)
     dv = attn.swapaxes(-1, -2) @ dctx
@@ -286,25 +302,20 @@ def _attn_bwd(dout, params, p, cache, n_heads, grads):
     dk = ds.swapaxes(-1, -2) @ q
     dqkv = np.concatenate(
         [a.swapaxes(-2, -3).reshape(*lead, n, d) for a in (dq, dk, dv)], axis=-1)
-    _add(grads, p + "qkv_w", x.swapaxes(-1, -2) @ dqkv)
-    _add(grads, p + "qkv_b", dqkv.sum(axis=-2))
-    return dqkv @ params[p + "qkv_w"].T
+    return _linear_bwd(dqkv, x, params, p + "qkv", grads)
 
 
 def _mlp_fwd(x, params, p):
-    h_pre = x @ params[p + "mlp1_w"] + params[p + "mlp1_b"]
+    """Linear p1, GELU, linear p2: p is a block's "enc0_mlp" or the head's "proj"."""
+    h_pre = _linear(x, params, p + "1")
     h_act, cdf = _gelu(h_pre)
-    return h_act @ params[p + "mlp2_w"] + params[p + "mlp2_b"], (x, h_pre, cdf)
+    return _linear(h_act, params, p + "2"), (x, h_pre, cdf)
 
 
 def _mlp_bwd(dout, params, p, cache, grads):
     x, h_pre, cdf = cache
-    _add(grads, p + "mlp2_w", (h_pre * cdf).swapaxes(-1, -2) @ dout)
-    _add(grads, p + "mlp2_b", dout.sum(axis=-2))
-    dh_pre = (dout @ params[p + "mlp2_w"].T) * _gelu_grad(h_pre, cdf)
-    _add(grads, p + "mlp1_w", x.swapaxes(-1, -2) @ dh_pre)
-    _add(grads, p + "mlp1_b", dh_pre.sum(axis=-2))
-    return dh_pre @ params[p + "mlp1_w"].T
+    dh_act = _linear_bwd(dout, h_pre * cdf, params, p + "2", grads)
+    return _linear_bwd(dh_act * _gelu_grad(h_pre, cdf), x, params, p + "1", grads)
 
 
 def _stack_fwd(params: ModelParams, prefix: str, depth: int, n_heads: int, x):
@@ -316,7 +327,7 @@ def _stack_fwd(params: ModelParams, prefix: str, depth: int, n_heads: int, x):
         a, attnc = _attn_fwd(n1, params, p, n_heads)
         x1 = x + a
         n2, ln2c = _layernorm_fwd(x1, params, p + "ln2")
-        m, mlpc = _mlp_fwd(n2, params, p)
+        m, mlpc = _mlp_fwd(n2, params, p + "mlp")
         x = x1 + m
         tapes.append((ln1c, attnc, ln2c, mlpc))
     return x, tapes
@@ -328,7 +339,7 @@ def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
     for i in reversed(range(depth)):
         p = f"{prefix}{i}_"
         ln1c, attnc, ln2c, mlpc = tapes[i]
-        dn2 = _mlp_bwd(dx, params, p, mlpc, grads)
+        dn2 = _mlp_bwd(dx, params, p + "mlp", mlpc, grads)
         dx1 = dx + _layernorm_bwd(dn2, params, p + "ln2", ln2c, grads)
         dn1 = _attn_bwd(dx1, params, p, attnc, n_heads, grads)
         dx = dx1 + _layernorm_bwd(dn1, params, p + "ln1", ln1c, grads)
@@ -352,22 +363,18 @@ def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = N
     y, block_tapes = _stack_fwd(params, "enc", cfg.depth, cfg.n_heads,
                                 np.concatenate([cls_token, tokens], axis=-2))
     z, lnc = _layernorm_fwd(y, params, "enc_norm")
-    # The class row keeps its length-1 token axis: the head and the norm are
-    # then one vector-matrix product and one dot product per view.
-    pre = raw = z[..., :1, :]
-    proj = None
+    # The class row keeps its length-1 token axis, so the projection head is
+    # the block MLP on a one-row sequence and the norm one dot product per view.
+    raw, proj = z[..., :1, :], None
     if cfg.proj_head:
-        h_pre = pre @ params["proj1_w"] + params["proj1_b"]
-        h_act, cdf = _gelu(h_pre)
-        proj = (h_pre, cdf)
-        raw = h_act @ params["proj2_w"] + params["proj2_b"]
+        raw, proj = _mlp_fwd(raw, params, "proj")
     nrm = np.sqrt(raw @ raw.swapaxes(-1, -2))  # (..., 1, 1)
     bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
     if bad.any():
         raise NumericsError(f"class token norm degenerate: {float(nrm[bad][0])}")
     cls = raw / nrm
     if tape is not None:
-        tape["enc"] = (block_tapes, lnc, pre, proj, cls, nrm)
+        tape["enc"] = (block_tapes, lnc, proj, cls, nrm)
     return cls[..., 0, :], z[..., 1:, :]
 
 
@@ -386,9 +393,8 @@ def encode(params: ModelParams, patches: np.ndarray, plans,
     patches_vis = np.take_along_axis(patches, vis[..., None], axis=-2)
     if tape is not None:
         tape["patches"] = patches_vis
-    tok = (patches_vis @ params["patch_proj_w"] + params["patch_proj_b"]
-           + sincos_pos_embed(cfg.grid, cfg.embed_dim)[vis])
-    return encode_tokens(params, tok, tape)
+    pos = sincos_pos_embed(cfg.grid, cfg.embed_dim)[vis]
+    return encode_tokens(params, _linear(patches_vis, params, "patch_proj") + pos, tape)
 
 
 def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
@@ -400,14 +406,14 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")
     tokens = np.tile(params["mask_token"], vis.shape[:-1] + (cfg.n_patches, 1))
-    np.put_along_axis(tokens, vis[..., None],
-                      visible_tokens @ params["dec_proj_w"] + params["dec_proj_b"], axis=-2)
+    np.put_along_axis(tokens, vis[..., None], _linear(visible_tokens, params, "dec_proj"),
+                      axis=-2)
     x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
     y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
     z, lnc = _layernorm_fwd(y, params, "dec_norm")
     if tape is not None:
         tape["dec"] = (block_tapes, lnc, z, visible_tokens, vis, masked)
-    return z @ params["head_w"] + params["head_b"]
+    return _linear(z, params, "head")
 
 
 def forward(params: ModelParams, patches: np.ndarray, plans,
@@ -426,38 +432,28 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     recorded by forward. Each group receives one in-place addition per call.
     """
     cfg = params.cfg
-    enc_blocks, enc_ln, pre, proj, cls, nrm = tape["enc"]
+    enc_blocks, enc_ln, proj, cls, nrm = tape["enc"]
     dec_blocks, dec_ln, z, visible_tokens, vis, masked = tape["dec"]
 
     # prediction head and decoder stack
-    _add(grads, "head_w", z.swapaxes(-1, -2) @ d_pred)
-    _add(grads, "head_b", d_pred.sum(axis=-2))
-    dy = _layernorm_bwd(d_pred @ params["head_w"].T, params, "dec_norm", dec_ln, grads)
+    dy = _layernorm_bwd(_linear_bwd(d_pred, z, params, "head", grads),
+                        params, "dec_norm", dec_ln, grads)
     dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads,
                          dec_blocks, dy, grads)
     if masked.shape[-1]:
         _add(grads, "mask_token",
              np.take_along_axis(dtokens, masked[..., None], axis=-2).sum(axis=-2))
-    dv = np.take_along_axis(dtokens, vis[..., None], axis=-2)
-    _add(grads, "dec_proj_w", visible_tokens.swapaxes(-1, -2) @ dv)
-    _add(grads, "dec_proj_b", dv.sum(axis=-2))
+    d_vis = _linear_bwd(np.take_along_axis(dtokens, vis[..., None], axis=-2),
+                        visible_tokens, params, "dec_proj", grads)
 
-    # class-vector normalization cls = raw / |raw| on (..., 1, d) rows; W @ d
-    # runs on column vectors (swapaxes) as one matrix-vector product per view
+    # class-vector normalization cls = raw / |raw| on (..., 1, d) rows
     d_cls = d_cls[..., None, :]
     d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
     if proj is not None:
-        h_pre, cdf = proj
-        _add(grads, "proj2_w", (h_pre * cdf).swapaxes(-1, -2) * d_raw)
-        _add(grads, "proj2_b", d_raw)
-        dh_pre = ((params["proj2_w"] @ d_raw.swapaxes(-1, -2)).swapaxes(-1, -2)
-                  * _gelu_grad(h_pre, cdf))
-        _add(grads, "proj1_w", pre.swapaxes(-1, -2) * dh_pre)
-        _add(grads, "proj1_b", dh_pre)
-        d_raw = (params["proj1_w"] @ dh_pre.swapaxes(-1, -2)).swapaxes(-1, -2)
+        d_raw = _mlp_bwd(d_raw, params, "proj", proj, grads)
 
     # encoder stack and embedding
-    dz_enc = np.concatenate([d_raw, dv @ params["dec_proj_w"].T], axis=-2)
+    dz_enc = np.concatenate([d_raw, d_vis], axis=-2)
     dy_enc = _layernorm_bwd(dz_enc, params, "enc_norm", enc_ln, grads)
     dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads, enc_blocks, dy_enc, grads)
     _add(grads, "cls_token", dseq[..., 0, :])

@@ -221,19 +221,36 @@ def test_attn_map(tmp_path, manifest_path, micro_run):
                     *MICRO_SET])[0] == 2
 
 
-def test_malformed_files_exit_2(tmp_path, manifest_path):
+def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run):
     plans = str(tmp_path / "plans.jsonl")
     open(plans, "w").write("5\n")
     code, _, err = run_cli(["stats", "--manifest", manifest_path, "--plans", plans])
     assert code == 2 and f"{plans}:1:" in err
 
     ckpt = str(tmp_path / "ck.bin")
-    blob = json.dumps({"format": 1, "step": 0}).encode("utf-8")
-    open(ckpt, "wb").write(b"PMIM" + struct.pack("<II", 1, len(blob)) + blob
-                           + struct.pack("<I", 0))
-    code, _, err = run_cli(["attn-map", "--manifest", manifest_path, "--checkpoint",
-                            ckpt, "--id", "synth0001", "--query", "0"])
+
+    def attn_map_on(echo, arrays=struct.pack("<I", 0)):
+        blob = json.dumps(echo).encode("utf-8")
+        open(ckpt, "wb").write(b"PMIM" + struct.pack("<II", 1, len(blob)) + blob + arrays)
+        return run_cli(["attn-map", "--manifest", manifest_path, "--checkpoint",
+                        ckpt, "--id", "synth0001", "--query", "0"])
+
+    code, _, err = attn_map_on({"format": 1, "step": 0})
     assert code == 2 and ckpt in err and "model" in err
+
+    # values of the wrong type in a real checkpoint's config echo
+    raw = open(os.path.join(micro_run["out"], "checkpoint.bin"), "rb").read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    echo, arrays = json.loads(raw[12:12 + n]), raw[12 + n:]
+    model, opt = echo["model"], echo["optimizer"]
+    for bad in (dict(echo, model=dict(model, embed_dim="x")),
+                dict(echo, model=dict(model, depth=None)),
+                dict(echo, optimizer=dict(opt, beta1="x")), dict(echo, step="x")):
+        code, _, err = attn_map_on(bad, arrays)
+        assert code == 2 and ckpt in err, err
+
+    code, _, err = run_cli(["grad-check", "--set", "model.mlp_ratio=abc"])
+    assert code == 2 and "mlp_ratio" in err
 
 
 def test_grad_check_cli():

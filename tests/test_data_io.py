@@ -1,6 +1,7 @@
 """Manifests, pixmaps, synthetic figures, checkpoints, and mask-plan files."""
 
 import dataclasses
+import io
 import json
 import os
 import re
@@ -349,6 +350,24 @@ def _checkpoint_bytes(echo, arrays=struct.pack("<I", 0)):
 MODEL_ECHO = dataclasses.asdict(ModelConfig())
 OPT_ECHO = {"beta1": 0.9, "beta2": 0.95, "eps": 1e-8, "step": 0}
 GOOD_ECHO = {"format": 1, "step": 0, "optimizer": OPT_ECHO, "model": MODEL_ECHO}
+SMALL = ModelConfig(embed_dim=4, n_heads=1, decoder_dim=4, decoder_heads=1, patch_size=4,
+                    grid_h=2, grid_w=2)
+SMALL_ECHO = dict(GOOD_ECHO, model=dataclasses.asdict(SMALL))
+
+
+def _arrays_bytes(cfg):
+    """The array section of a checkpoint of freshly initialized `cfg` parameters."""
+    params = init_params(np.random.default_rng(0), cfg)
+    opt = init_optimizer(params)
+    f = io.BytesIO()
+    f.write(struct.pack("<I", 3 * len(params.arrays)))
+    for prefix, group in (("p", params.arrays), ("m", opt.m), ("v", opt.v)):
+        for name, arr in group.items():
+            data_io._write_array(f, f"{prefix}.{name}", arr)
+    return f.getvalue()
+
+
+SMALL_ARRAYS = _arrays_bytes(SMALL)
 
 
 @pytest.mark.parametrize("kind, body", [
@@ -363,9 +382,15 @@ GOOD_ECHO = {"format": 1, "step": 0, "optimizer": OPT_ECHO, "model": MODEL_ECHO}
     ("checkpoint", _checkpoint_bytes(GOOD_ECHO, struct.pack("<II", 1, 3) + b"p.x"
                                      + struct.pack("<III", 2, 2**31, 2**31))),
     ("checkpoint", _checkpoint_bytes(GOOD_ECHO)),
+    ("checkpoint", _checkpoint_bytes(dict(GOOD_ECHO, model=dict(MODEL_ECHO, embed_dim="x")))),
+    ("checkpoint", _checkpoint_bytes(dict(GOOD_ECHO, model=dict(MODEL_ECHO, depth=None)))),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta1="x")),
+                                     SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, step="x"), SMALL_ARRAYS)),
 ], ids=["plan-not-object", "plan-provenance-int", "plan-grid-bool", "plan-index-bool",
         "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
-        "array-dims-oversized", "no-arrays"])
+        "array-dims-oversized", "no-arrays", "echo-embed-dim-str", "echo-depth-null",
+        "echo-beta1-str", "echo-step-str"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")

@@ -216,9 +216,6 @@ def test_mask_plan_validation():
         MaskPlan(grid, 1, [99], ["fill"])
     with pytest.raises(ConfigError):
         MaskPlan(grid, 2, [0], ["fill"])
-    v = MaskPlan(grid, 2, [0, 5], ["fill", "fill"]).mask_vector()
-    assert v.shape == (16,)
-    assert v.sum() == 2.0 and v[0] == 1.0 and v[5] == 1.0
 
 
 def test_batch_indices_rule_and_reuse():
@@ -227,8 +224,9 @@ def test_batch_indices_rule_and_reuse():
     vis, masked = MaskPlan.batch_indices([a, b], grid)
     assert vis.tolist() == [[0, 1, 2], [1, 2, 3]] and masked.tolist() == [[3], [0]]
     assert not vis.flags.writeable and not masked.flags.writeable
-    again = MaskPlan.batch_indices([a, b], grid)
-    assert again[0] is vis and again[1] is masked  # same plans: checked and stacked once
+    b.masked[0] = 2  # an edited plan is read afresh, not from an earlier call
+    assert MaskPlan.batch_indices([a, b], grid)[1].tolist() == [[3], [2]]
+    b.masked[0] = 0
     one_vis, one_masked = MaskPlan.batch_indices(a, grid)
     assert one_vis.tolist() == [0, 1, 2] and one_masked.tolist() == [3]
     assert MaskPlan.batch_indices([b, a], grid)[1].tolist() == [[0], [3]]
