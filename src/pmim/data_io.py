@@ -35,8 +35,6 @@ class SampleRecord:
 class DatasetManifest:
     records: list[SampleRecord]
     root: str = "."
-    image_size: tuple[int, int] | None = None  # (h, w) of the first probed image
-    version: int = 1
 
     def __len__(self):
         return len(self.records)
@@ -72,47 +70,55 @@ def _parse_keypoints(raw, where: str) -> KeypointSet:
         raise ConfigError(f"{where}: {e}")
 
 
-def load_manifest(path: str) -> DatasetManifest:
-    """Parse a JSON-lines manifest: {id, image, keypoints:[[x,y,c] x17]} per line."""
+def read_json_lines(path: str, what: str, fields=()):
+    """Yield ("path:line", obj) for each non-blank line of a JSON-lines file.
+
+    An unreadable file, a line that is not UTF-8 or not JSON, a value that is
+    not an object and a missing one of `fields` fail as ConfigError.
+    """
     try:
         with open(path, "rb") as f:
-            raw_lines = f.read().decode("utf-8").splitlines()
+            lines = f.read().splitlines()
     except OSError as e:
-        raise ConfigError(f"cannot read manifest {path}: {e}")
-    records = []
-    seen_ids: dict[str, int] = {}
-    for ln, line in enumerate(raw_lines, 1):
+        raise ConfigError(f"cannot read {what} {path}: {e}")
+    for ln, raw in enumerate(lines, 1):
+        where = f"{path}:{ln}"
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError as e:
+            raise ConfigError(f"{where}: not UTF-8 ({e.reason} at byte {e.start})")
         if not line.strip():
             continue
-        where = f"{path}:{ln}"
         try:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ConfigError(f"{where}: invalid JSON ({e.msg})")
         if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: record must be a JSON object")
-        for key in ("id", "image", "keypoints"):
+            raise ConfigError(f"{where}: {what} line must be a JSON object")
+        for key in fields:
             if key not in obj:
                 raise ConfigError(f"{where}: missing field {key!r}")
+        yield where, obj
+
+
+def load_manifest(path: str) -> DatasetManifest:
+    """Parse a JSON-lines manifest: {id, image, keypoints:[[x,y,c] x17]} per line."""
+    records = []
+    seen_ids: dict[str, str] = {}
+    for where, obj in read_json_lines(path, "manifest", ("id", "image", "keypoints")):
         if not isinstance(obj["id"], str) or not obj["id"]:
             raise ConfigError(f"{where}: field 'id' must be a non-empty string")
         if not isinstance(obj["image"], str):
             raise ConfigError(f"{where}: field 'image' must be a path string")
         if obj["id"] in seen_ids:
             raise ConfigError(
-                f"{where}: duplicate id {obj['id']!r} (first seen on line {seen_ids[obj['id']]})")
-        seen_ids[obj["id"]] = ln
+                f"{where}: duplicate id {obj['id']!r} (first seen at {seen_ids[obj['id']]})")
+        seen_ids[obj["id"]] = where
         kps = _parse_keypoints(obj["keypoints"], where + ": field 'keypoints'")
         records.append(SampleRecord(obj["id"], obj["image"], kps))
     if not records:
         raise ConfigError(f"empty manifest: {path}")
-    manifest = DatasetManifest(records, root=os.path.dirname(path) or ".")
-    try:
-        h, w, _ = _read_pnm_header(manifest.image_path(records[0]))
-        manifest.image_size = (h, w)
-    except (ConfigError, OSError):
-        pass  # dimensions are advisory; loading stays lazy
-    return manifest
+    return DatasetManifest(records, root=os.path.dirname(path) or ".")
 
 
 def write_manifest(manifest: DatasetManifest, path: str):
@@ -125,9 +131,13 @@ def write_manifest(manifest: DatasetManifest, path: str):
 # ---------------------------------------------------------------------------
 # portable pixmaps
 
-def _read_pnm_header(path: str):
-    with open(path, "rb") as f:
-        data = f.read(512)
+def load_image(path: str) -> ImageBuffer:
+    """Read a binary P6 pixmap (or P5 graymap, broadcast to RGB) into [0, 1]."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+    except OSError as e:
+        raise ConfigError(f"cannot read image {path}: {e}")
     magic = data[:2]
     if magic not in (b"P6", b"P5"):
         raise ConfigError(
@@ -151,21 +161,13 @@ def _read_pnm_header(path: str):
         else:
             raise ConfigError(f"{path}: malformed header byte {c!r}")
     w, h, maxval = fields
-    return h, w, (magic, maxval, i + 1)  # i+1 skips the single whitespace byte
-
-
-def load_image(path: str) -> ImageBuffer:
-    """Read a binary P6 pixmap (or P5 graymap, broadcast to RGB) into [0, 1]."""
-    h, w, (magic, maxval, offset) = _read_pnm_header(path)
     if maxval != 255:
         raise ConfigError(f"{path}: maxval {maxval} unsupported (only 255)")
     if h < 1 or w < 1:
         raise ConfigError(f"{path}: degenerate dimensions {h}x{w}")
     channels = 3 if magic == b"P6" else 1
     need = h * w * channels
-    with open(path, "rb") as f:
-        f.seek(offset)
-        raw = f.read(need)
+    raw = data[i + 1:i + 1 + need]  # i + 1 skips the single whitespace byte
     if len(raw) < need:
         raise ConfigError(f"{path}: truncated pixel data ({len(raw)} of {need} bytes)")
     arr = np.frombuffer(raw, dtype=np.uint8).astype(np.float64) / 255.0
@@ -219,6 +221,7 @@ class SyntheticSpec:
 
 
 def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
+    """Joint positions in pixels, once every joint and the head disc fit the canvas."""
     s = spec.height_frac * spec.canvas_h
     cx = spec.center_x * spec.canvas_w
     y0 = spec.center_y * spec.canvas_h - 0.5 * s
@@ -251,8 +254,19 @@ def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
     j["right_knee"] = down(j["right_hip"], 0.205 * s, spec.r_hip_angle, -1)
     j["right_ankle"] = down(j["right_knee"], 0.205 * s,
                             spec.r_hip_angle + spec.r_knee_angle, -1)
+    margin = spec.line_radius + 0.5
+    for name, pt in j.items():
+        if not (margin <= pt[0] < spec.canvas_w - margin
+                and margin <= pt[1] < spec.canvas_h - margin):
+            raise ConfigError(
+                f"{spec.sample_id}: joint {name} at ({pt[0]:.1f}, {pt[1]:.1f}) "
+                f"leaves the {spec.canvas_h}x{spec.canvas_w} canvas")
+    radius = 0.085 * s
+    if not (margin + radius <= head[0] < spec.canvas_w - margin - radius
+            and margin + radius <= head[1] < spec.canvas_h - margin - radius):
+        raise ConfigError(f"{spec.sample_id}: head disc leaves the canvas")
     j["_head_center"] = head
-    j["_head_radius"] = np.array([0.085 * s])
+    j["_head_radius"] = np.array([radius])
     return j
 
 
@@ -284,20 +298,8 @@ def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
     from .geometry import COCO_KEYPOINT_NAMES
 
     joints = _figure_joints(spec)
-    margin = spec.line_radius + 0.5
     radius = float(joints["_head_radius"][0])
-    for name, pt in joints.items():
-        if name.startswith("_"):
-            continue
-        if not (margin <= pt[0] < spec.canvas_w - margin
-                and margin <= pt[1] < spec.canvas_h - margin):
-            raise ConfigError(
-                f"{spec.sample_id}: joint {name} at ({pt[0]:.1f}, {pt[1]:.1f}) "
-                f"leaves the {spec.canvas_h}x{spec.canvas_w} canvas")
     hc = joints["_head_center"]
-    if not (margin + radius <= hc[0] < spec.canvas_w - margin - radius
-            and margin + radius <= hc[1] < spec.canvas_h - margin - radius):
-        raise ConfigError(f"{spec.sample_id}: head disc leaves the canvas")
 
     ys, xs = np.mgrid[0:spec.canvas_h, 0:spec.canvas_w]
     px = xs + 0.5
@@ -353,7 +355,7 @@ def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
             seed=int(rng.integers(0, 2 ** 31)),
         )
         try:
-            render_stick_figure(dataclasses.replace(spec, noise=0.0))
+            _figure_joints(spec)
         except ConfigError:
             continue
         return spec
@@ -372,8 +374,6 @@ def generate_synthetic(specs: list[SyntheticSpec],
     if len(set(ids)) != len(ids):
         raise ConfigError("duplicate sample ids in synthetic specs")
     manifest = DatasetManifest(records, root=out_dir or ".")
-    if records:
-        manifest.image_size = (specs[0].canvas_h, specs[0].canvas_w)
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
         for record, img in zip(records, images):
@@ -532,25 +532,9 @@ def read_mask_plan(path: str, patch_size: int = 1) -> list[tuple[str, str, MaskP
     The file does not carry a pixel patch size, so pass one if the plans
     must line up with a pixel-frame grid.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as f:
-            lines = f.read().splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read mask plans {path}: {e}")
     out = []
-    for ln, line in enumerate(lines, 1):
-        if not line.strip():
-            continue
-        where = f"{path}:{ln}"
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise ConfigError(f"{where}: invalid JSON ({e.msg})")
-        if not isinstance(obj, dict):
-            raise ConfigError(f"{where}: plan must be a JSON object")
-        for key in ("id", "view", "grid", "masked", "provenance"):
-            if key not in obj:
-                raise ConfigError(f"{where}: missing field {key!r}")
+    for where, obj in read_json_lines(path, "mask plan",
+                                      ("id", "view", "grid", "masked", "provenance")):
         grid_field = obj["grid"]
         if (not isinstance(grid_field, list) or len(grid_field) != 2
                 or not all(type(g) is int and g >= 1 for g in grid_field)):

@@ -11,6 +11,7 @@ denominator and a negative-free cosine variant are kept behind flags.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -34,6 +35,14 @@ class LossConfig:
     symmetrize: bool = False
 
     def __post_init__(self):
+        for name in ("temperature", "align_weight"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        for name in ("normalize_targets", "symmetrize"):
+            value = getattr(self, name)
+            if type(value) is not bool:
+                raise ConfigError(f"{name} must be true or false, got {value!r}")
         if self.temperature <= 0.0:
             raise ConfigError(f"temperature must be > 0, got {self.temperature}")
         if self.align_weight < 0.0:

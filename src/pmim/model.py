@@ -56,6 +56,8 @@ class ModelConfig:
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
         if type(self.mlp_ratio) not in (int, float) or not math.isfinite(self.mlp_ratio):
             raise ConfigError(f"mlp_ratio must be a finite number, got {self.mlp_ratio!r}")
+        if type(self.proj_head) is not bool:
+            raise ConfigError(f"proj_head must be true or false, got {self.proj_head!r}")
         if self.embed_dim % self.n_heads != 0:
             raise ConfigError(
                 f"embed_dim {self.embed_dim} not divisible by n_heads {self.n_heads}")

@@ -55,6 +55,25 @@ class TrainConfig:
     dataset: str | None = None
 
     def __post_init__(self):
+        for name in ("batch_size", "total_epochs", "warmup_epochs", "seed", "checkpoint_every"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ConfigError(f"{name} must be an integer, got {value!r}")
+        for name in ("total_steps", "warmup_steps"):
+            value = getattr(self, name)
+            if value is not None and (type(value) is not int or value < 0):
+                raise ConfigError(f"{name} must be an integer >= 0 or null, got {value!r}")
+        for name in ("base_lr", "weight_decay", "masking_ratio", "scale_min"):
+            value = getattr(self, name)
+            if type(value) not in (int, float) or not math.isfinite(value):
+                raise ConfigError(f"{name} must be a finite number, got {value!r}")
+        if type(self.independent_crops) is not bool:
+            raise ConfigError(
+                f"independent_crops must be true or false, got {self.independent_crops!r}")
+        if self.dataset is not None and type(self.dataset) is not str:
+            raise ConfigError(f"dataset must be a path string, got {self.dataset!r}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if self.total_epochs < 0 or self.warmup_epochs < 0:
@@ -66,12 +85,10 @@ class TrainConfig:
             raise ConfigError("base_lr and weight_decay must be >= 0")
         if not (0.0 <= self.masking_ratio <= 1.0):
             raise ConfigError(f"masking_ratio must be in [0, 1], got {self.masking_ratio}")
+        if not (0.0 < self.scale_min <= 1.0):
+            raise ConfigError(f"scale_min must be in (0, 1], got {self.scale_min}")
         if self.checkpoint_every < 1:
             raise ConfigError("checkpoint_every must be >= 1")
-        for name in ("total_steps", "warmup_steps"):
-            v = getattr(self, name)
-            if v is not None and v < 0:
-                raise ConfigError(f"{name} must be >= 0")
 
     def sampler(self) -> SamplerConfig:
         return SamplerConfig(masking_ratio=self.masking_ratio)
@@ -133,13 +150,10 @@ class MetricsLog:
     @staticmethod
     def read(path: str) -> "MetricsLog":
         log = MetricsLog()
-        with open(path, "r", encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                if line.strip():
-                    try:
-                        log.records.append(json.loads(line))
-                    except json.JSONDecodeError as e:
-                        raise ConfigError(f"{path}:{lineno}: unreadable metrics row ({e})")
+        for where, row in data_io.read_json_lines(path, "metrics", ("step",)):
+            if type(row["step"]) is not int:
+                raise ConfigError(f"{where}: field 'step' must be an integer")
+            log.records.append(row)
         return log
 
 
@@ -255,7 +269,7 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
     for record, rng in zip(records, rngs):
         try:
             va, vb = build_views(rng, record, cfg, root)
-        except (ConfigError, OSError) as e:
+        except ConfigError as e:
             logger.warning("skipping sample %s: %s", record.sample_id, e)
             continue
         views.append((va[0], va[2], vb[0], vb[2]))

@@ -252,8 +252,26 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run):
     code, _, err = run_cli(["grad-check", "--set", "model.mlp_ratio=abc"])
     assert code == 2 and "mlp_ratio" in err
 
+    for bad in ("loss.temperature=nan", "loss.align_weight=inf", "loss.symmetrize=x",
+                "loss.normalize_targets=1", "model.proj_head=x", "train.seed=abc",
+                "train.seed=-1", "train.batch_size=2.5", "train.base_lr=nan",
+                "train.scale_min=2", "train.total_steps=1.5", "train.independent_crops=x",
+                "data.manifest=7"):
+        code, _, err = run_cli(["grad-check", "--set", bad])
+        assert code == 2 and err.startswith("error:"), (bad, err)
 
-def test_grad_check_cli():
+    # resume over a metrics log whose row lacks its step
+    run_dir = str(tmp_path / "resumed")
+    os.makedirs(run_dir)
+    open(os.path.join(run_dir, "metrics.jsonl"), "w").write('{"lr": 1}\n')
+    code, _, err = run_cli(
+        ["pretrain", "--manifest", manifest_path, "--out", run_dir, *MICRO_SET,
+         "--resume", os.path.join(micro_run["out"], "checkpoint_ep1.bin"),
+         "--set", "train.batch_size=3", "--set", "train.total_epochs=2"])
+    assert code == 2 and "metrics.jsonl:1:" in err, err
+
+
+def test_grad_check_cli(monkeypatch):
     code, stdout, _ = run_cli(["grad-check", *MICRO_SET])
     assert code == 0
     report = json.loads(stdout)
@@ -268,6 +286,12 @@ def test_grad_check_cli():
 
     code, _, err = run_cli(["grad-check", "--set", "model.embed_dim=128"])
     assert code == 2 and "50,000" in err
+
+    # a NaN error fails whichever group holds it
+    report = {"ok_a": 1e-9, "nan_group": float("nan"), "ok_b": 1e-8}
+    monkeypatch.setattr("pmim.cli.gradient_check", lambda *args, **kwargs: report)
+    code, _, err = run_cli(["grad-check", *MICRO_SET])
+    assert code == 3 and "nan_group" in err
 
 
 def test_console_script_installed():

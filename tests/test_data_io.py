@@ -94,6 +94,9 @@ def test_load_image_rejects_bad_files(tmp_path):
     with pytest.raises(ConfigError, match="maxval"):
         load_image(deep)
 
+    with pytest.raises(ConfigError, match="cannot read image"):
+        load_image(str(tmp_path / "missing.ppm"))
+
 
 def test_manifest_round_trip(tmp_path):
     rng = np.random.default_rng(1)
@@ -139,6 +142,10 @@ def test_manifest_error_reporting(tmp_path):
 
     open(path, "w").write("\n")
     with pytest.raises(ConfigError, match="empty"):
+        load_manifest(path)
+
+    open(path, "wb").write(good.encode() + b"\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2:")):
         load_manifest(path)
 
 
@@ -220,7 +227,6 @@ def test_synthetic_dataset_on_disk(tmp_path):
     manifest, images = make_synthetic_dataset(3, seed=2, out_dir=out)
     assert os.path.exists(os.path.join(out, "manifest.jsonl"))
     back = load_manifest(os.path.join(out, "manifest.jsonl"))
-    assert back.image_size == (64, 32)
     for record, img in zip(back.records, images):
         loaded = load_image(back.image_path(record))
         assert np.abs(loaded.data - img.data).max() <= 0.5 / 255
@@ -375,6 +381,7 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
     ("plan", _plan_line(provenance=5)),
     ("plan", _plan_line(grid=[True, 2])),
     ("plan", _plan_line(masked=[True])),
+    ("plan", "\udcff"),  # written as the lone byte 0xff
     ("checkpoint", _checkpoint_bytes([1])),
     ("checkpoint", _checkpoint_bytes({"format": 1, "step": 0, "optimizer": OPT_ECHO})),
     ("checkpoint", _checkpoint_bytes(dict(GOOD_ECHO, model=dict(MODEL_ECHO, bogus=1)))),
@@ -388,13 +395,14 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
                                      SMALL_ARRAYS)),
     ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, step="x"), SMALL_ARRAYS)),
 ], ids=["plan-not-object", "plan-provenance-int", "plan-grid-bool", "plan-index-bool",
-        "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
+        "plan-not-utf8", "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
         "array-dims-oversized", "no-arrays", "echo-embed-dim-str", "echo-depth-null",
         "echo-beta1-str", "echo-step-str"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")
-        open(path, "w").write(_plan_line() + "\n" + body + "\n")
+        open(path, "w", encoding="utf-8", errors="surrogateescape").write(
+            _plan_line() + "\n" + body + "\n")
         with pytest.raises(ConfigError, match=re.escape(f"{path}:2:")):
             read_mask_plan(path)
     else:

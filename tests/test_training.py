@@ -278,6 +278,10 @@ def test_metrics_log_read_rejects_garbage(tmp_path):
     open(path, "w").write('{"step": 1}\n{"step": 2, "lr"\n')
     with pytest.raises(ConfigError, match=":2:"):
         MetricsLog.read(path)
+    for row in ('[1]', '{"lr": 1}', '{"step": "x"}'):
+        open(path, "w").write('{"step": 1}\n' + row + "\n")
+        with pytest.raises(ConfigError, match=":2:"):
+            MetricsLog.read(path)
 
 
 def test_pretrain_writes_artifacts(tmp_path, disk_dataset):
