@@ -465,7 +465,11 @@ def load_checkpoint(path: str):
     from .model import ModelConfig, ModelParams
     from .training import OptimizerState
 
-    with open(path, "rb") as f:
+    try:
+        f = open(path, "rb")
+    except OSError as e:
+        raise ConfigError(f"cannot read checkpoint {path}: {e}")
+    with f:
         magic = _read_exact(f, 4, path)
         if magic != CHECKPOINT_MAGIC:
             raise ConfigError(f"{path}: bad magic {magic!r}, not a checkpoint")

@@ -90,7 +90,7 @@ def recon_loss_and_grad(pred, target_patches: np.ndarray, plans,
     if masked.shape[-1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
         return (0.0 if one else np.zeros(len(masked))), d_pred
-    rows = masked if one else (np.arange(len(masked))[:, None], masked)
+    rows = MaskPlan.view_rows(masked)
     tgt = normalize_targets(tgt[rows]) if cfg.normalize_targets else tgt[rows]
     diff = p[rows] - tgt
     value = np.mean(diff * diff, axis=(-2, -1))
@@ -102,7 +102,7 @@ def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:
     z = np.asarray(z, dtype=np.float64)
     if z.ndim != 2 or z.shape[0] < 1:
         raise ConfigError(f"{name} must be a (B, dim) matrix with B >= 1, got {z.shape}")
-    norms = np.linalg.norm(z, axis=1)
+    norms = np.sqrt((z * z).sum(axis=1))
     worst = float(np.abs(norms - 1.0).max())
     if not np.isfinite(worst) or worst > 1e-4:
         raise NumericsError(f"{name} rows deviate from unit norm by {worst:.3e}")

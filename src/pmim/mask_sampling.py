@@ -140,6 +140,15 @@ class MaskPlan:
         vis.flags.writeable = masked.flags.writeable = False
         return (vis[0], masked[0]) if one else (vis, masked)
 
+    @staticmethod
+    def view_rows(idx: np.ndarray):
+        """Advanced index picking rows idx[v] of each view v of a (V, N, ...) array.
+
+        For one view's (n,) indices it is idx itself. A gather or scatter through
+        it moves the same values as np.take_along_axis / np.put_along_axis.
+        """
+        return idx if idx.ndim == 1 else (np.arange(len(idx))[:, None], idx)
+
 
 @dataclass
 class BlockFillResult:

@@ -5,6 +5,8 @@ masked positions with a shared mask token and predicts all patch pixels.
 Every layer is built from four primitives, each with its own backward:
 linear, layernorm, attention and the GELU MLP. The optional projection head is
 the block MLP run on the class row. Everything is float64 and deterministic.
+GELU's normal CDF goes through _erf, a numpy port of the Cephes erf that
+scipy.special wraps, so numpy is the only runtime dependency.
 
 Views run together on a leading view axis: patches (V, N, P) with V mask plans
 (or (N, P) with one plan) that hide one number of patches
@@ -25,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erf
 
 from .errors import ConfigError, NumericsError
 from .geometry import PatchGrid
@@ -247,10 +248,14 @@ def _linear_bwd(dy, x, params, name, grads):
     return dy @ params[name + "_w"].T
 
 
+# Means over the last axis are written as sum / n: the reduce and divide that
+# ndarray.mean runs, bit for bit, without its Python-level wrapper.
+
 def _layernorm_fwd(x, params, name):
-    mu = x.mean(axis=-1, keepdims=True)
+    n = x.shape[-1]
+    mu = x.sum(axis=-1, keepdims=True) / n
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = (xc * xc).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + LN_EPS)
     xhat = xc * inv
     return params[name + "_g"] * xhat + params[name + "_b"], (xhat, inv)
@@ -261,13 +266,62 @@ def _layernorm_bwd(dy, params, name, cache, grads):
     _add(grads, name + "_g", (dy * xhat).sum(axis=-2))
     _add(grads, name + "_b", dy.sum(axis=-2))
     dxhat = dy * params[name + "_g"]
-    return inv * (dxhat - dxhat.mean(axis=-1, keepdims=True)
-                  - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True))
+    n = dxhat.shape[-1]
+    return inv * (dxhat - dxhat.sum(axis=-1, keepdims=True) / n
+                  - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True) / n)
+
+
+# Coefficients of Cephes ndtr.c (S. L. Moshier): erf(x) = x T(x^2) / U(x^2) for
+# |x| <= 1 and erf(x) = 1 - exp(-x^2) P(|x|) / Q(|x|) above, with the odd
+# symmetry for x < 0. U and Q carry their implicit leading 1.0.
+_ERF_T = (9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+          7.00332514112805075473E3, 5.55923013010394962768E4)
+_ERF_U = (1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+          2.26290000613890934246E4, 4.92673942608635921086E4)
+_ERFC_P = (2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+           4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+           9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2)
+_ERFC_Q = (1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+           9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+           1.65666309194161350182E3, 5.57535340817727675546E2)
+
+
+def _polevl(x, coeffs):
+    """Horner's rule in place, highest power first, in Cephes polevl's order."""
+    out = x * coeffs[0]
+    out += coeffs[1]
+    for c in coeffs[2:]:
+        out *= x
+        out += c
+    return out
+
+
+def _erf(x):
+    """The error function, as the Cephes routine scipy.special.erf wraps.
+
+    On |x| <= 1 it runs the same float64 operations in the same order, so
+    it is bit-equal to scipy there; above, it stays within 2 ulp, since
+    numpy's exp is not the C library's.
+    From |x| = 6 on, 1 - erfc(|x|) rounds to 1; clamping there also maps
+    +-inf to +-1. A NaN stays NaN.
+    """
+    a = np.abs(x)
+    if a.max(initial=0.0) <= 1.0:
+        z = x * x
+        return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    out = np.empty_like(a)
+    small = a <= 1.0
+    out[small] = _erf(x[small])  # all within 1: the branch above
+    big = ~small
+    ab = np.minimum(a[big], 6.0)
+    out[big] = np.copysign(1.0 - np.exp(-ab * ab) * _polevl(ab, _ERFC_P) / _polevl(ab, _ERFC_Q),
+                           x[big])
+    return out
 
 
 def _gelu(x):
     """x * Phi(x), plus the normal CDF Phi(x), which _gelu_grad reuses."""
-    cdf = 0.5 * (1.0 + erf(x / math.sqrt(2.0)))
+    cdf = 0.5 * (1.0 + _erf(x / math.sqrt(2.0)))
     return x * cdf, cdf
 
 
@@ -279,8 +333,8 @@ def _attn_fwd(x, params, p, n_heads):
     *lead, n, d = x.shape
     dh = d // n_heads
     qkv = _linear(x, params, p + "qkv")  # (..., n, 3d)
-    q, k, v = [a.reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
-               for a in np.split(qkv, 3, axis=-1)]  # each (..., h, n, dh)
+    q, k, v = [qkv[..., i * d:(i + 1) * d].reshape(*lead, n, n_heads, dh).swapaxes(-2, -3)
+               for i in range(3)]  # each (..., h, n, dh)
     scores = (q @ k.swapaxes(-1, -2)) / math.sqrt(dh)  # (..., h, n, n)
     scores = scores - scores.max(axis=-1, keepdims=True)
     e = np.exp(scores)
@@ -392,7 +446,7 @@ def encode(params: ModelParams, patches: np.ndarray, plans,
     want = vis.shape[:-1] + (cfg.n_patches, cfg.patch_dim)
     if patches.shape != want:
         raise ConfigError(f"patches shape {patches.shape} does not match {want}")
-    patches_vis = np.take_along_axis(patches, vis[..., None], axis=-2)
+    patches_vis = patches[MaskPlan.view_rows(vis)]
     if tape is not None:
         tape["patches"] = patches_vis
     pos = sincos_pos_embed(cfg.grid, cfg.embed_dim)[vis]
@@ -408,8 +462,7 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")
     tokens = np.tile(params["mask_token"], vis.shape[:-1] + (cfg.n_patches, 1))
-    np.put_along_axis(tokens, vis[..., None], _linear(visible_tokens, params, "dec_proj"),
-                      axis=-2)
+    tokens[MaskPlan.view_rows(vis)] = _linear(visible_tokens, params, "dec_proj")
     x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
     y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
     z, lnc = _layernorm_fwd(y, params, "dec_norm")
@@ -443,10 +496,9 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads,
                          dec_blocks, dy, grads)
     if masked.shape[-1]:
-        _add(grads, "mask_token",
-             np.take_along_axis(dtokens, masked[..., None], axis=-2).sum(axis=-2))
-    d_vis = _linear_bwd(np.take_along_axis(dtokens, vis[..., None], axis=-2),
-                        visible_tokens, params, "dec_proj", grads)
+        _add(grads, "mask_token", dtokens[MaskPlan.view_rows(masked)].sum(axis=-2))
+    d_vis = _linear_bwd(dtokens[MaskPlan.view_rows(vis)], visible_tokens, params, "dec_proj",
+                        grads)
 
     # class-vector normalization cls = raw / |raw| on (..., 1, d) rows
     d_cls = d_cls[..., None, :]

@@ -7,10 +7,12 @@ import os
 import shutil
 import struct
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import pmim
 from pmim.cli import entry
 from pmim.data_io import make_synthetic_dataset, read_mask_plan
 
@@ -260,6 +262,19 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run):
         code, _, err = run_cli(["grad-check", "--set", bad])
         assert code == 2 and err.startswith("error:"), (bad, err)
 
+    # a checkpoint path that does not exist
+    missing = str(tmp_path / "missing.bin")
+    plan_file = str(tmp_path / "micro_plans.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", plan_file,
+                    *MICRO_SET])[0] == 0
+    for argv in (["attn-map", "--checkpoint", missing, "--id", "synth0001", "--query", "0"],
+                 ["visualize", "--plans", plan_file, "--checkpoint", missing,
+                  "--out", str(tmp_path / "viz")],
+                 ["pretrain", "--resume", missing, "--out", str(tmp_path / "run"),
+                  "--set", "train.batch_size=3"]):
+        code, _, err = run_cli([*argv, "--manifest", manifest_path, *MICRO_SET])
+        assert code == 2 and f"cannot read checkpoint {missing}" in err, (argv, err)
+
     # resume over a metrics log whose row lacks its step
     run_dir = str(tmp_path / "resumed")
     os.makedirs(run_dir)
@@ -292,6 +307,26 @@ def test_grad_check_cli(monkeypatch):
     monkeypatch.setattr("pmim.cli.gradient_check", lambda *args, **kwargs: report)
     code, _, err = run_cli(["grad-check", *MICRO_SET])
     assert code == 3 and "nan_group" in err
+
+
+def test_grad_check_cli_projection_head():
+    # TINY_CHECK_MODEL with the head; at the default step h=1e-5, proj2_b reads
+    # 1.5e-4 on a correct backward pass, so the command picks a smaller step.
+    code, stdout, err = run_cli(["grad-check", "--set", "model.proj_head=true"])
+    assert code == 0, err
+    assert {"proj1_w", "proj2_b"} <= set(json.loads(stdout))
+    code, _, err = run_cli(["grad-check", "--set", "model.proj_head=true",
+                            "--corrupt", "proj2_b"])
+    assert code == 3 and "proj2_b" in err
+
+
+def test_runtime_needs_numpy_only():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c",
+                           "import sys, pmim, pmim.cli; sys.exit('scipy' in sys.modules)"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr or "import pmim loaded scipy"
 
 
 def test_console_script_installed():

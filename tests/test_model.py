@@ -9,6 +9,7 @@ from pmim.mask_sampling import MaskPlan, random_mask
 from pmim.model import (
     ModelConfig,
     ModelParams,
+    _erf,
     attention_maps,
     backward,
     decode,
@@ -252,3 +253,34 @@ def test_attention_maps_are_distributions():
     assert maps.shape == (1, 2, n_vis + 1, n_vis + 1)
     assert (maps >= 0.0).all()
     np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
+
+
+def test_erf_matches_scipy_oracle():
+    from scipy.special import erf as scipy_erf  # the oracle, from the test extra
+
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    # |x| <= 1: the same operations in the same order as Cephes, so bit-equal
+    tiny = np.geomspace(1e-300, 1e-3, 2_001)
+    inner = np.concatenate([np.linspace(-1.0, 1.0, 400_001), tiny, -tiny])
+    assert np.array_equal(bits(_erf(inner)), bits(scipy_erf(inner)))
+
+    # beyond: numpy's exp against the C library's, within 2 ulp; the |x| <= 1
+    # entries of a mixed array stay bit-equal
+    wide = np.concatenate([np.linspace(-10.0, 10.0, 400_001), np.geomspace(1.0, 1e300, 2_001)])
+    got, want = _erf(wide), scipy_erf(wide)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+    assert np.abs(bits(got) - bits(want)).max() <= 2
+    small = np.abs(wide) <= 1.0
+    assert np.array_equal(bits(got[small]), bits(want[small]))
+
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    edges = np.array([0.0, 1.0, one_up, one_down, 6.0, np.nextafter(6.0, 0.0), 8.0, np.inf])
+    edges = np.concatenate([edges, -edges])
+    got, want = _erf(edges), scipy_erf(edges)
+    assert np.array_equal(np.signbit(got), np.signbit(want))  # erf(-0.0) is -0.0
+    assert np.abs(bits(got) - bits(want)).max() <= 2
+    far = np.abs(edges) >= 6.0
+    assert np.array_equal(got[far], np.sign(edges[far]))
+    assert np.isnan(_erf(np.array([np.nan, 0.5, 2.0]))).tolist() == [True, False, False]
