@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, NumericsError
 from .geometry import ImageBuffer, KeypointSet, PatchGrid
 from .mask_sampling import MaskPlan
 
@@ -438,7 +438,6 @@ def save_checkpoint(params, opt_state, step: int, path: str):
                       "eps": opt_state.eps, "step": opt_state.step},
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
-    names = list(params.arrays)
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
@@ -446,13 +445,10 @@ def save_checkpoint(params, opt_state, step: int, path: str):
             f.write(struct.pack("<I", CHECKPOINT_VERSION))
             f.write(struct.pack("<I", len(blob)))
             f.write(blob)
-            f.write(struct.pack("<I", 3 * len(names)))
-            for name in names:
-                _write_array(f, "p." + name, params.arrays[name])
-            for name in names:
-                _write_array(f, "m." + name, opt_state.m[name])
-            for name in names:
-                _write_array(f, "v." + name, opt_state.v[name])
+            f.write(struct.pack("<I", 3 * len(params.arrays)))
+            for prefix, vec in (("p.", params.flat), ("m.", opt_state.m), ("v.", opt_state.v)):
+                for name, arr in params.views(vec).items():
+                    _write_array(f, prefix + name, arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -504,13 +500,17 @@ def load_checkpoint(path: str):
         raise ConfigError(f"{path}: unknown model config keys {sorted(unknown)}")
     try:
         params = ModelParams(ModelConfig(**meta["model"]), groups["p"])
-    except ConfigError as e:
+        m, v = params.pack(groups["m"], "m."), params.pack(groups["v"], "v.")
+    except (ConfigError, NumericsError) as e:
         raise ConfigError(f"{path}: {e}")
-    opt = OptimizerState(m=groups["m"], v=groups["v"], step=int(hyper["step"]),
+    # moments AdamW cannot use would poison the parameters one step after loading
+    for prefix, bad, what in (("m.", ~np.isfinite(m), "non-finite"),
+                              ("v.", ~(np.isfinite(v) & (v >= 0.0)), "negative or non-finite")):
+        if bad.any():
+            raise ConfigError(f"{path}: {prefix}{params.first_group(bad)} has {what} values")
+    opt = OptimizerState(m=m, v=v, step=int(hyper["step"]),
                          beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
                          eps=float(hyper["eps"]))
-    if set(opt.m) != set(params.arrays) or set(opt.v) != set(params.arrays):
-        raise ConfigError(f"{path}: optimizer arrays do not mirror parameters")
     return params, opt, int(meta["step"])
 
 

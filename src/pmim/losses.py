@@ -67,13 +67,6 @@ class LossBreakdown:
     objective: float
 
 
-def recon_loss(pred, target_patches: np.ndarray, plans,
-               cfg: LossConfig | None = None):
-    """Mean squared error over masked rows only (per view for V plans)."""
-    value, _ = recon_loss_and_grad(pred, target_patches, plans, cfg)
-    return value
-
-
 def recon_loss_and_grad(pred, target_patches: np.ndarray, plans,
                         cfg: LossConfig | None = None):
     """Masked MSE and its gradient at the predictions (zero on visible rows)."""
@@ -139,12 +132,6 @@ def align_loss(z: np.ndarray, z_tilde: np.ndarray, tau: float = 0.2,
     """InfoNCE over the two views' class vectors, anchored on the first."""
     value, _, _ = align_loss_and_grad(z, z_tilde, LossConfig(temperature=tau,
                                                              negatives=negatives))
-    return value
-
-
-def align_loss_stopgrad(z: np.ndarray, z_tilde: np.ndarray) -> float:
-    """Negative mean cosine similarity, the negative-free variant."""
-    value, _, _ = align_loss_and_grad(z, z_tilde, LossConfig(align_mode="cosine_stopgrad"))
     return value
 
 

@@ -13,18 +13,20 @@ Views run together on a leading view axis: patches (V, N, P) with V mask plans
 (MaskPlan.batch_indices), so the encoder runs on one (V, 1 + n_vis, d) tensor
 and the decoder on one (V, N, d_dec) tensor. A forward pass given a tape dict
 records its intermediates there (a GELU keeps its input and CDF, and backward
-recomputes their product); backward() replays it and adds into a dict the
-caller owns. Each gradient is formed per view (a stacked x^T @ dy in
-_linear_bwd, or a token-axis sum), then reduced with .sum(axis=0) in view
-order: bit-identical to adding the views one by one, which folding the view
+recomputes their product); backward() replays it and adds into a flat
+gradient vector the caller owns. Each gradient is formed per view (a stacked
+x^T @ dy in _linear_bwd, or a token-axis sum), then reduced with .sum(axis=0)
+in view order: bit-identical to adding the views one by one, which folding the view
 axis into one matrix product, or einsum, is not.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -152,35 +154,67 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     return shapes
 
 
-@dataclass
+@functools.lru_cache(maxsize=8)
+def _layout(cfg: ModelConfig) -> tuple[tuple[str, int, int, tuple], ...]:
+    """(name, start, stop, shape) of each group in the flat vector, in param_shapes order."""
+    shapes = param_shapes(cfg)
+    stops = itertools.accumulate(math.prod(shape) for _, shape, _ in shapes)
+    return tuple((name, stop - math.prod(shape), stop, shape)
+                 for (name, shape, _), stop in zip(shapes, stops))
+
+
 class ModelParams:
-    """Named float64 parameter arrays plus the config they were built for."""
+    """Float64 parameters as one vector, `flat`, plus the config they were built for.
 
-    cfg: ModelConfig
-    arrays: dict[str, np.ndarray]
+    `arrays[name]` is a reshaped view into `flat`, in param_shapes order, behind a
+    read-only mapping: written in place, never rebound. `views(vec)` lays out any
+    vector of that size (a gradient, an AdamW moment) the same way.
+    """
 
-    def __post_init__(self):
-        expected = {name: shape for name, shape, _ in param_shapes(self.cfg)}
-        if set(self.arrays) != set(expected):
-            missing = sorted(set(expected) - set(self.arrays))
-            extra = sorted(set(self.arrays) - set(expected))
+    def __init__(self, cfg: ModelConfig, arrays):
+        self.cfg = cfg
+        self.flat = self.pack(arrays)
+        bad = ~np.isfinite(self.flat)
+        if bad.any():
+            raise NumericsError(f"parameter {self.first_group(bad)} contains non-finite values")
+        self.arrays = self.views(self.flat)
+        self.grad = None  # the gradient buffer, made by training.batch_backward
+
+    def views(self, vec: np.ndarray) -> MappingProxyType:
+        """Read-only name -> reshaped view of `vec`, a vector laid out like `flat`."""
+        if vec.shape != (self.n_params,):
+            raise ConfigError(f"vector {vec.shape} does not fit {self.n_params} parameters")
+        return MappingProxyType({name: vec[start:stop].reshape(shape)
+                                 for name, start, stop, shape in _layout(self.cfg)})
+
+    def pack(self, arrays, prefix: str = "") -> np.ndarray:
+        """A new vector holding named arrays in this layout; names and shapes must match."""
+        flat = np.empty(self.n_params)
+        views = self.views(flat)
+        if set(arrays) != set(views):
+            missing = sorted(prefix + k for k in set(views) - set(arrays))
+            extra = sorted(prefix + k for k in set(arrays) - set(views))
             raise ConfigError(f"parameter name mismatch: missing {missing}, extra {extra}")
-        for name, arr in self.arrays.items():
-            if arr.shape != expected[name]:
-                raise ConfigError(
-                    f"parameter {name} has shape {arr.shape}, expected {expected[name]}")
-            if not np.isfinite(arr).all():
-                raise NumericsError(f"parameter {name} contains non-finite values")
+        for name, view in views.items():
+            if arrays[name].shape != view.shape:
+                raise ConfigError(f"{prefix or 'parameter '}{name} has shape "
+                                  f"{arrays[name].shape}, expected {view.shape}")
+            view[...] = arrays[name]
+        return flat
+
+    def first_group(self, hits: np.ndarray) -> str:
+        """Name of the first group in which the flat boolean vector `hits` is true."""
+        return next(name for name, part in self.views(hits).items() if part.any())
 
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
     def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, {k: v.copy() for k, v in self.arrays.items()})
+        return ModelParams(self.cfg, self.arrays)
 
     @property
     def n_params(self) -> int:
-        return sum(v.size for v in self.arrays.values())
+        return _layout(self.cfg)[-1][2]
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
@@ -195,15 +229,10 @@ def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> 
 
 def init_params(rng: np.random.Generator, cfg: ModelConfig) -> ModelParams:
     """Truncated-normal weights and tokens (std 0.02), zero biases, unit gains."""
-    arrays = {}
-    for name, shape, kind in param_shapes(cfg):
-        if kind in ("weight", "token"):
-            arrays[name] = _trunc_normal(rng, shape)
-        elif kind == "bias":
-            arrays[name] = np.zeros(shape)
-        else:
-            arrays[name] = np.ones(shape)
-    return ModelParams(cfg, arrays)
+    return ModelParams(cfg, {
+        name: _trunc_normal(rng, shape) if kind in ("weight", "token")
+        else np.full(shape, 0.0 if kind == "bias" else 1.0)
+        for name, shape, kind in param_shapes(cfg)})
 
 
 @functools.lru_cache(maxsize=8)
@@ -231,7 +260,7 @@ def sincos_pos_embed(grid: PatchGrid, dim: int) -> np.ndarray:
 # layer primitives, named by their parameter prefix. They broadcast over
 # leading axes; backward adds each parameter's per-view gradients into grads.
 
-def _add(grads: dict[str, np.ndarray], name: str, per_view: np.ndarray):
+def _add(grads, name: str, per_view: np.ndarray):
     """grads[name] += per-view gradients, summed over the view axis in view order."""
     g = grads[name]
     g += per_view.reshape((-1,) + g.shape).sum(axis=0)
@@ -479,14 +508,15 @@ def forward(params: ModelParams, patches: np.ndarray, plans,
 
 
 def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
-             d_cls: np.ndarray, grads: dict[str, np.ndarray]) -> None:
-    """Add the exact gradients of the taped views into `grads`, given upstream seeds.
+             d_cls: np.ndarray, grad: np.ndarray) -> None:
+    """Add the exact gradients of the taped views into `grad` (laid out like params.flat).
 
     d_pred is the loss gradient at the decoder predictions, d_cls at the
     normalized class vectors, shaped like forward's outputs. Requires the tape
     recorded by forward. Each group receives one in-place addition per call.
     """
     cfg = params.cfg
+    grads = params.views(grad)
     enc_blocks, enc_ln, proj, cls, nrm = tape["enc"]
     dec_blocks, dec_ln, z, visible_tokens, vis, masked = tape["dec"]
 

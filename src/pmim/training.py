@@ -96,8 +96,8 @@ class TrainConfig:
 
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    m: np.ndarray  # AdamW moments, each laid out like ModelParams.flat
+    v: np.ndarray
     step: int = 0
     beta1: float = 0.9
     beta2: float = 0.95
@@ -105,27 +105,21 @@ class OptimizerState:
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
-    return OptimizerState(m={k: np.zeros_like(a) for k, a in params.arrays.items()},
-                          v={k: np.zeros_like(a) for k, a in params.arrays.items()})
+    return OptimizerState(m=np.zeros_like(params.flat), v=np.zeros_like(params.flat))
 
 
-def adamw_update(params: ModelParams, grads: dict[str, np.ndarray],
-                 opt: OptimizerState, lr: float, weight_decay: float):
-    """In-place update; decay is decoupled, so zero grads shrink by 1 - lr*wd."""
+def adamw_update(params: ModelParams, grad: np.ndarray, opt: OptimizerState,
+                 lr: float, weight_decay: float):
+    """In-place update of params.flat; decay is decoupled, so zero grads shrink by 1 - lr*wd."""
     opt.step += 1
     b1c = 1.0 - opt.beta1 ** opt.step
     b2c = 1.0 - opt.beta2 ** opt.step
-    for name in params.arrays:
-        g = grads[name]
-        m = opt.m[name]
-        v = opt.v[name]
-        m *= opt.beta1
-        m += (1.0 - opt.beta1) * g
-        v *= opt.beta2
-        v += (1.0 - opt.beta2) * g * g
-        p = params.arrays[name]
-        p *= 1.0 - lr * weight_decay
-        p -= lr * (m / b1c) / (np.sqrt(v / b2c) + opt.eps)
+    opt.m *= opt.beta1
+    opt.m += (1.0 - opt.beta1) * grad
+    opt.v *= opt.beta2
+    opt.v += (1.0 - opt.beta2) * grad * grad
+    params.flat *= 1.0 - lr * weight_decay
+    params.flat -= lr * (opt.m / b1c) / (np.sqrt(opt.v / b2c) + opt.eps)
 
 
 @dataclass
@@ -209,12 +203,8 @@ def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
     image = data_io.load_image(os.path.join(root, record.image))
     patches_a, kps_a = one_view(image)
     plan_a = part_guided_mask(rng, kps_a, grid, scfg)
-    if cfg.independent_crops:
-        patches_b, kps_b = one_view(image)
-        plan_b = part_guided_mask(rng, kps_b, grid, scfg)
-    else:
-        patches_b, kps_b = patches_a, kps_a
-        plan_b = part_guided_mask(rng, kps_b, grid, scfg)
+    patches_b, kps_b = one_view(image) if cfg.independent_crops else (patches_a, kps_a)
+    plan_b = part_guided_mask(rng, kps_b, grid, scfg)
     return (patches_a, kps_a, plan_a), (patches_b, kps_b, plan_b)
 
 
@@ -246,11 +236,15 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
     return total_loss(recon, align, loss_cfg)
 
 
-def batch_backward(params: ModelParams, tape: dict) -> dict[str, np.ndarray]:
-    """Exact gradients of a taped batch_loss's objective, views reduced in batch order."""
-    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    backward(params, tape, tape["d_pred"], tape["d_cls"], grads)
-    return grads
+def batch_backward(params: ModelParams, tape: dict) -> np.ndarray:
+    """params.grad, zeroed, then refilled with the exact gradient of a taped batch_loss."""
+    # Made on first use: under glibc it then sits on the heap above a step's temporaries,
+    # which keeps the freed heap from being returned and faulted back in every step.
+    if params.grad is None:
+        params.grad = np.zeros(params.n_params)
+    params.grad.fill(0.0)
+    backward(params, tape, tape["d_pred"], tape["d_cls"], params.grad)
+    return params.grad
 
 
 def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConfig,
@@ -369,22 +363,16 @@ TINY_CHECK_MODEL = ModelConfig(embed_dim=8, depth=1, n_heads=2, decoder_dim=8,
                                grid_h=2, grid_w=2)
 
 
-def finite_difference_grads(loss_fn, params: ModelParams, h: float = 1e-5):
-    """Central differences of a scalar loss over every parameter element."""
-    out = {}
-    for name, arr in params.arrays.items():
-        g = np.zeros_like(arr)
-        flat = arr.reshape(-1)
-        gf = g.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = loss_fn(params)
-            flat[i] = orig - h
-            fm = loss_fn(params)
-            flat[i] = orig
-            gf[i] = (fp - fm) / (2.0 * h)
-        out[name] = g
+def finite_difference_grads(loss_fn, params: ModelParams, h: float = 1e-5) -> np.ndarray:
+    """Central differences of a scalar loss over every element of params.flat."""
+    out = np.zeros_like(params.flat)
+    for i in range(out.size):
+        orig = params.flat[i]
+        params.flat[i] = orig + h
+        fp = loss_fn(params)
+        params.flat[i] = orig - h
+        out[i] = (fp - loss_fn(params)) / (2.0 * h)
+        params.flat[i] = orig
     return out
 
 
@@ -413,15 +401,9 @@ def gradient_check(model_cfg: ModelConfig | None = None,
     batch_loss(params, views, loss_cfg, tape)
     analytic = batch_backward(params, tape)
     if corrupt is not None:
-        if corrupt not in analytic:
+        if corrupt not in params.arrays:
             raise ConfigError(f"no parameter group named {corrupt!r}")
-        analytic[corrupt] = analytic[corrupt] + 1e-3
+        params.views(analytic)[corrupt][...] += 1e-3
     fd = finite_difference_grads(lambda p: batch_loss(p, views, loss_cfg).objective, params, h)
-
-    report = {}
-    for name in params.arrays:
-        a = analytic[name]
-        f = fd[name]
-        rel = np.abs(a - f) / np.maximum(np.maximum(np.abs(a), np.abs(f)), 1e-6)
-        report[name] = float(rel.max())
-    return report
+    rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
+    return {name: float(r.max()) for name, r in params.views(rel).items()}

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import pmim
+from pmim import data_io
 from pmim.cli import entry
 from pmim.data_io import make_synthetic_dataset, read_mask_plan
 
@@ -223,7 +224,7 @@ def test_attn_map(tmp_path, manifest_path, micro_run):
                     *MICRO_SET])[0] == 2
 
 
-def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run):
+def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run, monkeypatch):
     plans = str(tmp_path / "plans.jsonl")
     open(plans, "w").write("5\n")
     code, _, err = run_cli(["stats", "--manifest", manifest_path, "--plans", plans])
@@ -284,6 +285,23 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run):
          "--resume", os.path.join(micro_run["out"], "checkpoint_ep1.bin"),
          "--set", "train.batch_size=3", "--set", "train.total_epochs=2"])
     assert code == 2 and "metrics.jsonl:1:" in err, err
+
+    # resume from optimizer moments AdamW cannot use, written by a real save
+    ep1 = os.path.join(micro_run["out"], "checkpoint_ep1.bin")
+    params, opt, step = data_io.load_checkpoint(ep1)
+    write_array = data_io._write_array
+    bad = str(tmp_path / "bad_moments.bin")
+    for record, arr in (("m.head_b", np.zeros(3)), ("v.head_b", np.full(48, np.nan)),
+                        ("v.enc0_qkv_b", np.full(12, -1.0))):
+        monkeypatch.setattr(data_io, "_write_array", lambda f, name, a: write_array(
+            f, name, arr if name == record else a))
+        data_io.save_checkpoint(params, opt, step, bad)
+        monkeypatch.undo()
+        code, _, err = run_cli(
+            ["pretrain", "--manifest", manifest_path, "--out", str(tmp_path / "bad_run"),
+             *MICRO_SET, "--resume", bad, "--set", "train.batch_size=3",
+             "--set", "train.total_epochs=2"])
+        assert code == 2 and f"{bad}: {record} has " in err, (record, err)
 
 
 def test_grad_check_cli(monkeypatch):

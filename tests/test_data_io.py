@@ -240,9 +240,8 @@ def test_checkpoint_round_trip(tmp_path):
     params = init_params(np.random.default_rng(0), cfg)
     opt = init_optimizer(params)
     rng = np.random.default_rng(1)
-    for k in opt.m:
-        opt.m[k] = rng.normal(size=opt.m[k].shape)
-        opt.v[k] = rng.random(opt.v[k].shape)
+    opt.m[:] = rng.normal(size=opt.m.shape)
+    opt.v[:] = rng.random(opt.v.shape)
     opt.step = 7
     path = str(tmp_path / "ck.bin")
     save_checkpoint(params, opt, 21, path)
@@ -255,8 +254,9 @@ def test_checkpoint_round_trip(tmp_path):
     assert (opt2.beta1, opt2.beta2, opt2.eps) == (0.9, 0.95, 1e-8)
     for k in params.arrays:
         np.testing.assert_array_equal(params2[k], params[k])
-        np.testing.assert_array_equal(opt2.m[k], opt.m[k])
-        np.testing.assert_array_equal(opt2.v[k], opt.v[k])
+    np.testing.assert_array_equal(params2.flat, params.flat)
+    np.testing.assert_array_equal(opt2.m, opt.m)
+    np.testing.assert_array_equal(opt2.v, opt.v)
 
 
 def test_checkpoint_rejects_garbage(tmp_path):
@@ -273,6 +273,20 @@ def test_checkpoint_rejects_garbage(tmp_path):
     open(cut, "wb").write(open(good, "rb").read()[:200])
     with pytest.raises(ConfigError, match="truncated"):
         load_checkpoint(cut)
+
+    # moments AdamW cannot use: a wrong shape, a NaN, a negative second moment
+    bad = str(tmp_path / "bad.bin")
+    for record, arr in (("m.head_b", np.zeros(3)), ("m.cls_token", np.full(4, np.inf)),
+                        ("v.head_b", np.full(48, np.nan)), ("v.enc0_qkv_b", np.full(12, -1.0))):
+        open(bad, "wb").write(_checkpoint_bytes(SMALL_ECHO, _arrays_bytes(SMALL, {record: arr})))
+        with pytest.raises(ConfigError, match=re.escape(f"{bad}: {record} has ")):
+            load_checkpoint(bad)
+    open(bad, "wb").write(_checkpoint_bytes(SMALL_ECHO, _arrays_bytes(
+        SMALL, {"p.head_b": np.full(48, np.nan)})))
+    with pytest.raises(ConfigError, match=re.escape(f"{bad}: parameter head_b ")):
+        load_checkpoint(bad)
+    open(bad, "wb").write(_checkpoint_bytes(SMALL_ECHO, _arrays_bytes(SMALL)))
+    assert load_checkpoint(bad)[0].cfg == SMALL
 
 
 def test_checkpoint_crash_keeps_previous_file(tmp_path, monkeypatch):
@@ -293,7 +307,7 @@ def test_checkpoint_crash_keeps_previous_file(tmp_path, monkeypatch):
         real_write(f, name, arr)
 
     monkeypatch.setattr(data_io, "_write_array", crash_on_fifth)
-    params.arrays["head_b"] += 1.0
+    params["head_b"][...] += 1.0
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(params, opt, 1, path)
     assert open(path, "rb").read() == before
@@ -361,15 +375,20 @@ SMALL = ModelConfig(embed_dim=4, n_heads=1, decoder_dim=4, decoder_heads=1, patc
 SMALL_ECHO = dict(GOOD_ECHO, model=dataclasses.asdict(SMALL))
 
 
-def _arrays_bytes(cfg):
-    """The array section of a checkpoint of freshly initialized `cfg` parameters."""
+def _arrays_bytes(cfg, replace=None):
+    """The array section of a checkpoint of freshly initialized `cfg` parameters.
+
+    `replace` maps record names such as "m.head_b" to the arrays written instead.
+    """
+    replace = replace or {}
     params = init_params(np.random.default_rng(0), cfg)
     opt = init_optimizer(params)
     f = io.BytesIO()
     f.write(struct.pack("<I", 3 * len(params.arrays)))
-    for prefix, group in (("p", params.arrays), ("m", opt.m), ("v", opt.v)):
-        for name, arr in group.items():
-            data_io._write_array(f, f"{prefix}.{name}", arr)
+    for prefix, vec in (("p", params.flat), ("m", opt.m), ("v", opt.v)):
+        for name, arr in params.views(vec).items():
+            record = f"{prefix}.{name}"
+            data_io._write_array(f, record, replace.get(record, arr))
     return f.getvalue()
 
 

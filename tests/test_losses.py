@@ -13,8 +13,6 @@ from pmim.losses import (
     LossConfig,
     align_loss,
     align_loss_and_grad,
-    align_loss_stopgrad,
-    recon_loss,
     recon_loss_and_grad,
     total_loss,
 )
@@ -46,7 +44,7 @@ def test_recon_constant_offset():
     tgt = rng.random((4, 48))
     pred = tgt + 0.5
     cfg = LossConfig(normalize_targets=False)
-    assert recon_loss(pred, tgt, plan_2x2(), cfg) == pytest.approx(0.25, abs=1e-12)
+    assert recon_loss_and_grad(pred, tgt, plan_2x2(), cfg)[0] == pytest.approx(0.25, abs=1e-12)
 
 
 def test_recon_ignores_visible_rows():
@@ -65,7 +63,7 @@ def test_recon_normalized_targets_zero_at_match():
     rng = np.random.default_rng(2)
     tgt = rng.random((4, 48))
     pred = normalize_targets(tgt)
-    value = recon_loss(pred, tgt, plan_2x2(), LossConfig())
+    value = recon_loss_and_grad(pred, tgt, plan_2x2(), LossConfig())[0]
     assert value == pytest.approx(0.0, abs=1e-24)
 
 
@@ -78,8 +76,8 @@ def test_recon_gradient_matches_finite_differences():
     _, grad = recon_loss_and_grad(pred, tgt, plan, cfg)
     delta = rng.normal(size=pred.shape)
     h = 1e-6
-    fd = (recon_loss(pred + h * delta, tgt, plan, cfg)
-          - recon_loss(pred - h * delta, tgt, plan, cfg)) / (2 * h)
+    fd = (recon_loss_and_grad(pred + h * delta, tgt, plan, cfg)[0]
+          - recon_loss_and_grad(pred - h * delta, tgt, plan, cfg)[0]) / (2 * h)
     assert float((grad * delta).sum()) == pytest.approx(fd, rel=1e-7)
     vis = [1, 2]
     assert not grad[vis].any()
@@ -96,9 +94,9 @@ def test_recon_empty_mask_warns():
 def test_recon_shape_checks():
     plan = plan_2x2()
     with pytest.raises(ConfigError):
-        recon_loss(np.zeros((4, 48)), np.zeros((4, 47)), plan)
+        recon_loss_and_grad(np.zeros((4, 48)), np.zeros((4, 47)), plan)
     with pytest.raises(ConfigError):
-        recon_loss(np.zeros((3, 48)), np.zeros((3, 48)), plan)
+        recon_loss_and_grad(np.zeros((3, 48)), np.zeros((3, 48)), plan)
 
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
@@ -122,9 +120,9 @@ def test_recon_view_axis_checks():
     grid = make_patch_grid(8, 8, 4)
     ragged = [plan_2x2(), MaskPlan(grid, 1, [2], ["fill"])]
     with pytest.raises(ConfigError, match="one number of patches"):
-        recon_loss(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), ragged)
+        recon_loss_and_grad(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), ragged)
     with pytest.raises(ConfigError):
-        recon_loss(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)), [plan_2x2()] * 2)
+        recon_loss_and_grad(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)), [plan_2x2()] * 2)
     empty = [MaskPlan(grid, 0, [], [])] * 3
     with pytest.warns(RuntimeWarning) as caught:
         values, grads = recon_loss_and_grad(np.ones((3, 4, 48)), np.zeros((3, 4, 48)), empty)
@@ -169,11 +167,12 @@ def test_align_requires_unit_rows():
 def test_align_stopgrad_values_and_grads():
     e1 = np.eye(1, 8)
     e2 = np.roll(e1, 1, axis=1)
-    assert align_loss_stopgrad(e1, e1.copy()) == pytest.approx(-1.0, abs=1e-12)
-    assert align_loss_stopgrad(e1, e2) == pytest.approx(0.0, abs=1e-12)
+    stopgrad = LossConfig(align_mode="cosine_stopgrad")
+    assert align_loss_and_grad(e1, e1.copy(), stopgrad)[0] == pytest.approx(-1.0, abs=1e-12)
+    assert align_loss_and_grad(e1, e2, stopgrad)[0] == pytest.approx(0.0, abs=1e-12)
     rng = np.random.default_rng(5)
     z, zt = unit_rows(rng, 3), unit_rows(rng, 3)
-    _, dz, dzt = align_loss_and_grad(z, zt, LossConfig(align_mode="cosine_stopgrad"))
+    _, dz, dzt = align_loss_and_grad(z, zt, stopgrad)
     np.testing.assert_allclose(dz, -zt / 6.0)
     np.testing.assert_allclose(dzt, -z / 6.0)
 

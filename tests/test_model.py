@@ -97,8 +97,44 @@ def test_params_validation():
         ModelParams(cfg, wrong)
     nan = {k: v.copy() for k, v in params.arrays.items()}
     nan["head_b"][0] = np.nan
-    with pytest.raises(NumericsError):
+    with pytest.raises(NumericsError, match="head_b"):
         ModelParams(cfg, nan)
+
+
+def test_params_groups_are_views_into_flat():
+    params = init_params(np.random.default_rng(1), TINY)
+    start = 0
+    for name, shape, _ in param_shapes(TINY):
+        size = int(np.prod(shape))
+        assert np.array_equal(params.flat[start:start + size].reshape(shape), params[name])
+        start += size
+    assert start == params.flat.size == params.n_params
+    params["head_b"][...] = 7.0  # head_b is the last group
+    assert (params.flat[-TINY.patch_dim:] == 7.0).all()
+    assert (params.flat[:-TINY.patch_dim] != 7.0).all()
+    vec = np.arange(params.n_params, dtype=np.float64)
+    assert params.views(vec)["head_b"][-1] == params.n_params - 1
+    with pytest.raises(ConfigError):
+        params.views(vec[:-1])
+
+
+def test_params_groups_cannot_be_rebound():
+    params = init_params(np.random.default_rng(2), TINY)
+    with pytest.raises(TypeError):
+        params.arrays["head_b"] = np.zeros(TINY.patch_dim)
+    with pytest.raises(TypeError):
+        params.views(np.zeros(params.n_params))["head_b"] = np.zeros(TINY.patch_dim)
+    assert np.shares_memory(params["head_b"], params.flat)
+
+
+def test_params_copy_shares_no_memory():
+    params = init_params(np.random.default_rng(3), TINY)
+    twin = params.copy()
+    assert np.array_equal(twin.flat, params.flat)
+    assert not np.shares_memory(twin.flat, params.flat)
+    assert not np.shares_memory(twin["head_b"], params.flat)
+    twin["head_b"][...] += 1.0
+    assert not np.array_equal(twin.flat, params.flat)
 
 
 def test_pos_embed_origin_row():
@@ -190,8 +226,9 @@ def test_backward_zero_pred_seed_leaves_decoder_untouched():
     tape = {}
     forward(params, patches, plan, tape)
     u = np.random.default_rng(1).normal(size=8)
-    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    backward(params, tape, np.zeros((4, 48)), u, grads)
+    grad = np.zeros(params.n_params)
+    backward(params, tape, np.zeros((4, 48)), u, grad)
+    grads = params.views(grad)
     for name in ("head_w", "head_b", "dec_proj_w", "mask_token", "dec_norm_g"):
         assert not grads[name].any()
     assert grads["patch_proj_w"].any()  # class-vector seed reaches the encoder
@@ -209,15 +246,15 @@ def test_backward_directional_derivative():
     _, pred = forward(params, patches, plan, tape)
     d_pred = np.zeros_like(pred)
     d_pred[m] = w_pred
-    grads = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    backward(params, tape, d_pred, u, grads)
+    grad = np.zeros(params.n_params)
+    backward(params, tape, d_pred, u, grad)
 
-    delta = {k: rng.normal(size=v.shape) for k, v in params.arrays.items()}
-    analytic = sum(float((grads[k] * delta[k]).sum()) for k in sorted(grads))
+    delta = rng.normal(size=params.n_params)
+    analytic = float(grad @ delta)
 
     def value(t):
-        arrays = {k: v + t * delta[k] for k, v in params.arrays.items()}
-        cls, pred = forward(ModelParams(TINY, arrays), patches, plan)
+        moved = params.views(params.flat + t * delta)
+        cls, pred = forward(ModelParams(TINY, moved), patches, plan)
         return float((pred[m] * w_pred).sum() + cls @ u)
 
     h = 1e-6

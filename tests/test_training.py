@@ -107,23 +107,51 @@ def test_lr_requires_resolved_schedule():
 
 def test_adamw_decay_without_gradient():
     params = init_params(np.random.default_rng(0), MICRO)
-    before = {k: v.copy() for k, v in params.arrays.items()}
+    before = params.flat.copy()
     opt = init_optimizer(params)
-    zeros = {k: np.zeros_like(v) for k, v in params.arrays.items()}
-    adamw_update(params, zeros, opt, lr=0.1, weight_decay=0.05)
+    adamw_update(params, np.zeros(params.n_params), opt, lr=0.1, weight_decay=0.05)
     assert opt.step == 1
-    for k in before:
-        np.testing.assert_array_equal(params[k], before[k] * (1.0 - 0.1 * 0.05))
+    np.testing.assert_array_equal(params.flat, before * (1.0 - 0.1 * 0.05))
 
 
 def test_adamw_first_step_is_signed():
     params = init_params(np.random.default_rng(1), MICRO)
-    before = {k: v.copy() for k, v in params.arrays.items()}
+    before = params.flat.copy()
     opt = init_optimizer(params)
-    ones = {k: np.ones_like(v) for k, v in params.arrays.items()}
-    adamw_update(params, ones, opt, lr=0.01, weight_decay=0.0)
-    for k in before:
-        np.testing.assert_allclose(params[k], before[k] - 0.01, rtol=0, atol=1e-9)
+    adamw_update(params, np.ones(params.n_params), opt, lr=0.01, weight_decay=0.0)
+    np.testing.assert_allclose(params.flat, before - 0.01, rtol=0, atol=1e-9)
+
+
+def _adamw_per_group(arrays, grads, m, v, step, lr, weight_decay,
+                     beta1=0.9, beta2=0.95, eps=1e-8):
+    """AdamW as one update per parameter group, the loop adamw_update replaced."""
+    b1c = 1.0 - beta1 ** step
+    b2c = 1.0 - beta2 ** step
+    for name in arrays:
+        g = grads[name]
+        m[name] *= beta1
+        m[name] += (1.0 - beta1) * g
+        v[name] *= beta2
+        v[name] += (1.0 - beta2) * g * g
+        arrays[name] *= 1.0 - lr * weight_decay
+        arrays[name] -= lr * (m[name] / b1c) / (np.sqrt(v[name] / b2c) + eps)
+
+
+def test_adamw_matches_per_group_loop():
+    params = init_params(np.random.default_rng(2), ModelConfig())
+    opt = init_optimizer(params)
+    arrays = {k: a.copy() for k, a in params.arrays.items()}
+    m = {k: np.zeros_like(a) for k, a in arrays.items()}
+    v = {k: np.zeros_like(a) for k, a in arrays.items()}
+    rng = np.random.default_rng(3)
+    for step in range(1, 201):
+        grad = rng.normal(scale=10.0 ** rng.uniform(-4, 1), size=params.n_params)
+        lr = 1e-3 * (1.0 + math.cos(math.pi * step / 200))
+        adamw_update(params, grad, opt, lr, weight_decay=0.05)
+        _adamw_per_group(arrays, params.views(grad), m, v, step, lr, 0.05)
+    assert opt.step == 200
+    assert np.array_equal(params.flat, params.pack(arrays))
+    assert np.array_equal(opt.m, params.pack(m)) and np.array_equal(opt.v, params.pack(v))
 
 
 def test_build_views_shares_one_crop(disk_dataset):
@@ -179,21 +207,19 @@ def test_batch_matches_batch_of_one_views():
     views = micro_views(seed=7, n=3)
     tape = {}
     batch_loss(params, views, LossConfig(), tape)
-    grads = batch_backward(params, tape)
+    grad = batch_backward(params, tape)
     patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
     plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
     cls_batch, pred_batch = forward(params, np.stack(patches), plans)
-    serial = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+    serial = np.zeros(params.n_params)
     for i, (p, plan) in enumerate(zip(patches, plans)):
         one = {}
         cls, pred = forward(params, p[None], [plan], one)
         assert np.array_equal(cls[0], cls_batch[i]) and np.array_equal(pred[0], pred_batch[i])
-        g = {k: np.zeros_like(v) for k, v in params.arrays.items()}
+        g = np.zeros(params.n_params)
         backward(params, one, tape["d_pred"][i:i + 1], tape["d_cls"][i:i + 1], g)
-        for k in serial:
-            serial[k] += g[k]
-    for k in grads:
-        assert np.array_equal(grads[k], serial[k]), k
+        serial += g
+    assert np.array_equal(grad, serial)
 
     ragged = views[:2] + [(views[2][0], random_mask(np.random.default_rng(0), MICRO.grid, 1),
                            views[2][2], views[2][3])]
@@ -214,8 +240,9 @@ def test_batch_at_extreme_masking_ratios(n_masked):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         lb = batch_loss(params, views, LossConfig(), tape)
-    grads = batch_backward(params, tape)
-    assert all(np.isfinite(g).all() for g in grads.values())
+    grad = batch_backward(params, tape)
+    grads = params.views(grad)
+    assert np.isfinite(grad).all()
     assert math.isfinite(lb.total) and grads["cls_token"].any()
     if n_masked == 0:  # nothing to reconstruct: one warning per batch, no decoder gradient
         assert lb.recon == 0.0 and len(caught) == 1
@@ -231,18 +258,32 @@ def test_batch_gradients_directional_check():
     loss_cfg = LossConfig()
     tape = {}
     batch_loss(params, views, loss_cfg, tape)
-    grads = batch_backward(params, tape)
+    grad = batch_backward(params, tape)
     rng = np.random.default_rng(5)
-    delta = {k: rng.normal(size=v.shape) for k, v in params.arrays.items()}
-    analytic = sum(float((grads[k] * delta[k]).sum()) for k in sorted(grads))
+    delta = rng.normal(size=params.n_params)
+    analytic = float(grad @ delta)
 
     def value(t):
-        arrays = {k: v + t * delta[k] for k, v in params.arrays.items()}
-        return batch_loss(ModelParams(MICRO, arrays), views, loss_cfg).total
+        moved = params.views(params.flat + t * delta)
+        return batch_loss(ModelParams(MICRO, moved), views, loss_cfg).total
 
     h = 1e-6
     fd = (value(h) - value(-h)) / (2 * h)
     assert analytic == pytest.approx(fd, rel=1e-5)
+
+
+def test_batch_backward_reuses_a_zeroed_buffer():
+    params = init_params(np.random.default_rng(4), MICRO)
+    tape_a, tape_b = {}, {}
+    batch_loss(params, micro_views(seed=1), LossConfig(), tape_a)
+    batch_loss(params, micro_views(seed=2), LossConfig(), tape_b)
+    first = batch_backward(params, tape_a)
+    assert first.any()
+    second = batch_backward(params, tape_b)
+    assert second is first is params.grad
+    fresh = params.copy()
+    assert np.array_equal(second, batch_backward(fresh, tape_b))
+    assert not np.shares_memory(fresh.grad, params.grad)
 
 
 def test_train_step_skips_unreadable(disk_dataset, caplog):
