@@ -189,29 +189,20 @@ def cmd_mask_plan(args) -> int:
     return 0
 
 
-def _gray_masked(image: ImageBuffer, plan: MaskPlan) -> ImageBuffer:
-    out = image.data.copy()
-    p = plan.grid.patch_size
-    for idx in plan.masked:
-        r, c = divmod(idx, plan.grid.grid_w)
-        out[r * p:(r + 1) * p, c * p:(c + 1) * p, :] = 0.5
-    return ImageBuffer(out)
-
-
-def _paste_reconstruction(image: ImageBuffer, plan: MaskPlan, params, loss: LossConfig):
-    """Original pixels on visible patches, model output on masked ones."""
-    grid = plan.grid
-    patches = patchify(image, grid)
-    _, pred = forward(params, patches, plan)
+def _paste_reconstruction(patches: np.ndarray, vis: np.ndarray, masked: np.ndarray,
+                          params, loss: LossConfig) -> ImageBuffer:
+    """One view's original pixels on visible patches, model output on masked ones."""
+    _, pred = forward(params, patches[None], vis, masked)
+    m = masked[0]
+    rows = pred[0, m]
+    if loss.normalize_targets:  # undo the per-patch standardization of the targets
+        target = patches[m]
+        mean = target.mean(axis=-1, keepdims=True)
+        std = np.sqrt(target.var(axis=-1, keepdims=True) + 1e-6)
+        rows = rows * std + mean
     out = patches.copy()
-    for idx in plan.masked:
-        row = pred[idx]
-        if loss.normalize_targets:
-            mean = patches[idx].mean()
-            std = np.sqrt(patches[idx].var() + 1e-6)
-            row = row * std + mean
-        out[idx] = np.clip(row, 0.0, 1.0)
-    return unpatchify(out, grid)
+    out[m] = np.clip(rows, 0.0, 1.0)
+    return unpatchify(out, params.cfg.grid)
 
 
 def cmd_visualize(args) -> int:
@@ -224,15 +215,17 @@ def cmd_visualize(args) -> int:
     out_dir = args.out or "viz"
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    grid = train.model.grid
     for sample_id, view, plan in entries:
         record = manifest.by_id(sample_id)
-        MaskPlan.batch_indices(plan, train.model.grid)  # rejects a plan made for another grid
+        vis, hidden = MaskPlan.batch_indices([plan], grid)  # rejects a plan made for another grid
         original, _ = _full_frame_view(record, manifest, train.model)
-        masked = _gray_masked(original, plan)
-        if params is not None:
-            recon = _paste_reconstruction(original, plan, params, train.loss)
-        else:
-            recon = masked
+        patches = patchify(original, grid)
+        gray = patches.copy()
+        gray[hidden[0]] = 0.5
+        masked = unpatchify(gray, grid)
+        recon = (masked if params is None
+                 else _paste_reconstruction(patches, vis, hidden, params, train.loss))
         h, w = original.height, original.width
         strip = np.zeros((h, 3 * w + 2, 3))
         strip[:, 0:w] = original.data
@@ -290,15 +283,12 @@ def cmd_attn_map(args) -> int:
     weights = attn[-1].mean(axis=0)[1 + args.query]  # (S,), row of the query token
     patch_w = weights[1:]
     peak = float(patch_w.max())
-    heat = np.zeros((grid.image_h, grid.image_w))
-    p = grid.patch_size
-    for idx in range(grid.n_patches):
-        r, c = divmod(idx, grid.grid_w)
-        heat[r * p:(r + 1) * p, c * p:(c + 1) * p] = patch_w[idx] / peak if peak > 0 else 0.0
+    heat = patch_w / peak if peak > 0 else np.zeros_like(patch_w)
     out_dir = args.out or "attn"
     os.makedirs(out_dir, exist_ok=True)
     stem = os.path.join(out_dir, f"{args.id}_attn_q{args.query}")
-    data_io.write_ppm(ImageBuffer(np.repeat(heat[:, :, None], 3, axis=2)), stem + ".ppm")
+    data_io.write_ppm(unpatchify(np.repeat(heat[:, None], train.model.patch_dim, axis=1), grid),
+                      stem + ".ppm")
     dump = {"id": args.id, "query": args.query, "cls_weight": float(weights[0]),
             "self_weight": float(patch_w[args.query]),
             "weights": [float(v) for v in weights]}

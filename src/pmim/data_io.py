@@ -495,6 +495,12 @@ def load_checkpoint(path: str):
     if (any(type(v) is not int for v in (meta["step"], hyper["step"]))
             or any(type(hyper[k]) not in (int, float) for k in ("beta1", "beta2", "eps"))):
         raise ConfigError(f"{path}: config echo step or optimizer value is not a number")
+    # settings AdamW cannot use: beta2 = 1 divides by zero, a NaN poisons every update
+    for key, ok, want in (("beta1", 0.0 <= hyper["beta1"] < 1.0, "in [0, 1)"),
+                          ("beta2", 0.0 <= hyper["beta2"] < 1.0, "in [0, 1)"),
+                          ("eps", 0.0 < hyper["eps"] < math.inf, "finite and > 0")):
+        if not ok:
+            raise ConfigError(f"{path}: optimizer {key} must be {want}, got {hyper[key]!r}")
     unknown = set(meta["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
     if unknown:
         raise ConfigError(f"{path}: unknown model config keys {sorted(unknown)}")

@@ -1,12 +1,13 @@
 """Masked-reconstruction MSE, cross-view InfoNCE alignment, and their gradients.
 
-Reconstruction takes the model's view axis: (N, P) arrays with one MaskPlan
-give a float, (V, N, P) arrays with V plans a (V,) array, each bit-equal to
-its view's own call. The alignment loss compares the normalized class vectors
-of two differently masked views of the same batch. Its denominator ranges over
-the opposite view's batch and includes the positive, so the value is
-nonnegative and a batch of one gives exactly zero. The literal same-view
-denominator and a negative-free cosine variant are kept behind flags.
+Reconstruction takes the model's batch: (V, N, P) predictions and targets
+with the (V, n) masked indices of MaskPlan.batch_indices give a (V,) array,
+each entry bit-equal to its view's batch of one. The alignment loss compares
+the normalized class vectors of two differently masked views of one batch. Its
+denominator ranges over the opposite view's batch and includes the positive,
+so the value is nonnegative and a batch of one gives exactly zero. The
+literal same-view denominator and a negative-free cosine variant are kept
+behind flags.
 """
 
 from __future__ import annotations
@@ -67,28 +68,26 @@ class LossBreakdown:
     objective: float
 
 
-def recon_loss_and_grad(pred, target_patches: np.ndarray, plans,
+def recon_loss_and_grad(pred, target_patches: np.ndarray, masked: np.ndarray,
                         cfg: LossConfig | None = None):
-    """Masked MSE and its gradient at the predictions (zero on visible rows)."""
+    """Per-view masked MSE, (V,), and its gradient at the predictions (zero on visible rows)."""
     if cfg is None:
         cfg = LossConfig()
     p = np.asarray(pred, dtype=np.float64)
     tgt = np.asarray(target_patches, dtype=np.float64)
-    one = isinstance(plans, MaskPlan)
-    grid = (plans if one else plans[0]).grid
-    _, masked = MaskPlan.batch_indices(plans, grid)
-    if p.shape != tgt.shape or p.shape[:-1] != masked.shape[:-1] + (grid.n_patches,):
-        raise ConfigError(f"shapes {p.shape}, {tgt.shape} do not fit {grid.n_patches}-patch plans")
+    if (p.shape != tgt.shape or p.ndim != 3 or masked.shape[:-1] != p.shape[:1]
+            or (masked.size and masked.max() >= p.shape[1])):
+        raise ConfigError(f"shapes {p.shape}, {tgt.shape} do not fit masked indices {masked.shape}")
     d_pred = np.zeros_like(p)
     if masked.shape[-1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
-        return (0.0 if one else np.zeros(len(masked))), d_pred
+        return np.zeros(len(masked)), d_pred
     rows = MaskPlan.view_rows(masked)
     tgt = normalize_targets(tgt[rows]) if cfg.normalize_targets else tgt[rows]
     diff = p[rows] - tgt
     value = np.mean(diff * diff, axis=(-2, -1))
     d_pred[rows] = 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
-    return (float(value) if one else value), d_pred
+    return value, d_pred
 
 
 def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:

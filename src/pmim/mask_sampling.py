@@ -4,7 +4,8 @@ Six body parts are derived from 17 COCO keypoints. Each part is a union of
 axis-aligned boxes spanned by keypoint pairs; masking a part means masking
 every patch one of its boxes touches. The sampler draws a random subset of
 parts and adjusts the union to an exact patch budget, filling any shortfall
-with block-wise sampling.
+with block-wise sampling. MaskPlan.batch_indices turns V plans into the (V, n)
+index arrays that the model and the losses take; one plan is a batch of one.
 """
 
 from __future__ import annotations
@@ -123,10 +124,9 @@ class MaskPlan:
     def batch_indices(plans, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
         """The plan-batch rule: plans match `grid`, and a batch hides one number of patches.
 
-        Read-only (visible, masked) indices, (n,) for one plan and (V, n) for V plans.
+        Read-only (visible, masked) indices shaped (V, n) for a sequence of V plans.
         """
-        one = isinstance(plans, MaskPlan)
-        batch = (plans,) if one else tuple(plans)
+        batch = tuple(plans)
         shapes = {(plan.grid.grid_h, plan.grid.grid_w) for plan in batch}
         if shapes - {(grid.grid_h, grid.grid_w)}:
             raise ConfigError(f"plan grids {sorted(shapes)} do not match {grid.grid_h}x{grid.grid_w}")
@@ -138,16 +138,16 @@ class MaskPlan:
         hidden[np.arange(len(batch))[:, None], masked] = True
         vis = np.nonzero(~hidden)[1].reshape(len(batch), -1)  # sorted within each row
         vis.flags.writeable = masked.flags.writeable = False
-        return (vis[0], masked[0]) if one else (vis, masked)
+        return vis, masked
 
     @staticmethod
     def view_rows(idx: np.ndarray):
         """Advanced index picking rows idx[v] of each view v of a (V, N, ...) array.
 
-        For one view's (n,) indices it is idx itself. A gather or scatter through
-        it moves the same values as np.take_along_axis / np.put_along_axis.
+        idx is (V, n); a gather or scatter through it moves the same values as
+        np.take_along_axis / np.put_along_axis.
         """
-        return idx if idx.ndim == 1 else (np.arange(len(idx))[:, None], idx)
+        return np.arange(len(idx))[:, None], idx
 
 
 @dataclass

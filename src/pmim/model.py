@@ -8,9 +8,9 @@ the block MLP run on the class row. Everything is float64 and deterministic.
 GELU's normal CDF goes through _erf, a numpy port of the Cephes erf that
 scipy.special wraps, so numpy is the only runtime dependency.
 
-Views run together on a leading view axis: patches (V, N, P) with V mask plans
-(or (N, P) with one plan) that hide one number of patches
-(MaskPlan.batch_indices), so the encoder runs on one (V, 1 + n_vis, d) tensor
+Views run together on a leading view axis, the only shape the model takes:
+patches (V, N, P) with the (V, n) index arrays of MaskPlan.batch_indices (one
+view is a batch of one), so the encoder runs on one (V, 1 + n_vis, d) tensor
 and the decoder on one (V, N, d_dec) tensor. A forward pass given a tape dict
 records its intermediates there (a GELU keeps its input and CDF, and backward
 recomputes their product); backward() replays it and adds into a flat
@@ -435,15 +435,15 @@ def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
 # model forward / backward
 
 def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = None):
-    """Encoder over already-embedded tokens (any row order), (n, d) or (V, n, d).
+    """Encoder over already-embedded tokens (any row order), (V, n, d).
 
     Prepends the class token, runs the blocks and final norm, and returns
     (unit-norm cls vector, per-token outputs). Row order of `tokens` is
     preserved in the outputs.
     """
     cfg = params.cfg
-    if tokens.ndim not in (2, 3) or tokens.shape[-1] != cfg.embed_dim:
-        raise ConfigError(f"tokens must be ([V,] n, {cfg.embed_dim}), got {tokens.shape}")
+    if tokens.ndim != 3 or tokens.shape[-1] != cfg.embed_dim:
+        raise ConfigError(f"tokens must be (V, n, {cfg.embed_dim}), got {tokens.shape}")
     cls_token = np.broadcast_to(params["cls_token"], tokens.shape[:-2] + (1, cfg.embed_dim))
     y, block_tapes = _stack_fwd(params, "enc", cfg.depth, cfg.n_heads,
                                 np.concatenate([cls_token, tokens], axis=-2))
@@ -463,18 +463,17 @@ def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = N
     return cls[..., 0, :], z[..., 1:, :]
 
 
-def encode(params: ModelParams, patches: np.ndarray, plans,
+def encode(params: ModelParams, patches: np.ndarray, vis: np.ndarray,
            tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Embed visible patches (projection + position); returns (unit cls, visible tokens).
 
-    One view is patches (N, P) with one MaskPlan; a batch is (V, N, P) with a
-    sequence of V plans, and every output gains the leading view axis.
+    patches is (V, N, P) and vis the (V, n_vis) visible indices of
+    MaskPlan.batch_indices; the outputs are (V, d) and (V, n_vis, d).
     """
     cfg = params.cfg
-    vis, _ = MaskPlan.batch_indices(plans, cfg.grid)
-    want = vis.shape[:-1] + (cfg.n_patches, cfg.patch_dim)
-    if patches.shape != want:
-        raise ConfigError(f"patches shape {patches.shape} does not match {want}")
+    if vis.ndim != 2 or patches.shape != (len(vis), cfg.n_patches, cfg.patch_dim):
+        raise ConfigError(f"patches {patches.shape} and visible indices {vis.shape} are not "
+                          f"(V, {cfg.n_patches}, {cfg.patch_dim}) and (V, n)")
     patches_vis = patches[MaskPlan.view_rows(vis)]
     if tape is not None:
         tape["patches"] = patches_vis
@@ -482,15 +481,14 @@ def encode(params: ModelParams, patches: np.ndarray, plans,
     return encode_tokens(params, _linear(patches_vis, params, "patch_proj") + pos, tape)
 
 
-def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
-           tape: dict | None = None) -> np.ndarray:
-    """Project visible tokens, fill masked slots with the mask token; returns pixels."""
+def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
+           masked: np.ndarray, tape: dict | None = None) -> np.ndarray:
+    """Project visible tokens, fill masked slots with the mask token; returns (V, N, P) pixels."""
     cfg = params.cfg
-    vis, masked = MaskPlan.batch_indices(plans, cfg.grid)
     if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")
-    tokens = np.tile(params["mask_token"], vis.shape[:-1] + (cfg.n_patches, 1))
+    tokens = np.tile(params["mask_token"], (len(vis), cfg.n_patches, 1))
     tokens[MaskPlan.view_rows(vis)] = _linear(visible_tokens, params, "dec_proj")
     x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
     y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
@@ -500,11 +498,11 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, plans,
     return _linear(z, params, "head")
 
 
-def forward(params: ModelParams, patches: np.ndarray, plans,
+def forward(params: ModelParams, patches: np.ndarray, vis: np.ndarray, masked: np.ndarray,
             tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Encode then decode one view or a batch (see encode); returns (cls, predictions)."""
-    cls, visible_tokens = encode(params, patches, plans, tape)
-    return cls, decode(params, visible_tokens, plans, tape)
+    """Encode then decode a batch of views (see encode); returns (cls, predictions)."""
+    cls, visible_tokens = encode(params, patches, vis, tape)
+    return cls, decode(params, visible_tokens, vis, masked, tape)
 
 
 def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
@@ -547,7 +545,8 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
 
 
 def attention_maps(params: ModelParams, patches: np.ndarray, plan: MaskPlan) -> np.ndarray:
-    """Encoder attention weights, (depth, heads, seq, seq); row 0 is the class token."""
+    """One view's encoder attention weights, (depth, heads, seq, seq); row 0 is the class token."""
     tape: dict = {}
-    encode(params, patches, plan, tape)
-    return np.stack([attnc[4] for _, attnc, _, _ in tape["enc"][0]])
+    vis, _ = MaskPlan.batch_indices([plan], params.cfg.grid)
+    encode(params, patches[None], vis, tape)
+    return np.stack([attnc[4][0] for _, attnc, _, _ in tape["enc"][0]])

@@ -24,7 +24,7 @@ from . import data_io
 from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
-from .mask_sampling import SamplerConfig, part_guided_mask, random_mask
+from .mask_sampling import MaskPlan, SamplerConfig, part_guided_mask, random_mask
 from .model import ModelConfig, ModelParams, backward, forward, init_params
 
 logger = logging.getLogger("pmim")
@@ -213,7 +213,8 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
     """Objective over a batch of (patches_a, plan_a, patches_b, plan_b) items.
 
     The 2B views, laid out a0, b0, a1, b1, ..., run as one model batch and must
-    all hide the same number of patches. Reconstruction averages the per-view
+    all hide the same number of patches; their plan indices are built once and
+    shared by the model and the loss. Reconstruction averages the per-view
     masked MSE (one loss call); alignment is InfoNCE over the class-vector
     pairs. Given a tape dict, records the model tape and the weighted seeds.
     """
@@ -222,8 +223,9 @@ def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
     b = len(views)
     patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
     plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
-    cls, pred = forward(params, patches, plans, tape)
-    recon_views, d_pred = recon_loss_and_grad(pred, patches, plans, loss_cfg)
+    vis, masked = MaskPlan.batch_indices(plans, params.cfg.grid)
+    cls, pred = forward(params, patches, vis, masked, tape)
+    recon_views, d_pred = recon_loss_and_grad(pred, patches, masked, loss_cfg)
     recon_sum = 0.0
     for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
         recon_sum += pair

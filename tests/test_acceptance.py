@@ -17,6 +17,7 @@ from pmim.geometry import COCO_KEYPOINT_NAMES, KeypointSet, make_patch_grid
 from pmim.losses import LossConfig, align_loss
 from pmim.mask_sampling import (
     PART_IDS,
+    MaskPlan,
     SamplerConfig,
     all_part_patches,
     blockwise_fill,
@@ -298,19 +299,20 @@ def test_criterion_10_encoder_invariants():
         rng = np.random.default_rng(1000 + i)
         patches = rng.uniform(0.0, 1.0, (cfg.n_patches, cfg.patch_dim))
         plan = random_mask(rng, cfg.grid, int(rng.integers(0, cfg.n_patches + 1)))
-        cls, _ = encode(params, patches, plan)
-        worst_norm = max(worst_norm, abs(float(np.linalg.norm(cls)) - 1.0))
+        vis, _ = MaskPlan.batch_indices([plan], cfg.grid)  # one view as a batch of one
+        cls, _ = encode(params, patches[None], vis)
+        worst_norm = max(worst_norm, abs(float(np.linalg.norm(cls[0])) - 1.0))
 
     worst_perm = 0.0
     for i in range(100):
         rng = np.random.default_rng(5000 + i)
-        tok = rng.random((5, cfg.embed_dim))
+        tok = rng.random((1, 5, cfg.embed_dim))
         perm = rng.permutation(5)
         cls_a, out_a = encode_tokens(params, tok)
-        cls_b, out_b = encode_tokens(params, tok[perm])
+        cls_b, out_b = encode_tokens(params, tok[:, perm])
         worst_perm = max(worst_perm,
                          float(np.abs(cls_b - cls_a).max()),
-                         float(np.abs(out_b - out_a[perm]).max()))
+                         float(np.abs(out_b - out_a[:, perm]).max()))
     report(10, worst_norm <= 1e-6 and worst_perm <= 1e-10,
            f"unit-norm deviation {worst_norm:.2e} over 1,000 forwards, "
            f"permutation equivariance {worst_perm:.2e}")

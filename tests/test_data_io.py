@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import json
+import math
 import os
 import re
 import struct
@@ -413,10 +414,21 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
     ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta1="x")),
                                      SMALL_ARRAYS)),
     ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, step="x"), SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta1=math.nan)),
+                                     SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta1=5)),
+                                     SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta2=1.0)),
+                                     SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, eps=-1)),
+                                     SMALL_ARRAYS)),
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, eps=math.inf)),
+                                     SMALL_ARRAYS)),
 ], ids=["plan-not-object", "plan-provenance-int", "plan-grid-bool", "plan-index-bool",
         "plan-not-utf8", "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
         "array-dims-oversized", "no-arrays", "echo-embed-dim-str", "echo-depth-null",
-        "echo-beta1-str", "echo-step-str"])
+        "echo-beta1-str", "echo-step-str", "echo-beta1-nan", "echo-beta1-five",
+        "echo-beta2-one", "echo-eps-negative", "echo-eps-inf"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")

@@ -28,6 +28,11 @@ def plan_2x2():
     return MaskPlan(make_patch_grid(8, 8, 4), 2, [0, 3], ["fill", "fill"])
 
 
+def masked_of(*plans):
+    """The (V, n) masked indices of a batch of plans."""
+    return MaskPlan.batch_indices(plans, plans[0].grid)[1]
+
+
 def test_loss_config_validation():
     with pytest.raises(ConfigError):
         LossConfig(temperature=0.0)
@@ -41,66 +46,67 @@ def test_loss_config_validation():
 
 def test_recon_constant_offset():
     rng = np.random.default_rng(0)
-    tgt = rng.random((4, 48))
+    tgt = rng.random((1, 4, 48))
     pred = tgt + 0.5
     cfg = LossConfig(normalize_targets=False)
-    assert recon_loss_and_grad(pred, tgt, plan_2x2(), cfg)[0] == pytest.approx(0.25, abs=1e-12)
+    value = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), cfg)[0][0]
+    assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_recon_ignores_visible_rows():
     rng = np.random.default_rng(1)
-    tgt = rng.random((4, 48))
+    tgt = rng.random((1, 4, 48))
     pred = tgt.copy()
-    pred[1] += 100.0  # visible row, must not register
-    pred[2] -= 100.0
+    pred[0, 1] += 100.0  # visible row, must not register
+    pred[0, 2] -= 100.0
     cfg = LossConfig(normalize_targets=False)
-    value, grad = recon_loss_and_grad(pred, tgt, plan_2x2(), cfg)
-    assert value == 0.0
+    values, grad = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), cfg)
+    assert values[0] == 0.0
     assert not grad.any()
 
 
 def test_recon_normalized_targets_zero_at_match():
     rng = np.random.default_rng(2)
-    tgt = rng.random((4, 48))
+    tgt = rng.random((1, 4, 48))
     pred = normalize_targets(tgt)
-    value = recon_loss_and_grad(pred, tgt, plan_2x2(), LossConfig())[0]
+    value = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), LossConfig())[0][0]
     assert value == pytest.approx(0.0, abs=1e-24)
 
 
 def test_recon_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    tgt = rng.random((4, 48))
-    pred = rng.random((4, 48))
-    plan = plan_2x2()
+    tgt = rng.random((1, 4, 48))
+    pred = rng.random((1, 4, 48))
+    masked = masked_of(plan_2x2())
     cfg = LossConfig()
-    _, grad = recon_loss_and_grad(pred, tgt, plan, cfg)
+    _, grad = recon_loss_and_grad(pred, tgt, masked, cfg)
     delta = rng.normal(size=pred.shape)
     h = 1e-6
-    fd = (recon_loss_and_grad(pred + h * delta, tgt, plan, cfg)[0]
-          - recon_loss_and_grad(pred - h * delta, tgt, plan, cfg)[0]) / (2 * h)
+    fd = (recon_loss_and_grad(pred + h * delta, tgt, masked, cfg)[0][0]
+          - recon_loss_and_grad(pred - h * delta, tgt, masked, cfg)[0][0]) / (2 * h)
     assert float((grad * delta).sum()) == pytest.approx(fd, rel=1e-7)
     vis = [1, 2]
-    assert not grad[vis].any()
+    assert not grad[0, vis].any()
 
 
 def test_recon_empty_mask_warns():
     grid = make_patch_grid(8, 8, 4)
-    plan = MaskPlan(grid, 0, [], [])
+    masked = masked_of(MaskPlan(grid, 0, [], []))
     with pytest.warns(RuntimeWarning):
-        value, grad = recon_loss_and_grad(np.ones((4, 48)), np.zeros((4, 48)), plan)
-    assert value == 0.0 and not grad.any()
+        values, grad = recon_loss_and_grad(np.ones((1, 4, 48)), np.zeros((1, 4, 48)), masked)
+    assert values[0] == 0.0 and not grad.any()
 
 
 def test_recon_shape_checks():
-    plan = plan_2x2()
+    masked = masked_of(plan_2x2())
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((4, 48)), np.zeros((4, 47)), plan)
+        recon_loss_and_grad(np.zeros((1, 4, 48)), np.zeros((1, 4, 47)), masked)
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((3, 48)), np.zeros((3, 48)), plan)
+        recon_loss_and_grad(np.zeros((1, 3, 48)), np.zeros((1, 3, 48)), masked)
 
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
-def test_recon_view_axis_matches_single_views(normalize):
+def test_recon_batch_matches_batches_of_one(normalize):
     rng = np.random.default_rng(4)
     grid = make_patch_grid(8, 8, 4)
     plans = [MaskPlan(grid, 2, list(rng.permutation(4)[:2]), ["fill", "fill"])
@@ -108,22 +114,23 @@ def test_recon_view_axis_matches_single_views(normalize):
     pred = rng.random((3, 4, 48))
     tgt = rng.random((3, 4, 48))
     cfg = LossConfig(normalize_targets=normalize)
-    values, grads = recon_loss_and_grad(pred, tgt, plans, cfg)
+    values, grads = recon_loss_and_grad(pred, tgt, masked_of(*plans), cfg)
     assert values.shape == (3,)
     for v, plan in enumerate(plans):
-        value, grad = recon_loss_and_grad(pred[v], tgt[v], plan, cfg)
-        assert values[v] == value
-        assert np.array_equal(grads[v], grad)
+        value, grad = recon_loss_and_grad(pred[v:v + 1], tgt[v:v + 1], masked_of(plan), cfg)
+        assert values[v] == value[0]
+        assert np.array_equal(grads[v], grad[0])
 
 
 def test_recon_view_axis_checks():
     grid = make_patch_grid(8, 8, 4)
     ragged = [plan_2x2(), MaskPlan(grid, 1, [2], ["fill"])]
     with pytest.raises(ConfigError, match="one number of patches"):
-        recon_loss_and_grad(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), ragged)
+        recon_loss_and_grad(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), masked_of(*ragged))
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)), [plan_2x2()] * 2)
-    empty = [MaskPlan(grid, 0, [], [])] * 3
+        recon_loss_and_grad(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)),
+                            masked_of(*[plan_2x2()] * 2))
+    empty = masked_of(*[MaskPlan(grid, 0, [], [])] * 3)
     with pytest.warns(RuntimeWarning) as caught:
         values, grads = recon_loss_and_grad(np.ones((3, 4, 48)), np.zeros((3, 4, 48)), empty)
     assert len(caught) == 1

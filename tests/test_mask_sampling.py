@@ -227,8 +227,8 @@ def test_batch_indices_rule_and_reuse():
     b.masked[0] = 2  # an edited plan is read afresh, not from an earlier call
     assert MaskPlan.batch_indices([a, b], grid)[1].tolist() == [[3], [2]]
     b.masked[0] = 0
-    one_vis, one_masked = MaskPlan.batch_indices(a, grid)
-    assert one_vis.tolist() == [0, 1, 2] and one_masked.tolist() == [3]
+    one_vis, one_masked = MaskPlan.batch_indices([a], grid)  # one view is a batch of one
+    assert one_vis.tolist() == [[0, 1, 2]] and one_masked.tolist() == [[3]]
     assert MaskPlan.batch_indices([b, a], grid)[1].tolist() == [[0], [3]]
     with pytest.raises(ConfigError, match="one number of patches"):
         MaskPlan.batch_indices([a, MaskPlan(grid, 0, [], [])], grid)

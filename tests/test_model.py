@@ -27,11 +27,17 @@ TINY = ModelConfig(embed_dim=8, depth=1, n_heads=2, decoder_dim=8,
 
 
 def tiny_setup(seed=0, n_mask=2):
+    """Parameters and one view as a batch of one: patches (1, N, P) and its plan."""
     rng = np.random.default_rng(seed)
     params = init_params(rng, TINY)
-    patches = rng.random((TINY.n_patches, TINY.patch_dim))
+    patches = rng.random((1, TINY.n_patches, TINY.patch_dim))
     plan = random_mask(rng, TINY.grid, n_mask)
     return params, patches, plan
+
+
+def indices(plan):
+    """The (1, n) visible and masked indices of a batch of one plan."""
+    return MaskPlan.batch_indices([plan], TINY.grid)
 
 
 def test_param_count_default_config():
@@ -163,34 +169,38 @@ def test_pos_embed_rejects_odd_dim():
 def test_visible_indices_complement():
     grid = PatchGrid(2, 4, 8)
     plan = MaskPlan(grid, 3, [1, 6, 2], ["fill"] * 3)
-    vis, _ = MaskPlan.batch_indices(plan, grid)
-    np.testing.assert_array_equal(vis, [0, 3, 4, 5, 7])
+    vis, _ = MaskPlan.batch_indices([plan], grid)
+    np.testing.assert_array_equal(vis, [[0, 3, 4, 5, 7]])
     assert not vis.flags.writeable
 
 
 def test_encode_outputs():
     params, patches, plan = tiny_setup()
-    cls, tokens = encode(params, patches, plan)
-    assert cls.shape == (8,)
-    np.testing.assert_allclose(np.linalg.norm(cls), 1.0, atol=1e-12)
-    assert tokens.shape == (2, 8)
+    cls, tokens = encode(params, patches, indices(plan)[0])
+    assert cls.shape == (1, 8)
+    np.testing.assert_allclose(np.linalg.norm(cls[0]), 1.0, atol=1e-12)
+    assert tokens.shape == (1, 2, 8)
 
 
 def test_encode_rejects_mismatches():
     params, patches, plan = tiny_setup()
+    vis, _ = indices(plan)
     with pytest.raises(ConfigError):
-        encode(params, patches[:, :10], plan)
+        encode(params, patches[:, :, :10], vis)
+    with pytest.raises(ConfigError):  # one view's indices without the view axis
+        encode(params, patches, vis[0])
     other = MaskPlan(PatchGrid(3, 3, 4), 0, [], [])
     with pytest.raises(ConfigError):
-        encode(params, patches, other)
+        encode(params, patches, indices(other)[0])
 
 
 def test_encoder_ignores_masked_patch_content():
     params, patches, plan = tiny_setup(seed=3)
     tampered = patches.copy()
-    tampered[plan.masked] = 0.123
-    cls_a, tokens_a = encode(params, patches, plan)
-    cls_b, tokens_b = encode(params, tampered, plan)
+    tampered[0, plan.masked] = 0.123
+    vis, _ = indices(plan)
+    cls_a, tokens_a = encode(params, patches, vis)
+    cls_b, tokens_b = encode(params, tampered, vis)
     np.testing.assert_array_equal(cls_a, cls_b)
     np.testing.assert_array_equal(tokens_a, tokens_b)
 
@@ -198,36 +208,38 @@ def test_encoder_ignores_masked_patch_content():
 def test_encoder_token_order_equivariant():
     params, patches, plan = tiny_setup(seed=4, n_mask=0)
     rng = np.random.default_rng(9)
-    tok = rng.random((4, 8))
+    tok = rng.random((1, 4, 8))
     cls_a, out_a = encode_tokens(params, tok)
     perm = np.array([2, 0, 3, 1])
-    cls_b, out_b = encode_tokens(params, tok[perm])
+    cls_b, out_b = encode_tokens(params, tok[:, perm])
     np.testing.assert_allclose(cls_b, cls_a, atol=1e-12)
-    np.testing.assert_allclose(out_b, out_a[perm], atol=1e-12)
+    np.testing.assert_allclose(out_b, out_a[:, perm], atol=1e-12)
 
 
 def test_decoder_fills_every_patch():
     params, patches, plan = tiny_setup(seed=5)
-    _, tokens = encode(params, patches, plan)
-    pred = decode(params, tokens, plan)
-    assert pred.shape == (TINY.n_patches, TINY.patch_dim)
+    vis, masked = indices(plan)
+    _, tokens = encode(params, patches, vis)
+    pred = decode(params, tokens, vis, masked)
+    assert pred.shape == (1, TINY.n_patches, TINY.patch_dim)
     assert np.isfinite(pred).all()
 
 
 def test_decode_rejects_wrong_token_count():
     params, patches, plan = tiny_setup(seed=7)
-    _, tokens = encode(params, patches, plan)
+    vis, masked = indices(plan)
+    _, tokens = encode(params, patches, vis)
     with pytest.raises(ConfigError):
-        decode(params, tokens[:1], plan)
+        decode(params, tokens[:, :1], vis, masked)
 
 
 def test_backward_zero_pred_seed_leaves_decoder_untouched():
     params, patches, plan = tiny_setup(seed=8)
     tape = {}
-    forward(params, patches, plan, tape)
-    u = np.random.default_rng(1).normal(size=8)
+    forward(params, patches, *indices(plan), tape)
+    u = np.random.default_rng(1).normal(size=(1, 8))
     grad = np.zeros(params.n_params)
-    backward(params, tape, np.zeros((4, 48)), u, grad)
+    backward(params, tape, np.zeros((1, 4, 48)), u, grad)
     grads = params.views(grad)
     for name in ("head_w", "head_b", "dec_proj_w", "mask_token", "dec_norm_g"):
         assert not grads[name].any()
@@ -241,21 +253,22 @@ def test_backward_directional_derivative():
     w_pred = rng.normal(size=(len(plan.masked), TINY.patch_dim))
     u = rng.normal(size=8)
     m = np.asarray(plan.masked)
+    vis, masked = indices(plan)
 
     tape = {}
-    _, pred = forward(params, patches, plan, tape)
+    _, pred = forward(params, patches, vis, masked, tape)
     d_pred = np.zeros_like(pred)
-    d_pred[m] = w_pred
+    d_pred[0, m] = w_pred
     grad = np.zeros(params.n_params)
-    backward(params, tape, d_pred, u, grad)
+    backward(params, tape, d_pred, u[None], grad)
 
     delta = rng.normal(size=params.n_params)
     analytic = float(grad @ delta)
 
     def value(t):
         moved = params.views(params.flat + t * delta)
-        cls, pred = forward(ModelParams(TINY, moved), patches, plan)
-        return float((pred[m] * w_pred).sum() + cls @ u)
+        cls, pred = forward(ModelParams(TINY, moved), patches, vis, masked)
+        return float((pred[0, m] * w_pred).sum() + cls[0] @ u)
 
     h = 1e-6
     fd = (value(h) - value(-h)) / (2 * h)
@@ -273,19 +286,20 @@ def test_projection_head_leaves_pixels_alone():
                   proj2_w=rng.normal(size=(8, 8)), proj2_b=rng.normal(size=8))
     with_head = ModelParams(cfg2, arrays)
 
-    cls_a, tokens_a = encode(params, patches, plan)
-    cls_b, tokens_b = encode(with_head, patches, plan)
+    vis, masked = indices(plan)
+    cls_a, tokens_a = encode(params, patches, vis)
+    cls_b, tokens_b = encode(with_head, patches, vis)
     np.testing.assert_array_equal(tokens_b, tokens_a)
     assert not np.allclose(cls_b, cls_a)
-    np.testing.assert_allclose(np.linalg.norm(cls_b), 1.0, atol=1e-12)
-    pred_a = decode(params, tokens_a, plan)
-    pred_b = decode(with_head, tokens_b, plan)
+    np.testing.assert_allclose(np.linalg.norm(cls_b[0]), 1.0, atol=1e-12)
+    pred_a = decode(params, tokens_a, vis, masked)
+    pred_b = decode(with_head, tokens_b, vis, masked)
     np.testing.assert_array_equal(pred_b, pred_a)
 
 
 def test_attention_maps_are_distributions():
     params, patches, plan = tiny_setup(seed=14)
-    maps = attention_maps(params, patches, plan)
+    maps = attention_maps(params, patches[0], plan)
     n_vis = TINY.n_patches - plan.n_masked
     assert maps.shape == (1, 2, n_vis + 1, n_vis + 1)
     assert (maps >= 0.0).all()

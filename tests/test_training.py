@@ -28,7 +28,7 @@ from pmim.training import (
     run_pretrain,
     train_step,
 )
-from pmim.mask_sampling import random_mask
+from pmim.mask_sampling import MaskPlan, random_mask
 
 # smallest legal transformer; keeps finite differences cheap
 MICRO = ModelConfig(embed_dim=4, depth=1, n_heads=1, decoder_dim=4,
@@ -210,11 +210,12 @@ def test_batch_matches_batch_of_one_views():
     grad = batch_backward(params, tape)
     patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
     plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
-    cls_batch, pred_batch = forward(params, np.stack(patches), plans)
+    cls_batch, pred_batch = forward(params, np.stack(patches),
+                                    *MaskPlan.batch_indices(plans, cfg.grid))
     serial = np.zeros(params.n_params)
     for i, (p, plan) in enumerate(zip(patches, plans)):
         one = {}
-        cls, pred = forward(params, p[None], [plan], one)
+        cls, pred = forward(params, p[None], *MaskPlan.batch_indices([plan], cfg.grid), one)
         assert np.array_equal(cls[0], cls_batch[i]) and np.array_equal(pred[0], pred_batch[i])
         g = np.zeros(params.n_params)
         backward(params, one, tape["d_pred"][i:i + 1], tape["d_cls"][i:i + 1], g)
@@ -225,6 +226,21 @@ def test_batch_matches_batch_of_one_views():
                            views[2][2], views[2][3])]
     with pytest.raises(ConfigError, match="one number of patches"):
         batch_loss(params, ragged, LossConfig())
+
+
+def test_batch_loss_builds_plan_indices_once(monkeypatch):
+    # The model and the loss share one set of plan indices per batch.
+    calls = []
+    build = MaskPlan.batch_indices
+
+    def counted(plans, grid):
+        calls.append(len(plans))
+        return build(plans, grid)
+
+    monkeypatch.setattr(MaskPlan, "batch_indices", staticmethod(counted))
+    params = init_params(np.random.default_rng(2), MICRO)
+    batch_loss(params, micro_views(n=3), LossConfig(), tape={})
+    assert calls == [6]
 
 
 @pytest.mark.parametrize("n_masked", [0, 4], ids=["ratio0", "ratio1"])
