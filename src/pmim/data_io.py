@@ -495,6 +495,12 @@ def load_checkpoint(path: str):
     if (any(type(v) is not int for v in (meta["step"], hyper["step"]))
             or any(type(hyper[k]) not in (int, float) for k in ("beta1", "beta2", "eps"))):
         raise ConfigError(f"{path}: config echo step or optimizer value is not a number")
+    # AdamW's bias corrections run on the optimizer's step, the schedule on the checkpoint's
+    if hyper["step"] != meta["step"]:
+        raise ConfigError(f"{path}: optimizer step {hyper['step']} differs from "
+                          f"checkpoint step {meta['step']}")
+    if meta["step"] < 0:
+        raise ConfigError(f"{path}: checkpoint step must be >= 0, got {meta['step']}")
     # settings AdamW cannot use: beta2 = 1 divides by zero, a NaN poisons every update
     for key, ok, want in (("beta1", 0.0 <= hyper["beta1"] < 1.0, "in [0, 1)"),
                           ("beta2", 0.0 <= hyper["beta2"] < 1.0, "in [0, 1)"),

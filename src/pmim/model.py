@@ -117,7 +117,8 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
 
     Kinds: weight (truncated normal), bias (zeros), gain (ones), token
     (truncated normal). The order fixes both initialization draws and
-    checkpoint layout.
+    checkpoint layout. Every group that encode reads, the projection head's
+    included, comes before dec_proj_w (see ModelParams.encoder_stop).
     """
     d, dd = cfg.embed_dim, cfg.decoder_dim
     shapes: list[tuple[str, tuple, str]] = [
@@ -215,6 +216,11 @@ class ModelParams:
     @property
     def n_params(self) -> int:
         return _layout(self.cfg)[-1][2]
+
+    @property
+    def encoder_stop(self) -> int:
+        """Length of the prefix of `flat` that encode reads: every group before dec_proj_w."""
+        return next(start for name, start, _, _ in _layout(self.cfg) if name == "dec_proj_w")
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:

@@ -2,10 +2,16 @@
 
 Every random draw comes from a seed sequence keyed by (seed, purpose, epoch,
 sample index), never from carried generator state, so a resumed run replays
-the exact uninterrupted trajectory. batch_loss runs a batch's 2B views as
-one model batch (a0, b0, a1, b1, ...); given a tape, batch_backward makes one
-backward pass and reduces each gradient over the views in that fixed order,
-which keeps runs bit-for-bit reproducible.
+the exact uninterrupted trajectory. A ViewBatch is made once per batch: the
+2B views' patches stacked as (V, N, P), laid out a0, b0, a1, b1, ..., their
+MaskPlan.batch_indices arrays and the item count. batch_loss runs it as one
+model batch; given a tape, batch_backward makes one backward pass and reduces
+each gradient over the views in that fixed order, which keeps runs bit-for-bit
+reproducible. An untaped batch_loss reuses the batch's memoized encoder result
+(class vectors, visible tokens, alignment value) while its key holds: the
+bytes of params.flat[:encoder_stop], every group before dec_proj_w, plus the
+model and loss configs. So a finite-difference evaluation that moves a decoder
+element runs only the decoder. A taped call neither reads nor writes the memo.
 """
 
 from __future__ import annotations
@@ -25,7 +31,7 @@ from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
 from .mask_sampling import MaskPlan, SamplerConfig, part_guided_mask, random_mask
-from .model import ModelConfig, ModelParams, backward, forward, init_params
+from .model import ModelConfig, ModelParams, backward, decode, encode, forward, init_params
 
 logger = logging.getLogger("pmim")
 
@@ -208,31 +214,60 @@ def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
     return (patches_a, kps_a, plan_a), (patches_b, kps_b, plan_b)
 
 
-def batch_loss(params: ModelParams, views, loss_cfg: LossConfig,
-               tape: dict | None = None) -> LossBreakdown:
-    """Objective over a batch of (patches_a, plan_a, patches_b, plan_b) items.
+class ViewBatch:
+    """A batch of (patches_a, plan_a, patches_b, plan_b) items, prepared once.
 
-    The 2B views, laid out a0, b0, a1, b1, ..., run as one model batch and must
-    all hide the same number of patches; their plan indices are built once and
-    shared by the model and the loss. Reconstruction averages the per-view
-    masked MSE (one loss call); alignment is InfoNCE over the class-vector
-    pairs. Given a tape dict, records the model tape and the weighted seeds.
+    Holds the 2B views' patches stacked as one read-only (V, N, P) array laid
+    out a0, b0, a1, b1, ..., the (V, n) indices of MaskPlan.batch_indices
+    (every view must hide the same number of patches) and the item count.
+    `memo` keeps the last untaped encoder result: the class vectors, the
+    visible tokens and the alignment value, keyed on the bytes of
+    params.flat[:encoder_stop] (so 0.0 and -0.0, or two NaN payloads, never
+    alias) and on the model and loss configs.
     """
-    if not views:
-        raise ConfigError("empty batch")
-    b = len(views)
-    patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
-    plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
-    vis, masked = MaskPlan.batch_indices(plans, params.cfg.grid)
-    cls, pred = forward(params, patches, vis, masked, tape)
-    recon_views, d_pred = recon_loss_and_grad(pred, patches, masked, loss_cfg)
+
+    def __init__(self, views, grid):
+        if not views:
+            raise ConfigError("empty batch")
+        self.n_items = len(views)
+        self.patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
+        self.patches.flags.writeable = False
+        plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
+        self.vis, self.masked = MaskPlan.batch_indices(plans, grid)
+        self.memo = None
+
+    def encoded(self, params: ModelParams, loss_cfg: LossConfig):
+        """(cls, visible tokens, align) of an untaped pass; encodes only when the memo misses."""
+        key = (params.cfg, loss_cfg, params.flat[:params.encoder_stop].tobytes())
+        if self.memo is None or self.memo[0] != key:
+            cls, visible_tokens = encode(params, self.patches, self.vis)
+            align = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)[0]
+            self.memo = (key, cls, visible_tokens, align)
+        return self.memo[1:]
+
+
+def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
+               tape: dict | None = None) -> LossBreakdown:
+    """Objective over a prepared batch, its 2B views run as one model batch.
+
+    Reconstruction averages the per-view masked MSE (one loss call); alignment
+    is InfoNCE over the class-vector pairs. Given a tape dict, records the model
+    tape and the weighted seeds and leaves batch.memo alone; without one, runs
+    the encoder only when batch.memo does not apply (see ViewBatch).
+    """
+    if tape is None:
+        cls, visible_tokens, align = batch.encoded(params, loss_cfg)
+        pred = decode(params, visible_tokens, batch.vis, batch.masked)
+    else:
+        cls, pred = forward(params, batch.patches, batch.vis, batch.masked, tape)
+    recon_views, d_pred = recon_loss_and_grad(pred, batch.patches, batch.masked, loss_cfg)
     recon_sum = 0.0
     for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
         recon_sum += pair
-    recon = recon_sum / (2 * b)
-    align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
+    recon = recon_sum / (2 * batch.n_items)
     if tape is not None:
-        d_pred *= 1.0 / (2 * b)
+        align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
+        d_pred *= 1.0 / (2 * batch.n_items)
         tape.update(d_pred=d_pred,
                     d_cls=loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape))
     return total_loss(recon, align, loss_cfg)
@@ -273,7 +308,7 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
     if not views:
         raise ConfigError(f"no loadable record in batch {[r.sample_id for r in records]}")
     tape: dict = {}
-    breakdown = batch_loss(params, views, cfg.loss, tape)
+    breakdown = batch_loss(params, ViewBatch(views, params.cfg.grid), cfg.loss, tape)
     if not (math.isfinite(breakdown.total) and math.isfinite(breakdown.recon)
             and math.isfinite(breakdown.align)):
         raise NumericsError(
@@ -398,14 +433,15 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         plan_a = random_mask(rng, grid, target)
         plan_b = random_mask(rng, grid, target)
         views.append((patches, plan_a, patches, plan_b))
+    batch = ViewBatch(views, grid)
 
     tape: dict = {}
-    batch_loss(params, views, loss_cfg, tape)
+    batch_loss(params, batch, loss_cfg, tape)
     analytic = batch_backward(params, tape)
     if corrupt is not None:
         if corrupt not in params.arrays:
             raise ConfigError(f"no parameter group named {corrupt!r}")
         params.views(analytic)[corrupt][...] += 1e-3
-    fd = finite_difference_grads(lambda p: batch_loss(p, views, loss_cfg).objective, params, h)
+    fd = finite_difference_grads(lambda p: batch_loss(p, batch, loss_cfg).objective, params, h)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
     return {name: float(r.max()) for name, r in params.views(rel).items()}

@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import os
+import re
 import shutil
 import struct
 import subprocess
@@ -16,6 +17,7 @@ import pmim
 from pmim import data_io
 from pmim.cli import entry
 from pmim.data_io import make_synthetic_dataset, read_mask_plan
+from pmim.errors import ConfigError
 
 MICRO_SET = []
 for kv in ("model.embed_dim=4", "model.n_heads=1", "model.decoder_dim=4",
@@ -302,6 +304,31 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run, monkeypatch)
              *MICRO_SET, "--resume", bad, "--set", "train.batch_size=3",
              "--set", "train.total_epochs=2"])
         assert code == 2 and f"{bad}: {record} has " in err, (record, err)
+
+
+def test_resume_rejects_an_optimizer_step_off_the_checkpoint_step(tmp_path, manifest_path,
+                                                                   micro_run):
+    # A one-epoch checkpoint (6 figures, batch 3: step 2) whose echo is edited.
+    ep1 = os.path.join(micro_run["out"], "checkpoint_ep1.bin")
+    raw = open(ep1, "rb").read()
+    (n,) = struct.unpack("<I", raw[8:12])
+    echo, arrays = json.loads(raw[12:12 + n]), raw[12 + n:]
+    assert echo["step"] == echo["optimizer"]["step"] == 2
+    bad = str(tmp_path / "edited.bin")
+    for step, opt_step, message in ((2, 1_000_000, "optimizer step 1000000 differs from "
+                                                   "checkpoint step 2"),
+                                    (2, -1, "optimizer step -1 differs"),
+                                    (-1, -1, "checkpoint step must be >= 0, got -1")):
+        blob = json.dumps(dict(echo, step=step,
+                               optimizer=dict(echo["optimizer"], step=opt_step))).encode()
+        open(bad, "wb").write(raw[:8] + struct.pack("<I", len(blob)) + blob + arrays)
+        with pytest.raises(ConfigError, match="^" + re.escape(f"{bad}: {message}")):
+            data_io.load_checkpoint(bad)
+        code, _, err = run_cli(
+            ["pretrain", "--manifest", manifest_path, "--out", str(tmp_path / "run"),
+             *MICRO_SET, "--resume", bad, "--set", "train.batch_size=3",
+             "--set", "train.total_epochs=2"])
+        assert code == 2 and f"{bad}: {message}" in err, (step, opt_step, err)
 
 
 def test_grad_check_cli(monkeypatch):

@@ -243,7 +243,7 @@ def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     opt.m[:] = rng.normal(size=opt.m.shape)
     opt.v[:] = rng.random(opt.v.shape)
-    opt.step = 7
+    opt.step = 21
     path = str(tmp_path / "ck.bin")
     save_checkpoint(params, opt, 21, path)
     assert os.path.getsize(path) < 2_000_000
@@ -251,7 +251,7 @@ def test_checkpoint_round_trip(tmp_path):
     params2, opt2, step = load_checkpoint(path)
     assert step == 21
     assert params2.cfg == cfg
-    assert opt2.step == 7
+    assert opt2.step == 21
     assert (opt2.beta1, opt2.beta2, opt2.eps) == (0.9, 0.95, 1e-8)
     for k in params.arrays:
         np.testing.assert_array_equal(params2[k], params[k])

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pmim import model as model_module
 from pmim import training
 from pmim.data_io import make_synthetic_dataset, save_checkpoint
 from pmim.errors import ConfigError
@@ -16,6 +17,7 @@ from pmim.model import ModelConfig, ModelParams, backward, forward, init_params
 from pmim.training import (
     MetricsLog,
     TrainConfig,
+    ViewBatch,
     adamw_update,
     batch_backward,
     batch_loss,
@@ -59,6 +61,10 @@ def micro_views(seed=0, n=2):
         views.append((patches, random_mask(rng, MICRO.grid, 2),
                       patches, random_mask(rng, MICRO.grid, 2)))
     return views
+
+
+def micro_batch(seed=0, n=2):
+    return ViewBatch(micro_views(seed, n), MICRO.grid)
 
 
 def test_train_config_validation():
@@ -191,12 +197,12 @@ def test_build_views_masks_rarely_collide(disk_dataset):
 
 def test_batch_loss_matches_grad_variant():
     params = init_params(np.random.default_rng(2), MICRO)
-    views = micro_views()
-    a = batch_loss(params, views, LossConfig())
-    b = batch_loss(params, views, LossConfig(), tape={})
+    batch = micro_batch()
+    a = batch_loss(params, batch, LossConfig())
+    b = batch_loss(params, batch, LossConfig(), tape={})
     assert (a.recon, a.align, a.total) == (b.recon, b.align, b.total)
     with pytest.raises(ConfigError):
-        batch_loss(params, [], LossConfig())
+        ViewBatch([], MICRO.grid)
 
 
 def test_batch_matches_batch_of_one_views():
@@ -206,7 +212,7 @@ def test_batch_matches_batch_of_one_views():
     params = init_params(np.random.default_rng(6), cfg)
     views = micro_views(seed=7, n=3)
     tape = {}
-    batch_loss(params, views, LossConfig(), tape)
+    batch_loss(params, ViewBatch(views, cfg.grid), LossConfig(), tape)
     grad = batch_backward(params, tape)
     patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
     plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
@@ -225,11 +231,12 @@ def test_batch_matches_batch_of_one_views():
     ragged = views[:2] + [(views[2][0], random_mask(np.random.default_rng(0), MICRO.grid, 1),
                            views[2][2], views[2][3])]
     with pytest.raises(ConfigError, match="one number of patches"):
-        batch_loss(params, ragged, LossConfig())
+        ViewBatch(ragged, MICRO.grid)
 
 
 def test_batch_loss_builds_plan_indices_once(monkeypatch):
-    # The model and the loss share one set of plan indices per batch.
+    # The model and the loss share one set of plan indices per prepared batch,
+    # however many times batch_loss runs on it.
     calls = []
     build = MaskPlan.batch_indices
 
@@ -239,7 +246,12 @@ def test_batch_loss_builds_plan_indices_once(monkeypatch):
 
     monkeypatch.setattr(MaskPlan, "batch_indices", staticmethod(counted))
     params = init_params(np.random.default_rng(2), MICRO)
-    batch_loss(params, micro_views(n=3), LossConfig(), tape={})
+    batch = micro_batch(n=3)
+    assert calls == [6]
+    batch_loss(params, batch, LossConfig(), tape={})
+    batch_loss(params, batch, LossConfig())
+    params["head_b"][0] += 1.0
+    batch_loss(params, batch, LossConfig())
     assert calls == [6]
 
 
@@ -255,7 +267,7 @@ def test_batch_at_extreme_masking_ratios(n_masked):
     tape = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        lb = batch_loss(params, views, LossConfig(), tape)
+        lb = batch_loss(params, ViewBatch(views, MICRO.grid), LossConfig(), tape)
     grad = batch_backward(params, tape)
     grads = params.views(grad)
     assert np.isfinite(grad).all()
@@ -270,10 +282,10 @@ def test_batch_at_extreme_masking_ratios(n_masked):
 
 def test_batch_gradients_directional_check():
     params = init_params(np.random.default_rng(3), MICRO)
-    views = micro_views(seed=4)
+    batch = micro_batch(seed=4)
     loss_cfg = LossConfig()
     tape = {}
-    batch_loss(params, views, loss_cfg, tape)
+    batch_loss(params, batch, loss_cfg, tape)
     grad = batch_backward(params, tape)
     rng = np.random.default_rng(5)
     delta = rng.normal(size=params.n_params)
@@ -281,7 +293,7 @@ def test_batch_gradients_directional_check():
 
     def value(t):
         moved = params.views(params.flat + t * delta)
-        return batch_loss(ModelParams(MICRO, moved), views, loss_cfg).total
+        return batch_loss(ModelParams(MICRO, moved), batch, loss_cfg).total
 
     h = 1e-6
     fd = (value(h) - value(-h)) / (2 * h)
@@ -291,8 +303,8 @@ def test_batch_gradients_directional_check():
 def test_batch_backward_reuses_a_zeroed_buffer():
     params = init_params(np.random.default_rng(4), MICRO)
     tape_a, tape_b = {}, {}
-    batch_loss(params, micro_views(seed=1), LossConfig(), tape_a)
-    batch_loss(params, micro_views(seed=2), LossConfig(), tape_b)
+    batch_loss(params, micro_batch(seed=1), LossConfig(), tape_a)
+    batch_loss(params, micro_batch(seed=2), LossConfig(), tape_b)
     first = batch_backward(params, tape_a)
     assert first.any()
     second = batch_backward(params, tape_b)
@@ -419,13 +431,17 @@ def test_pretrain_crash_keeps_streamed_rows(tmp_path, disk_dataset, monkeypatch)
 def test_pretrain_resume_rejects_mismatch(tmp_path, disk_dataset):
     other = init_params(np.random.default_rng(0), ModelConfig())
     path = str(tmp_path / "other.bin")
-    save_checkpoint(other, init_optimizer(other), 2, path)
+    opt = init_optimizer(other)
+    opt.step = 2
+    save_checkpoint(other, opt, 2, path)
     with pytest.raises(ConfigError, match="model"):
         run_pretrain(run_cfg(), disk_dataset, resume_from=path)
 
     micro = init_params(np.random.default_rng(0), MICRO)
     odd = str(tmp_path / "odd.bin")
-    save_checkpoint(micro, init_optimizer(micro), 3, odd)
+    opt = init_optimizer(micro)
+    opt.step = 3
+    save_checkpoint(micro, opt, 3, odd)
     with pytest.raises(ConfigError, match="boundary"):
         run_pretrain(run_cfg(), disk_dataset, resume_from=odd)
 
@@ -468,3 +484,100 @@ def test_gradient_check_projection_head():
     report = gradient_check(model_cfg=cfg, h=3e-6)
     assert {"proj1_w", "proj1_b", "proj2_w", "proj2_b"} <= set(report)
     assert max(report.values()) < 1e-4
+
+
+# The encoder memo: an untaped batch_loss reuses the batch's last encoder result
+# while params.flat[:encoder_stop] (as bits), the model config and the loss
+# config are unchanged, so a check that moves a decoder element skips the encoder.
+
+def _fresh_batch_check(monkeypatch, **kwargs):
+    """gradient_check whose every untaped loss builds a new ViewBatch, so nothing is memoized."""
+    real_batch, real_loss = ViewBatch, batch_loss
+
+    class Recorded(real_batch):
+        def __init__(self, views, grid):
+            super().__init__(views, grid)
+            self.args = (views, grid)
+
+    def fresh_loss(params, batch, loss_cfg, tape=None):
+        return real_loss(params, real_batch(*batch.args) if tape is None else batch,
+                         loss_cfg, tape)
+
+    with monkeypatch.context() as m:
+        m.setattr(training, "ViewBatch", Recorded)
+        m.setattr(training, "batch_loss", fresh_loss)
+        return gradient_check(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(model_cfg=training.TINY_CHECK_MODEL),
+    dict(model_cfg=MICRO),
+    dict(model_cfg=dataclasses.replace(MICRO, proj_head=True), h=3e-6),
+    dict(model_cfg=MICRO, loss_cfg=LossConfig(negatives="same_view")),
+    dict(model_cfg=MICRO, loss_cfg=LossConfig(symmetrize=True)),
+    dict(model_cfg=MICRO, loss_cfg=LossConfig(align_mode="cosine_stopgrad")),
+    dict(model_cfg=MICRO, corrupt="enc0_qkv_w"),
+    dict(model_cfg=MICRO, corrupt="head_b"),
+], ids=["tiny", "micro", "micro_proj_head", "same_view", "symmetrize", "cosine_stopgrad",
+        "corrupt_enc0_qkv_w", "corrupt_head_b"])
+def test_gradient_check_memo_matches_fresh_batches(monkeypatch, kwargs):
+    memo = gradient_check(**kwargs)
+    fresh = _fresh_batch_check(monkeypatch, **kwargs)
+    assert {k: v.hex() for k, v in memo.items()} == {k: v.hex() for k, v in fresh.items()}
+
+
+@pytest.fixture
+def encoder_runs(monkeypatch):
+    """Counts encoder passes, taped or not (both run through model.encode_tokens)."""
+    runs = []
+    real = model_module.encode_tokens
+
+    def counted(*args, **kwargs):
+        runs.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(model_module, "encode_tokens", counted)
+    return runs
+
+
+def test_memo_reencodes_when_an_encoder_element_flips(encoder_runs):
+    cfg = dataclasses.replace(MICRO, proj_head=True)
+    params = init_params(np.random.default_rng(2), cfg)
+    batch = ViewBatch(micro_views(seed=3), cfg.grid)
+    loss_cfg = LossConfig()
+
+    def check(encodes, moved=params, loss=loss_cfg):
+        before = len(encoder_runs)
+        lb = batch_loss(moved, batch, loss)
+        assert len(encoder_runs) - before == encodes
+        assert lb == batch_loss(moved, ViewBatch(micro_views(seed=3), cfg.grid), loss)
+
+    check(1)
+    check(0)
+    params["head_b"][0] += 0.5  # a decoder element moves: still a hit
+    check(0)
+    stop = params.encoder_stop
+    assert stop == params.views(np.arange(params.n_params))["dec_proj_w"].flat[0]
+    assert params.flat[stop - 1] == 0.0  # proj2_b, the last encoder-side group
+    params.flat[stop - 1] = -0.0  # equal as a float, not as bits
+    check(1)
+    params.flat[0] += 1e-3
+    check(1)
+    params.flat[0] -= 1e-3
+    check(1)
+    check(1, loss=LossConfig(temperature=0.5))  # the loss config is part of the key
+    check(1)
+    # the same layout with two attention heads: the same bits, another encoder
+    check(1, moved=ModelParams(dataclasses.replace(cfg, n_heads=2), params.arrays))
+
+
+def test_taped_batch_loss_leaves_the_memo_alone(encoder_runs):
+    params = init_params(np.random.default_rng(2), MICRO)
+    batch = micro_batch()
+    taped = batch_loss(params, batch, LossConfig(), tape={})
+    assert batch.memo is None and len(encoder_runs) == 1
+    untaped = batch_loss(params, batch, LossConfig())
+    memo = batch.memo
+    assert memo is not None and len(encoder_runs) == 2
+    assert batch_loss(params, batch, LossConfig(), tape={}) == taped == untaped
+    assert batch.memo is memo and len(encoder_runs) == 3  # taped: encodes, never reads
