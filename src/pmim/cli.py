@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data_io
 from .errors import ConfigError, NumericsError
-from .geometry import (CropParams, ImageBuffer, apply_crop, patchify,
+from .geometry import (CropParams, ImageBuffer, KeypointSet, apply_crop, patchify,
                        transform_keypoints, unpatchify)
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
@@ -141,14 +141,24 @@ def _load_params(checkpoint: str, model: ModelConfig):
     return params
 
 
-def _full_frame_view(record, manifest, model: ModelConfig):
-    """Deterministic mapping of a record into the model frame: resize only."""
+def _frame_keypoints(record, manifest, model: ModelConfig) -> KeypointSet:
+    """The record's keypoints mapped into the model frame by a whole-image resize.
+
+    The image is read only for its size, so a missing or corrupt one is still
+    a ConfigError; its pixels are not resized.
+    """
     image = data_io.load_image(manifest.image_path(record))
     crop = CropParams(0, 0, image.width, image.height, flip=False)
     grid = model.grid
-    resized = apply_crop(image, crop, grid.image_h, grid.image_w)
-    kps = transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
-    return resized, kps
+    return transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
+
+
+def _frame_image(record, manifest, model: ModelConfig) -> ImageBuffer:
+    """The record's whole image resized into the model frame: no crop, no flip."""
+    image = data_io.load_image(manifest.image_path(record))
+    crop = CropParams(0, 0, image.width, image.height, flip=False)
+    grid = model.grid
+    return apply_crop(image, crop, grid.image_h, grid.image_w)
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +187,7 @@ def cmd_mask_plan(args) -> int:
     for i, record in enumerate(manifest.records):
         rng = np.random.default_rng(
             np.random.SeedSequence([train.seed, _SEED_PLAN, i]))
-        _, kps = _full_frame_view(record, manifest, train.model)
+        kps = _frame_keypoints(record, manifest, train.model)
         for view in ("a", "b"):
             if args.strategy == "part":
                 plan = part_guided_mask(rng, kps, grid, scfg)
@@ -219,7 +229,7 @@ def cmd_visualize(args) -> int:
     for sample_id, view, plan in entries:
         record = manifest.by_id(sample_id)
         vis, hidden = MaskPlan.batch_indices([plan], grid)  # rejects a plan made for another grid
-        original, _ = _full_frame_view(record, manifest, train.model)
+        original = _frame_image(record, manifest, train.model)
         patches = patchify(original, grid)
         gray = patches.copy()
         gray[hidden[0]] = 0.5
@@ -253,7 +263,7 @@ def cmd_stats(args) -> int:
         for sample_id, _view, plan in entries:
             if sample_id not in regions_by_id:
                 record = manifest.by_id(sample_id)
-                _, kps = _full_frame_view(record, manifest, train.model)
+                kps = _frame_keypoints(record, manifest, train.model)
                 regions_by_id[sample_id] = all_part_patches(
                     kps, train.model.grid, scfg.keypoint_conf_threshold)
             plans.append(plan)
@@ -276,7 +286,7 @@ def cmd_attn_map(args) -> int:
     grid = train.model.grid
     if not (0 <= args.query < grid.n_patches):
         raise ConfigError(f"query index {args.query} outside [0, {grid.n_patches})")
-    image, _ = _full_frame_view(record, manifest, train.model)
+    image = _frame_image(record, manifest, train.model)
     patches = patchify(image, grid)
     empty = MaskPlan(grid, 0, [], [])
     attn = attention_maps(params, patches, empty)  # (depth, heads, S, S)

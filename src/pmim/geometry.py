@@ -131,7 +131,7 @@ def make_patch_grid(height: int, width: int, patch_size: int) -> PatchGrid:
 
 
 def sample_crop(rng: np.random.Generator, src_h: int, src_w: int,
-                scale_min: float, out_aspect: float, attempts: int = 10) -> CropParams:
+                scale_min: float, out_aspect: float) -> CropParams:
     """Draw a random crop whose area fraction lies in [scale_min, 1].
 
     The crop aspect ratio (h/w) equals ``out_aspect`` exactly so a later
@@ -154,9 +154,7 @@ def sample_crop(rng: np.random.Generator, src_h: int, src_w: int,
     k_lo = math.ceil(math.sqrt(scale_min * src_area / unit))
 
     flip = bool(rng.random() < 0.5)
-    for _ in range(attempts):
-        if k_lo > k_hi:
-            break  # bound unreachable for this geometry; use the fallback
+    if k_lo <= k_hi:
         target_area = src_area * rng.uniform(scale_min, 1.0)
         k = round(math.sqrt(target_area / unit))
         k = min(max(k, k_lo), k_hi)
@@ -165,6 +163,7 @@ def sample_crop(rng: np.random.Generator, src_h: int, src_w: int,
         y0 = int(rng.integers(0, src_h - crop_h + 1))
         return CropParams(x0, y0, crop_w, crop_h, flip)
 
+    # no aspect-exact crop reaches the area bound: the largest centred one
     crop_h, crop_w = p * k_hi, q * k_hi
     return CropParams((src_w - crop_w) // 2, (src_h - crop_h) // 2,
                       crop_w, crop_h, flip)
@@ -186,22 +185,31 @@ def apply_crop(image: ImageBuffer, crop: CropParams, out_h: int, out_w: int) -> 
 
 
 def _bilinear_resize(src: np.ndarray, out_h: int, out_w: int) -> np.ndarray:
-    """Half-pixel-center bilinear resize; exact identity when sizes match."""
-    in_h, in_w = src.shape[:2]
+    """Half-pixel-center bilinear resize; exact identity when sizes match.
+
+    Separable: each source row, viewed as W*C values, is blended across
+    columns once, then pairs of blended rows are blended down the columns.
+    Each output value comes from the same products and sums, in the same
+    order, as the direct four-corner form, so the two are bit-equal.
+    """
+    in_h, in_w, ch = src.shape
     sy = (np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5
     sx = (np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5
     sy = np.clip(sy, 0.0, in_h - 1.0)
     sx = np.clip(sx, 0.0, in_w - 1.0)
     y0 = np.floor(sy).astype(np.intp)
     x0 = np.floor(sx).astype(np.intp)
-    fy = sy - y0
-    fx = sx - x0
+    fy = (sy - y0)[:, None]
+    fx = np.repeat(sx - x0, ch)  # one weight per (column, channel) value of a row
     y1 = np.minimum(y0 + 1, in_h - 1)
     x1 = np.minimum(x0 + 1, in_w - 1)
 
-    top = src[np.ix_(y0, x0)] * (1.0 - fx)[None, :, None] + src[np.ix_(y0, x1)] * fx[None, :, None]
-    bot = src[np.ix_(y1, x0)] * (1.0 - fx)[None, :, None] + src[np.ix_(y1, x1)] * fx[None, :, None]
-    return top * (1.0 - fy)[:, None, None] + bot * fy[:, None, None]
+    channel = np.arange(ch)
+    rows = src.reshape(in_h, in_w * ch)
+    across = (rows.take((x0[:, None] * ch + channel).ravel(), axis=1) * (1.0 - fx)
+              + rows.take((x1[:, None] * ch + channel).ravel(), axis=1) * fx)
+    out = across.take(y0, axis=0) * (1.0 - fy) + across.take(y1, axis=0) * fy
+    return out.reshape(out_h, out_w, ch)
 
 
 def transform_keypoints(kps: KeypointSet, crop: CropParams, out_h: int, out_w: int) -> KeypointSet:

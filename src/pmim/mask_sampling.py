@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
-from .geometry import KeypointSet, PatchGrid
+from .geometry import KEYPOINT_INDEX, KeypointSet, PatchGrid
 
 # The six part labels, fixed order (used for reproducible selection draws).
 PART_IDS = ("head", "upper_body", "left_arm", "right_arm", "left_leg", "right_leg")
@@ -185,10 +185,11 @@ def part_patches(kps: KeypointSet, part: PartId, grid: PatchGrid,
     half-open pixel region [c*p, (c+1)*p) x [r*p, (r+1)*p).
     """
     p = grid.patch_size
+    pts = kps.pts.tolist()  # plain floats: the same float64 values, without numpy scalars
     out: set[int] = set()
     for name_a, name_b in part_keypoint_pairs(part):
-        xa, ya, ca = kps.get(name_a)
-        xb, yb, cb = kps.get(name_b)
+        xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
+        xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
         if ca < conf_threshold or cb < conf_threshold:
             continue
         c_lo = max(int(math.floor(min(xa, xb) / p)), 0)

@@ -1,6 +1,7 @@
 """Command-line interface: config merging, subcommands, exit codes."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import os
@@ -14,10 +15,14 @@ import numpy as np
 import pytest
 
 import pmim
-from pmim import data_io
+from pmim import cli, data_io
 from pmim.cli import entry
-from pmim.data_io import make_synthetic_dataset, read_mask_plan
+from pmim.data_io import DatasetManifest, SampleRecord, make_synthetic_dataset, read_mask_plan
 from pmim.errors import ConfigError
+from pmim.geometry import CropParams, transform_keypoints
+from pmim.mask_sampling import (all_part_patches, mask_stats, num_masked, part_guided_mask,
+                                random_mask, stats_delta)
+from pmim.training import TrainConfig
 
 MICRO_SET = []
 for kv in ("model.embed_dim=4", "model.n_heads=1", "model.decoder_dim=4",
@@ -163,6 +168,76 @@ def test_stats_compares_strategies(tmp_path, manifest_path):
     delta = report["delta"]
     assert delta["a"] == part and delta["b"] == rand
     assert delta["part_overlap_delta"] > 0.0
+
+
+def _off_frame_manifest(tmp_path):
+    """Two records whose images are not the 64x32 model frame: a 128x64 P6 and a 32x16 P5."""
+    root = tmp_path / "off_frame"
+    root.mkdir()
+    big, big_images = make_synthetic_dataset(1, seed=2, canvas_h=128, canvas_w=64)
+    small, small_images = make_synthetic_dataset(1, seed=3, canvas_h=32, canvas_w=16)
+    data_io.write_ppm(big_images[0], str(root / "big.ppm"))
+    gray = np.round(small_images[0].data.mean(axis=2) * 255.0).astype(np.uint8)
+    (root / "small.pgm").write_bytes(b"P5\n16 32\n255\n" + gray.tobytes())
+    records = [SampleRecord("big", "big.ppm", big.records[0].keypoints),
+               SampleRecord("small", "small.pgm", small.records[0].keypoints)]
+    path = str(root / "manifest.jsonl")
+    data_io.write_manifest(DatasetManifest(records, root=str(root)), path)
+    return path, records
+
+
+def test_mask_plan_and_stats_map_keypoints_of_off_frame_images(tmp_path):
+    manifest, records = _off_frame_manifest(tmp_path)
+    train = TrainConfig()
+    grid, scfg = train.model.grid, train.sampler()
+    kps = [transform_keypoints(r.keypoints, CropParams(0, 0, w, h, False), 64, 32)
+           for r, (h, w) in zip(records, ((128, 64), (32, 16)))]
+    seed = 4
+    paths = {}
+    for strategy in ("part", "random"):
+        paths[strategy] = str(tmp_path / f"{strategy}.jsonl")
+        code, _, err = run_cli(["mask-plan", "--manifest", manifest, "--seed", str(seed),
+                                "--strategy", strategy, "--out", paths[strategy]])
+        assert code == 0, err
+        want = []
+        for i, (record, k) in enumerate(zip(records, kps)):
+            rng = np.random.default_rng(np.random.SeedSequence([seed, cli._SEED_PLAN, i]))
+            for view in ("a", "b"):
+                plan = (part_guided_mask(rng, k, grid, scfg) if strategy == "part"
+                        else random_mask(rng, grid, num_masked(scfg.masking_ratio, grid.n_patches)))
+                want.append((record.sample_id, view, plan.masked, plan.provenance))
+        got = [(sample_id, view, plan.masked, plan.provenance)
+               for sample_id, view, plan in read_mask_plan(paths[strategy])]
+        assert got == want, strategy
+
+    code, stdout, err = run_cli(["stats", "--manifest", manifest, "--seed", str(seed),
+                                 "--plans", paths["part"], "--plans", paths["random"]])
+    assert code == 0, err
+    regions = {r.sample_id: all_part_patches(k, grid, scfg.keypoint_conf_threshold)
+               for r, k in zip(records, kps)}
+    reports = []
+    for path in paths.values():
+        entries = read_mask_plan(path)
+        reports.append(mask_stats([plan for _, _, plan in entries],
+                                  [regions[sample_id] for sample_id, _, _ in entries]))
+    want = {"files": {path: dataclasses.asdict(r) for path, r in zip(paths.values(), reports)},
+            "delta": dict(stats_delta(*reports), a=paths["part"], b=paths["random"])}
+    assert json.loads(stdout) == json.loads(json.dumps(want))
+
+
+def test_mask_plan_and_stats_exit_2_on_a_missing_or_truncated_image(tmp_path):
+    manifest, _ = _off_frame_manifest(tmp_path)
+    plans = str(tmp_path / "plans.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest, "--out", plans])[0] == 0
+    big = os.path.join(os.path.dirname(manifest), "big.ppm")
+    raw = open(big, "rb").read()
+    for damage, message in ((lambda: open(big, "wb").write(raw[:-1]), "truncated pixel data"),
+                            (lambda: os.remove(big), "cannot read image")):
+        damage()
+        for argv in (["mask-plan", "--out", str(tmp_path / "again.jsonl")],
+                     ["stats", "--plans", plans]):
+            code, _, err = run_cli([*argv, "--manifest", manifest])
+            assert code == 2 and big in err and message in err, (argv, err)
 
 
 def test_visualize_writes_triptychs(tmp_path, manifest_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmim import data_io
 from pmim.errors import ConfigError
 from pmim.geometry import (
     COCO_FLIP_PERM,
@@ -155,6 +156,54 @@ def test_apply_crop_resize_averages():
     data[1, 1] = 0.2
     out = apply_crop(ImageBuffer(data), CropParams(0, 0, 2, 2, False), 1, 1)
     np.testing.assert_allclose(out.data[0, 0], (0.0 + 0.4 + 0.8 + 0.2) / 4)
+
+
+def _four_tap_resize(src, out_h, out_w):
+    """The direct bilinear form, one 2-D gather per corner: the reference."""
+    in_h, in_w = src.shape[:2]
+    sy = np.clip((np.arange(out_h, dtype=np.float64) + 0.5) * (in_h / out_h) - 0.5, 0.0, in_h - 1.0)
+    sx = np.clip((np.arange(out_w, dtype=np.float64) + 0.5) * (in_w / out_w) - 0.5, 0.0, in_w - 1.0)
+    y0 = np.floor(sy).astype(np.intp)
+    x0 = np.floor(sx).astype(np.intp)
+    fy = sy - y0
+    fx = sx - x0
+    y1 = np.minimum(y0 + 1, in_h - 1)
+    x1 = np.minimum(x0 + 1, in_w - 1)
+    top = src[np.ix_(y0, x0)] * (1.0 - fx)[None, :, None] + src[np.ix_(y0, x1)] * fx[None, :, None]
+    bot = src[np.ix_(y1, x0)] * (1.0 - fx)[None, :, None] + src[np.ix_(y1, x1)] * fx[None, :, None]
+    return top * (1.0 - fy)[:, None, None] + bot * fy[:, None, None]
+
+
+def test_resize_bit_equal_to_four_tap_reference(tmp_path):
+    rng = np.random.default_rng(12)
+    frame = ImageBuffer(rng.random((64, 32, 3)))
+    gray = tmp_path / "gray.pgm"
+    gray.write_bytes(b"P5\n16 40\n255\n" + rng.integers(0, 256, 40 * 16, dtype=np.uint8).tobytes())
+    cases = [(frame, CropParams(0, 0, 32, 64, False), 64, 32)]  # full frame
+    for rows in (58, 60, 62, 64):  # the crop sizes pretraining draws from a 64x32 frame
+        for flip in (False, True):
+            cases.append((frame, CropParams(32 - rows // 2, 64 - rows, rows // 2, rows, flip), 64, 32))
+    cases += [
+        (frame, CropParams(5, 7, 1, 1, False), 64, 32),  # 1x1 source
+        (frame, CropParams(0, 0, 32, 64, False), 1, 1),  # 1x1 output
+        (frame, CropParams(3, 9, 20, 1, False), 64, 32),  # a single row
+        (frame, CropParams(3, 9, 1, 30, True), 64, 32),  # a single column
+        (frame, CropParams(0, 0, 32, 64, False), 1, 32),
+        (frame, CropParams(0, 0, 32, 64, False), 64, 1),
+        (frame, CropParams(4, 10, 12, 24, False), 128, 64),  # upscaling
+        (frame, CropParams(0, 0, 32, 64, True), 20, 11),  # downscaling
+        (frame, CropParams(7, 3, 17, 41, False), 33, 16),  # an interior crop: a non-contiguous view
+        (data_io.load_image(str(gray)), CropParams(0, 0, 16, 40, False), 64, 32),  # P5 broadcast to RGB
+        (data_io.load_image(str(gray)), CropParams(2, 5, 9, 18, True), 64, 32),
+    ]
+    for image, crop, out_h, out_w in cases:
+        sub = image.data[crop.y0:crop.y0 + crop.crop_h, crop.x0:crop.x0 + crop.crop_w]
+        want = _four_tap_resize(sub, out_h, out_w)
+        if crop.flip:
+            want = want[:, ::-1, :]
+        got = apply_crop(image, crop, out_h, out_w).data
+        assert got.shape == want.shape == (out_h, out_w, 3)
+        assert got.tobytes() == np.ascontiguousarray(want).tobytes(), (crop, out_h, out_w)
 
 
 def test_apply_crop_out_of_bounds():

@@ -13,10 +13,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmim import mask_sampling
 from pmim.errors import ConfigError
 from pmim.geometry import COCO_KEYPOINT_NAMES, KeypointSet, PatchGrid, make_patch_grid
 from pmim.mask_sampling import (
     PART_IDS,
+    PART_KEYPOINT_PAIRS,
     BlockFillResult,
     MaskPlan,
     SamplerConfig,
@@ -189,6 +191,61 @@ def test_all_part_patches_is_union():
     for part in PART_IDS:
         union |= part_patches(kps, part, grid)
     assert all_part_patches(kps, grid) == union
+
+
+def numpy_scalar_part_patches(kps, part, grid, conf_threshold=0.2):
+    """part_patches as it read keypoints through KeypointSet.get (numpy scalars)."""
+    p = grid.patch_size
+    out = set()
+    for name_a, name_b in PART_KEYPOINT_PAIRS[part]:
+        xa, ya, ca = kps.get(name_a)
+        xb, yb, cb = kps.get(name_b)
+        if ca < conf_threshold or cb < conf_threshold:
+            continue
+        c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
+        c_hi = min(int(math.floor(max(xa, xb) / p)), grid.grid_w - 1)
+        r_lo = max(int(math.floor(min(ya, yb) / p)), 0)
+        r_hi = min(int(math.floor(max(ya, yb) / p)), grid.grid_h - 1)
+        for r in range(r_lo, r_hi + 1):
+            for c in range(c_lo, c_hi + 1):
+                out.add(r * grid.grid_w + c)
+    return out
+
+
+def edge_case_figure(rng, grid, thresh):
+    """Keypoints on patch edges, below zero and off the canvas, with confidences at the threshold."""
+    p = grid.patch_size
+    xs = np.concatenate([np.arange(-1, grid.grid_w + 2) * float(p), [-0.0, p - 1e-12, 1e-300]])
+    ys = np.concatenate([np.arange(-1, grid.grid_h + 2) * float(p), [-0.0, p - 1e-12, -3.5]])
+    confs = [0.0, thresh, np.nextafter(thresh, 0.0), np.nextafter(thresh, 1.0), 1.0]
+    pts = np.column_stack([rng.uniform(-20.0, grid.image_w + 20.0, 17),
+                           rng.uniform(-20.0, grid.image_h + 20.0, 17),
+                           rng.uniform(0.0, 1.0, 17)])
+    for col, pool in ((0, xs), (1, ys), (2, confs)):
+        pick = rng.random(17) < 0.5
+        pts[pick, col] = rng.choice(pool, size=int(pick.sum()))
+    return KeypointSet(pts)
+
+
+def test_part_regions_and_plans_match_numpy_scalar_reference(monkeypatch):
+    rng = np.random.default_rng(21)
+    for grid, thresh in ((make_patch_grid(64, 32, 8), 0.2), (make_patch_grid(32, 48, 4), 0.5)):
+        cfg = SamplerConfig(keypoint_conf_threshold=thresh)
+        for trial in range(150):
+            kps = edge_case_figure(rng, grid, thresh)
+            want = {part: numpy_scalar_part_patches(kps, part, grid, thresh) for part in PART_IDS}
+            for part in PART_IDS:
+                assert part_patches(kps, part, grid, thresh) == want[part]
+            assert all_part_patches(kps, grid, thresh) == set().union(*want.values())
+
+            plans = []
+            for patch_fn in (part_patches, numpy_scalar_part_patches):
+                monkeypatch.setattr(mask_sampling, "part_patches", patch_fn)
+                draws = np.random.default_rng([21, trial])
+                for _ in range(2):
+                    plan = part_guided_mask(draws, kps, grid, cfg)
+                    plans.append((plan.masked, plan.provenance, draws.bit_generator.state))
+            assert plans[:2] == plans[2:]
 
 
 def test_select_parts_count_distribution():
