@@ -259,6 +259,11 @@ def cmd_stats(args) -> int:
         entries = data_io.read_mask_plan(path, patch_size=train.model.patch_size)
         if not entries:
             raise ConfigError(f"empty plan file: {path}")
+        grid = (train.model.grid_h, train.model.grid_w)
+        for _sample_id, _view, plan in entries:
+            if (plan.grid.grid_h, plan.grid.grid_w) != grid:
+                raise ConfigError(f"{path}: plans for a {plan.grid.grid_h}x{plan.grid.grid_w} "
+                                  f"grid, the model grid is {grid[0]}x{grid[1]}")
         plans, regions = [], []
         for sample_id, _view, plan in entries:
             if sample_id not in regions_by_id:

@@ -507,9 +507,13 @@ def load_checkpoint(path: str):
                           ("eps", 0.0 < hyper["eps"] < math.inf, "finite and > 0")):
         if not ok:
             raise ConfigError(f"{path}: optimizer {key} must be {want}, got {hyper[key]!r}")
-    unknown = set(meta["model"]) - {f.name for f in dataclasses.fields(ModelConfig)}
+    fields = {f.name for f in dataclasses.fields(ModelConfig)}
+    unknown = set(meta["model"]) - fields
     if unknown:
         raise ConfigError(f"{path}: unknown model config keys {sorted(unknown)}")
+    missing = fields - set(meta["model"])
+    if missing:  # a default would silently stand in for the saved value
+        raise ConfigError(f"{path}: config echo lacks model keys {sorted(missing)}")
     try:
         params = ModelParams(ModelConfig(**meta["model"]), groups["p"])
         m, v = params.pack(groups["m"], "m."), params.pack(groups["v"], "v.")

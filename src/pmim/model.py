@@ -73,6 +73,8 @@ class ModelConfig:
                               "(2D sine-cosine position table)")
         if int(self.embed_dim * self.mlp_ratio) < 1:
             raise ConfigError(f"mlp_ratio {self.mlp_ratio} collapses the MLP")
+        if int(self.decoder_dim * self.mlp_ratio) < 1:
+            raise ConfigError(f"mlp_ratio {self.mlp_ratio} collapses the decoder MLP")
 
     @property
     def grid(self) -> PatchGrid:

@@ -248,7 +248,7 @@ class ViewBatch:
 
 def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
                tape: dict | None = None) -> LossBreakdown:
-    """Objective over a prepared batch, its 2B views run as one model batch.
+    """Loss over a prepared batch, its 2B views run as one model batch.
 
     Reconstruction averages the per-view masked MSE (one loss call); alignment
     is InfoNCE over the class-vector pairs. Given a tape dict, records the model
@@ -442,6 +442,6 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         if corrupt not in params.arrays:
             raise ConfigError(f"no parameter group named {corrupt!r}")
         params.views(analytic)[corrupt][...] += 1e-3
-    fd = finite_difference_grads(lambda p: batch_loss(p, batch, loss_cfg).objective, params, h)
+    fd = finite_difference_grads(lambda p: batch_loss(p, batch, loss_cfg).total, params, h)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
     return {name: float(r.max()) for name, r in params.views(rel).items()}

@@ -123,6 +123,13 @@ def test_rejects_unknown_config(tmp_path, manifest_path):
     code, _, err = run_cli(["mask-plan", "--config", bad,
                             "--manifest", manifest_path])
     assert code == 2 and "optimizer" in err
+    for key in ("align_mode", "negatives", "symmetrize"):
+        message = f"unknown config key loss.{key}"
+        code, _, err = run_cli(["grad-check", "--set", f"loss.{key}=x"])
+        assert code == 2 and message in err, err
+        json.dump({"loss": {key: "x"}}, open(bad, "w"))
+        code, _, err = run_cli(["grad-check", "--config", bad])
+        assert code == 2 and message in err, err
 
 
 def test_mask_plan_output(tmp_path, manifest_path):
@@ -168,6 +175,18 @@ def test_stats_compares_strategies(tmp_path, manifest_path):
     delta = report["delta"]
     assert delta["a"] == part and delta["b"] == rand
     assert delta["part_overlap_delta"] > 0.0
+
+
+def test_stats_rejects_plans_for_another_grid(tmp_path, manifest_path):
+    good = str(tmp_path / "good.jsonl")
+    short = str(tmp_path / "short.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", good])[0] == 0
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", short,
+                    "--set", "model.grid_h=4"])[0] == 0
+    code, stdout, err = run_cli(["stats", "--manifest", manifest_path,
+                                 "--plans", good, "--plans", short])
+    assert code == 2 and stdout == "", stdout
+    assert f"{short}: plans for a 4x4 grid, the model grid is 8x4" in err, err
 
 
 def _off_frame_manifest(tmp_path):
@@ -331,8 +350,12 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run, monkeypatch)
 
     code, _, err = run_cli(["grad-check", "--set", "model.mlp_ratio=abc"])
     assert code == 2 and "mlp_ratio" in err
+    # int(4 * 0.2) = 0: the encoder MLP (width 8 * 0.2) survives, the decoder's does not
+    code, _, err = run_cli(["grad-check", "--set", "model.decoder_dim=4",
+                            "--set", "model.mlp_ratio=0.2"])
+    assert code == 2 and "decoder MLP" in err, err
 
-    for bad in ("loss.temperature=nan", "loss.align_weight=inf", "loss.symmetrize=x",
+    for bad in ("loss.temperature=nan", "loss.align_weight=inf",
                 "loss.normalize_targets=1", "model.proj_head=x", "train.seed=abc",
                 "train.seed=-1", "train.batch_size=2.5", "train.base_lr=nan",
                 "train.scale_min=2", "train.total_steps=1.5", "train.independent_crops=x",
@@ -411,8 +434,6 @@ def test_grad_check_cli(monkeypatch):
     assert code == 0
     report = json.loads(stdout)
     assert max(report.values()) < 1e-4
-    stopgrad = ["--set", "loss.align_mode=cosine_stopgrad"]
-    assert run_cli(["grad-check", *MICRO_SET, *stopgrad])[0] == 0
 
     code, _, err = run_cli(["grad-check", *MICRO_SET, "--corrupt", "head_b"])
     assert code == 3

@@ -424,11 +424,15 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
                                      SMALL_ARRAYS)),
     ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, eps=math.inf)),
                                      SMALL_ARRAYS)),
+    # n_heads changes no array shape, so only the echo can tell 1 from the default 2
+    ("checkpoint", _checkpoint_bytes(
+        dict(SMALL_ECHO, model={k: v for k, v in SMALL_ECHO["model"].items() if k != "n_heads"}),
+        SMALL_ARRAYS)),
 ], ids=["plan-not-object", "plan-provenance-int", "plan-grid-bool", "plan-index-bool",
         "plan-not-utf8", "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
         "array-dims-oversized", "no-arrays", "echo-embed-dim-str", "echo-depth-null",
         "echo-beta1-str", "echo-step-str", "echo-beta1-nan", "echo-beta1-five",
-        "echo-beta2-one", "echo-eps-negative", "echo-eps-inf"])
+        "echo-beta2-one", "echo-eps-negative", "echo-eps-inf", "echo-model-key-missing"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")

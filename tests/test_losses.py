@@ -38,10 +38,6 @@ def test_loss_config_validation():
         LossConfig(temperature=0.0)
     with pytest.raises(ConfigError):
         LossConfig(align_weight=-0.1)
-    with pytest.raises(ConfigError):
-        LossConfig(align_mode="dot")
-    with pytest.raises(ConfigError):
-        LossConfig(negatives="memory_bank")
 
 
 def test_recon_constant_offset():
@@ -157,9 +153,6 @@ def test_align_single_pair_is_zero():
     z = unit_rows(rng, 1)
     zt = unit_rows(rng, 1)
     assert align_loss(z, zt) == 0.0
-    value, _, _ = align_loss_and_grad(z, zt, LossConfig(negatives="same_view"))
-    cos = float((z * zt).sum())
-    assert value == pytest.approx((1.0 - cos) / 0.2, abs=1e-12)
 
 
 def test_align_requires_unit_rows():
@@ -171,39 +164,8 @@ def test_align_requires_unit_rows():
         align_loss(np.eye(2, 8), np.eye(3, 8))
 
 
-def test_align_stopgrad_values_and_grads():
-    e1 = np.eye(1, 8)
-    e2 = np.roll(e1, 1, axis=1)
-    stopgrad = LossConfig(align_mode="cosine_stopgrad")
-    assert align_loss_and_grad(e1, e1.copy(), stopgrad)[0] == pytest.approx(-1.0, abs=1e-12)
-    assert align_loss_and_grad(e1, e2, stopgrad)[0] == pytest.approx(0.0, abs=1e-12)
-    rng = np.random.default_rng(5)
-    z, zt = unit_rows(rng, 3), unit_rows(rng, 3)
-    _, dz, dzt = align_loss_and_grad(z, zt, stopgrad)
-    np.testing.assert_allclose(dz, -zt / 6.0)
-    np.testing.assert_allclose(dzt, -z / 6.0)
-
-
-def test_align_symmetrize_averages_directions():
-    rng = np.random.default_rng(6)
-    z, zt = unit_rows(rng, 5), unit_rows(rng, 5)
-    cfg = LossConfig(symmetrize=True)
-    value, _, _ = align_loss_and_grad(z, zt, cfg)
-    forward = align_loss(z, zt)
-    backward = align_loss(zt, z)
-    assert value == pytest.approx(0.5 * (forward + backward), abs=1e-12)
-
-
-@pytest.mark.parametrize("cfg,scale", [
-    (LossConfig(), 1.0),
-    (LossConfig(symmetrize=True), 1.0),
-    (LossConfig(negatives="same_view"), 1.0),
-    # stop-gradient: each direction holds its partner fixed, so the returned
-    # gradients sum to half the derivative of the reported value
-    (LossConfig(align_mode="cosine_stopgrad"), 0.5),
-    (LossConfig(temperature=0.07), 1.0),
-])
-def test_align_gradients_match_finite_differences(cfg, scale):
+@pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(temperature=0.07)])
+def test_align_gradients_match_finite_differences(cfg):
     rng = np.random.default_rng(7)
     z, zt = unit_rows(rng, 4), unit_rows(rng, 4)
     _, dz, dzt = align_loss_and_grad(z, zt, cfg)
@@ -217,7 +179,7 @@ def test_align_gradients_match_finite_differences(cfg, scale):
 
     fd = (value(h) - value(-h)) / (2 * h)
     analytic = float((dz * dz_dir).sum() + (dzt * dzt_dir).sum())
-    assert analytic == pytest.approx(scale * fd, rel=1e-5, abs=1e-9)
+    assert analytic == pytest.approx(fd, rel=1e-5, abs=1e-9)
 
 
 @given(b=st.integers(1, 6), seed=st.integers(0, 100))
