@@ -204,7 +204,7 @@ def _paste_reconstruction(patches: np.ndarray, vis: np.ndarray, masked: np.ndarr
     """One view's original pixels on visible patches, model output on masked ones."""
     _, pred = forward(params, patches[None], vis, masked)
     m = masked[0]
-    rows = pred[0, m]
+    rows = pred[0]  # the masked patches, in the plan's order
     if loss.normalize_targets:  # undo the per-patch standardization of the targets
         target = patches[m]
         mean = target.mean(axis=-1, keepdims=True)

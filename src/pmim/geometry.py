@@ -261,9 +261,14 @@ def unpatchify(patches: np.ndarray, grid: PatchGrid) -> ImageBuffer:
 
 
 def normalize_targets(patches: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Standardize each patch row (last axis) to mean 0 and (regularized) unit variance."""
+    """Standardize each patch row (last axis) to mean 0 and (regularized) unit variance.
+
+    One mean, as sum / n, and one centred array serve both moments: the reduce
+    and divide that ndarray.mean and ndarray.var each run, bit for bit.
+    """
     if eps <= 0:
         raise ConfigError(f"eps must be positive, got {eps}")
-    mean = patches.mean(axis=-1, keepdims=True)
-    var = patches.var(axis=-1, keepdims=True)
-    return (patches - mean) / np.sqrt(var + eps)
+    n = patches.shape[-1]
+    centred = patches - patches.sum(axis=-1, keepdims=True) / n
+    var = (centred * centred).sum(axis=-1, keepdims=True) / n
+    return centred / np.sqrt(var + eps)

@@ -1,8 +1,9 @@
 """Masked-reconstruction MSE, cross-view InfoNCE alignment, and their gradients.
 
-Reconstruction takes the model's batch: (V, N, P) predictions and targets
-with the (V, n) masked indices of MaskPlan.batch_indices give a (V,) array,
-each entry bit-equal to its view's batch of one.
+Reconstruction takes the masked rows of the model's batch: (V, n_masked, P)
+predictions and targets, paired row by row, give a (V,) array, each entry
+bit-equal to its view's batch of one. training.ViewBatch.targets makes the
+target rows once per batch, standardized per patch when the config says so.
 
 Alignment is one contrastive term between two differently masked views of
 each image: InfoNCE over their normalized class vectors, anchored on the first
@@ -23,8 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import normalize_targets
-from .mask_sampling import MaskPlan
 
 
 @dataclass(frozen=True)
@@ -56,26 +55,22 @@ class LossBreakdown:
     total: float
 
 
-def recon_loss_and_grad(pred, target_patches: np.ndarray, masked: np.ndarray,
-                        cfg: LossConfig | None = None):
-    """Per-view masked MSE, (V,), and its gradient at the predictions (zero on visible rows)."""
-    if cfg is None:
-        cfg = LossConfig()
+def recon_loss_and_grad(pred, targets):
+    """Per-view MSE over the masked rows, (V,), and its gradient at the predictions.
+
+    pred and targets are (V, n_masked, P), the masked patches in plan order.
+    """
     p = np.asarray(pred, dtype=np.float64)
-    tgt = np.asarray(target_patches, dtype=np.float64)
-    if (p.shape != tgt.shape or p.ndim != 3 or masked.shape[:-1] != p.shape[:1]
-            or (masked.size and masked.max() >= p.shape[1])):
-        raise ConfigError(f"shapes {p.shape}, {tgt.shape} do not fit masked indices {masked.shape}")
-    d_pred = np.zeros_like(p)
-    if masked.shape[-1] == 0:
+    tgt = np.asarray(targets, dtype=np.float64)
+    if p.shape != tgt.shape or p.ndim != 3:
+        raise ConfigError(f"predictions {p.shape} and targets {tgt.shape} are not one "
+                          f"(V, n_masked, P) shape")
+    diff = p - tgt
+    if diff.shape[1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
-        return np.zeros(len(masked)), d_pred
-    rows = MaskPlan.view_rows(masked)
-    tgt = normalize_targets(tgt[rows]) if cfg.normalize_targets else tgt[rows]
-    diff = p[rows] - tgt
+        return np.zeros(len(diff)), diff
     value = np.mean(diff * diff, axis=(-2, -1))
-    d_pred[rows] = 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
-    return value, d_pred
+    return value, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
 
 
 def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Tiny plain-ViT masked autoencoder in numpy, with exact analytic gradients.
 
 The encoder runs over visible patches plus a class token; the decoder fills
-masked positions with a shared mask token and predicts all patch pixels.
+masked positions with a shared mask token, and its final norm and pixel head
+run only on the masked rows, the only ones the reconstruction loss reads.
 Every layer is built from four primitives, each with its own backward:
 linear, layernorm, attention and the GELU MLP. The optional projection head is
 the block MLP run on the class row. Everything is float64 and deterministic.
@@ -18,6 +19,13 @@ gradient vector the caller owns. Each gradient is formed per view (a stacked
 x^T @ dy in _linear_bwd, or a token-axis sum), then reduced with .sum(axis=0)
 in view order: bit-identical to adding the views one by one, which folding the view
 axis into one matrix product, or einsum, is not.
+
+Predictions come in plan order, (V, n_masked, P), so the loss pairs them with
+its targets row by row. backward gathers the head's and the final norm's
+rows back into raster order before reducing their gradients over the token
+axis: those sums then add the same nonzero terms in the same order as a head
+run over the full grid with zero seeds on the visible rows, so every gradient
+is bit-equal to it; summed in plan order they would differ in the last bits.
 """
 
 from __future__ import annotations
@@ -222,7 +230,12 @@ class ModelParams:
     @property
     def encoder_stop(self) -> int:
         """Length of the prefix of `flat` that encode reads: every group before dec_proj_w."""
-        return next(start for name, start, _, _ in _layout(self.cfg) if name == "dec_proj_w")
+        return _encoder_stop(self.cfg)
+
+
+@functools.lru_cache(maxsize=8)
+def _encoder_stop(cfg: ModelConfig) -> int:
+    return next(start for name, start, _, _ in _layout(cfg) if name == "dec_proj_w")
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
@@ -491,7 +504,11 @@ def encode(params: ModelParams, patches: np.ndarray, vis: np.ndarray,
 
 def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
            masked: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    """Project visible tokens, fill masked slots with the mask token; returns (V, N, P) pixels."""
+    """Project visible tokens, fill masked slots with the mask token, run the blocks.
+
+    Returns the pixel predictions of the masked patches only, (V, n_masked, P)
+    in the order of `masked`: the final norm and the head skip the visible rows.
+    """
     cfg = params.cfg
     if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
@@ -500,7 +517,7 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
     tokens[MaskPlan.view_rows(vis)] = _linear(visible_tokens, params, "dec_proj")
     x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
     y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
-    z, lnc = _layernorm_fwd(y, params, "dec_norm")
+    z, lnc = _layernorm_fwd(y[MaskPlan.view_rows(masked)], params, "dec_norm")
     if tape is not None:
         tape["dec"] = (block_tapes, lnc, z, visible_tokens, vis, masked)
     return _linear(z, params, "head")
@@ -508,7 +525,10 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
 
 def forward(params: ModelParams, patches: np.ndarray, vis: np.ndarray, masked: np.ndarray,
             tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Encode then decode a batch of views (see encode); returns (cls, predictions)."""
+    """Encode then decode a batch of views; returns (cls, masked-patch predictions).
+
+    See encode and decode for the shapes: (V, d) and (V, n_masked, P).
+    """
     cls, visible_tokens = encode(params, patches, vis, tape)
     return cls, decode(params, visible_tokens, vis, masked, tape)
 
@@ -517,7 +537,7 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
              d_cls: np.ndarray, grad: np.ndarray) -> None:
     """Add the exact gradients of the taped views into `grad` (laid out like params.flat).
 
-    d_pred is the loss gradient at the decoder predictions, d_cls at the
+    d_pred is the loss gradient at the masked-patch predictions, d_cls at the
     normalized class vectors, shaped like forward's outputs. Requires the tape
     recorded by forward. Each group receives one in-place addition per call.
     """
@@ -526,9 +546,14 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     enc_blocks, enc_ln, proj, cls, nrm = tape["enc"]
     dec_blocks, dec_ln, z, visible_tokens, vis, masked = tape["dec"]
 
-    # prediction head and decoder stack
-    dy = _layernorm_bwd(_linear_bwd(d_pred, z, params, "head", grads),
-                        params, "dec_norm", dec_ln, grads)
+    # prediction head and final norm on the masked rows, in raster order (see the
+    # module docstring), then the decoder stack, whose visible rows get no seed
+    raster = MaskPlan.view_rows(np.argsort(masked, axis=-1))
+    xhat, inv = dec_ln
+    dy_rows = _layernorm_bwd(_linear_bwd(d_pred[raster], z[raster], params, "head", grads),
+                             params, "dec_norm", (xhat[raster], inv[raster]), grads)
+    dy = np.zeros((len(masked), cfg.n_patches, cfg.decoder_dim))
+    dy[MaskPlan.view_rows(masked[raster])] = dy_rows
     dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads,
                          dec_blocks, dy, grads)
     if masked.shape[-1]:

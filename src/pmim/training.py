@@ -16,6 +16,7 @@ element runs only the decoder. A taped call neither reads nor writes the memo.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import json
 import logging
@@ -28,7 +29,7 @@ import numpy as np
 
 from . import data_io
 from .errors import ConfigError, NumericsError
-from .geometry import apply_crop, patchify, sample_crop, transform_keypoints
+from .geometry import apply_crop, normalize_targets, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
 from .mask_sampling import MaskPlan, SamplerConfig, part_guided_mask, random_mask
 from .model import ModelConfig, ModelParams, backward, decode, encode, forward, init_params
@@ -220,8 +221,9 @@ class ViewBatch:
     Holds the 2B views' patches stacked as one read-only (V, N, P) array laid
     out a0, b0, a1, b1, ..., the (V, n) indices of MaskPlan.batch_indices
     (every view must hide the same number of patches) and the item count.
-    `memo` keeps the last untaped encoder result: the class vectors, the
-    visible tokens and the alignment value, keyed on the bytes of
+    targets(loss_cfg) makes the reconstruction targets once per setting of
+    normalize_targets. `memo` keeps the last untaped encoder result: the class
+    vectors, the visible tokens and the alignment value, keyed on the bytes of
     params.flat[:encoder_stop] (so 0.0 and -0.0, or two NaN payloads, never
     alias) and on the model and loss configs.
     """
@@ -235,6 +237,20 @@ class ViewBatch:
         plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
         self.vis, self.masked = MaskPlan.batch_indices(plans, grid)
         self.memo = None
+        self._targets = {}
+
+    def targets(self, loss_cfg: LossConfig) -> np.ndarray:
+        """The masked patches' pixels, (V, n_masked, P) in plan order, read-only.
+
+        Each row is standardized when loss_cfg.normalize_targets is set.
+        """
+        normalize = loss_cfg.normalize_targets
+        if normalize not in self._targets:
+            rows = self.patches[MaskPlan.view_rows(self.masked)]
+            rows = normalize_targets(rows) if normalize else rows
+            rows.flags.writeable = False
+            self._targets[normalize] = rows
+        return self._targets[normalize]
 
     def encoded(self, params: ModelParams, loss_cfg: LossConfig):
         """(cls, visible tokens, align) of an untaped pass; encodes only when the memo misses."""
@@ -260,7 +276,7 @@ def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
         pred = decode(params, visible_tokens, batch.vis, batch.masked)
     else:
         cls, pred = forward(params, batch.patches, batch.vis, batch.masked, tape)
-    recon_views, d_pred = recon_loss_and_grad(pred, batch.patches, batch.masked, loss_cfg)
+    recon_views, d_pred = recon_loss_and_grad(pred, batch.targets(loss_cfg))
     recon_sum = 0.0
     for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
         recon_sum += pair
@@ -318,6 +334,31 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
     return params, opt, breakdown
 
 
+_M_TOP_PAD = -2  # glibc <malloc.h>
+_HEAP_TOP_PAD = 64 << 20
+
+
+def _pad_heap_top() -> None:
+    """Have glibc malloc keep _HEAP_TOP_PAD bytes spare above the top of its heap.
+
+    Without it, malloc hands the top of the heap back to the kernel when a
+    step frees its tape, and the next step faults those pages in again: about
+    a thousand minor faults per default step. Pad pages that are never touched
+    cost no memory. The setting is process-wide, so run_pretrain makes it, not
+    the import. Off glibc, or when ctypes cannot reach the C library, it does
+    nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION").startswith("glibc"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
+
+
 def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
                  out_dir: str | None = None, resume_from: str | None = None,
                  timer=None):
@@ -328,12 +369,14 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     epochs, and a final checkpoint.bin. resume_from restarts at the
     checkpoint's epoch boundary and replays the original trajectory exactly;
     rows of an existing out_dir/metrics.jsonl up to the checkpoint step are
-    rewritten first, so the log holds the whole history.
+    rewritten first, so the log holds the whole history. Under glibc it also
+    sets the process's malloc top pad (see _pad_heap_top).
     """
     if not len(manifest):
         raise ConfigError("manifest is empty")
     rcfg, steps_per_epoch = resolve_schedule(cfg, len(manifest))
     timer = timer if timer is not None else time.perf_counter
+    _pad_heap_top()
 
     if resume_from is not None:
         params, opt, step0 = data_io.load_checkpoint(resume_from)

@@ -300,6 +300,16 @@ def test_normalize_targets_moments(seed):
     assert (v >= 1.0 - 1e-4).all()  # shrinkage from the variance floor only
 
 
+def test_normalize_targets_matches_the_two_moment_formula():
+    # the separate .mean and .var form, kept as the oracle: one sum / n mean and
+    # one centred array must give the same bits on a default step's target batch
+    rng = np.random.default_rng(16)
+    for patches in (rng.random((16, 16, 192)), rng.normal(3.0, 50.0, (16, 16, 192))):
+        mean = patches.mean(axis=-1, keepdims=True)
+        var = patches.var(axis=-1, keepdims=True)
+        assert np.array_equal(normalize_targets(patches), (patches - mean) / np.sqrt(var + 1e-6))
+
+
 def test_normalize_targets_constant_patch_is_zero():
     out = normalize_targets(np.full((2, 12), 0.37))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)

@@ -17,6 +17,7 @@ from pmim.losses import (
     total_loss,
 )
 from pmim.mask_sampling import MaskPlan
+from pmim.training import ViewBatch
 
 
 def unit_rows(rng, b, dim=8):
@@ -42,63 +43,63 @@ def test_loss_config_validation():
 
 def test_recon_constant_offset():
     rng = np.random.default_rng(0)
-    tgt = rng.random((1, 4, 48))
-    pred = tgt + 0.5
-    cfg = LossConfig(normalize_targets=False)
-    value = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), cfg)[0][0]
+    tgt = rng.random((1, 2, 48))
+    value = recon_loss_and_grad(tgt + 0.5, tgt)[0][0]
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
 def test_recon_ignores_visible_rows():
+    # The targets are the masked rows alone, so visible pixels cannot register.
     rng = np.random.default_rng(1)
-    tgt = rng.random((1, 4, 48))
-    pred = tgt.copy()
-    pred[0, 1] += 100.0  # visible row, must not register
-    pred[0, 2] -= 100.0
+    patches = rng.random((4, 48))
+    tampered = patches.copy()
+    tampered[[1, 2]] += 100.0  # the visible rows of plan_2x2
+    plan = plan_2x2()
     cfg = LossConfig(normalize_targets=False)
-    values, grad = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), cfg)
-    assert values[0] == 0.0
-    assert not grad.any()
+    tgt = ViewBatch([(patches, plan, patches, plan)], plan.grid).targets(cfg)
+    assert np.array_equal(tgt, patches[None, [0, 3]].repeat(2, axis=0))
+    moved = ViewBatch([(tampered, plan, tampered, plan)], plan.grid).targets(cfg)
+    assert np.array_equal(moved, tgt)
+    values, grad = recon_loss_and_grad(tgt, moved)
+    assert not values.any() and not grad.any()
 
 
 def test_recon_normalized_targets_zero_at_match():
     rng = np.random.default_rng(2)
-    tgt = rng.random((1, 4, 48))
-    pred = normalize_targets(tgt)
-    value = recon_loss_and_grad(pred, tgt, masked_of(plan_2x2()), LossConfig())[0][0]
+    patches = rng.random((4, 48))
+    plan = plan_2x2()
+    tgt = ViewBatch([(patches, plan, patches, plan)], plan.grid).targets(LossConfig())
+    pred = normalize_targets(patches[[0, 3]])[None].repeat(2, axis=0)
+    value = recon_loss_and_grad(pred, tgt)[0][0]
     assert value == pytest.approx(0.0, abs=1e-24)
 
 
 def test_recon_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
-    tgt = rng.random((1, 4, 48))
-    pred = rng.random((1, 4, 48))
-    masked = masked_of(plan_2x2())
-    cfg = LossConfig()
-    _, grad = recon_loss_and_grad(pred, tgt, masked, cfg)
+    tgt = rng.random((1, 2, 48))
+    pred = rng.random((1, 2, 48))
+    _, grad = recon_loss_and_grad(pred, tgt)
     delta = rng.normal(size=pred.shape)
     h = 1e-6
-    fd = (recon_loss_and_grad(pred + h * delta, tgt, masked, cfg)[0][0]
-          - recon_loss_and_grad(pred - h * delta, tgt, masked, cfg)[0][0]) / (2 * h)
+    fd = (recon_loss_and_grad(pred + h * delta, tgt)[0][0]
+          - recon_loss_and_grad(pred - h * delta, tgt)[0][0]) / (2 * h)
     assert float((grad * delta).sum()) == pytest.approx(fd, rel=1e-7)
-    vis = [1, 2]
-    assert not grad[0, vis].any()
+    assert np.array_equal(grad, 2.0 * (pred - tgt) / (2 * 48))
 
 
 def test_recon_empty_mask_warns():
-    grid = make_patch_grid(8, 8, 4)
-    masked = masked_of(MaskPlan(grid, 0, [], []))
     with pytest.warns(RuntimeWarning):
-        values, grad = recon_loss_and_grad(np.ones((1, 4, 48)), np.zeros((1, 4, 48)), masked)
-    assert values[0] == 0.0 and not grad.any()
+        values, grad = recon_loss_and_grad(np.ones((1, 0, 48)), np.zeros((1, 0, 48)))
+    assert values[0] == 0.0 and grad.shape == (1, 0, 48)
 
 
 def test_recon_shape_checks():
-    masked = masked_of(plan_2x2())
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((1, 4, 48)), np.zeros((1, 4, 47)), masked)
+        recon_loss_and_grad(np.zeros((1, 2, 48)), np.zeros((1, 2, 47)))
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((1, 3, 48)), np.zeros((1, 3, 48)), masked)
+        recon_loss_and_grad(np.zeros((1, 3, 48)), np.zeros((1, 2, 48)))
+    with pytest.raises(ConfigError):
+        recon_loss_and_grad(np.zeros((2, 48)), np.zeros((2, 48)))
 
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
@@ -106,14 +107,20 @@ def test_recon_batch_matches_batches_of_one(normalize):
     rng = np.random.default_rng(4)
     grid = make_patch_grid(8, 8, 4)
     plans = [MaskPlan(grid, 2, list(rng.permutation(4)[:2]), ["fill", "fill"])
-             for _ in range(3)]
-    pred = rng.random((3, 4, 48))
-    tgt = rng.random((3, 4, 48))
+             for _ in range(4)]
+    patches = rng.random((4, 4, 48))
+    batch = ViewBatch([(patches[v], plans[v], patches[v + 1], plans[v + 1]) for v in (0, 2)],
+                      grid)
     cfg = LossConfig(normalize_targets=normalize)
-    values, grads = recon_loss_and_grad(pred, tgt, masked_of(*plans), cfg)
-    assert values.shape == (3,)
+    tgt = batch.targets(cfg)
+    assert tgt is batch.targets(cfg)  # made once per batch
+    pred = rng.random(tgt.shape)
+    values, grads = recon_loss_and_grad(pred, tgt)
+    assert values.shape == (4,)
     for v, plan in enumerate(plans):
-        value, grad = recon_loss_and_grad(pred[v:v + 1], tgt[v:v + 1], masked_of(plan), cfg)
+        one = patches[v][plan.masked][None]
+        value, grad = recon_loss_and_grad(pred[v:v + 1],
+                                          normalize_targets(one) if normalize else one)
         assert values[v] == value[0]
         assert np.array_equal(grads[v], grad[0])
 
@@ -122,15 +129,13 @@ def test_recon_view_axis_checks():
     grid = make_patch_grid(8, 8, 4)
     ragged = [plan_2x2(), MaskPlan(grid, 1, [2], ["fill"])]
     with pytest.raises(ConfigError, match="one number of patches"):
-        recon_loss_and_grad(np.zeros((2, 4, 48)), np.zeros((2, 4, 48)), masked_of(*ragged))
+        masked_of(*ragged)
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((3, 4, 48)), np.zeros((3, 4, 48)),
-                            masked_of(*[plan_2x2()] * 2))
-    empty = masked_of(*[MaskPlan(grid, 0, [], [])] * 3)
+        recon_loss_and_grad(np.zeros((3, 2, 48)), np.zeros((2, 2, 48)))
     with pytest.warns(RuntimeWarning) as caught:
-        values, grads = recon_loss_and_grad(np.ones((3, 4, 48)), np.zeros((3, 4, 48)), empty)
+        values, grads = recon_loss_and_grad(np.ones((3, 0, 48)), np.zeros((3, 0, 48)))
     assert len(caught) == 1
-    assert np.array_equal(values, np.zeros(3)) and not grads.any()
+    assert np.array_equal(values, np.zeros(3)) and grads.shape == (3, 0, 48)
 
 
 def test_align_orthogonal_negatives():

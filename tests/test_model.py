@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from pmim import model
 from pmim.errors import ConfigError, NumericsError
 from pmim.geometry import PatchGrid, make_patch_grid
 from pmim.mask_sampling import MaskPlan, random_mask
@@ -62,6 +63,15 @@ def test_param_shapes_layout():
     with_head = [n for n, _, _ in param_shapes(ModelConfig(proj_head=True))]
     i = with_head.index("enc_norm_b")
     assert with_head[i + 1:i + 5] == ["proj1_w", "proj1_b", "proj2_w", "proj2_b"]
+
+
+def test_encoder_stop_is_found_once_per_config():
+    params = init_params(np.random.default_rng(0), TINY)
+    stop = params.encoder_stop
+    assert stop == params.views(np.arange(params.n_params))["dec_proj_w"].flat[0]
+    misses = model._encoder_stop.cache_info().misses
+    assert params.copy().encoder_stop == stop  # another instance, the same config
+    assert model._encoder_stop.cache_info().misses == misses
 
 
 def test_config_validation():
@@ -217,12 +227,16 @@ def test_encoder_token_order_equivariant():
 
 
 def test_decoder_fills_every_patch():
+    # every masked patch gets a prediction, in plan order; visible ones get none
     params, patches, plan = tiny_setup(seed=5)
     vis, masked = indices(plan)
     _, tokens = encode(params, patches, vis)
     pred = decode(params, tokens, vis, masked)
-    assert pred.shape == (1, TINY.n_patches, TINY.patch_dim)
+    assert pred.shape == (1, plan.n_masked, TINY.patch_dim)
     assert np.isfinite(pred).all()
+    flipped = MaskPlan(plan.grid, plan.n_masked, plan.masked[::-1], plan.provenance[::-1])
+    vis_f, masked_f = indices(flipped)
+    assert np.array_equal(decode(params, tokens, vis_f, masked_f), pred[:, ::-1])
 
 
 def test_decode_rejects_wrong_token_count():
@@ -239,7 +253,7 @@ def test_backward_zero_pred_seed_leaves_decoder_untouched():
     forward(params, patches, *indices(plan), tape)
     u = np.random.default_rng(1).normal(size=(1, 8))
     grad = np.zeros(params.n_params)
-    backward(params, tape, np.zeros((1, 4, 48)), u, grad)
+    backward(params, tape, np.zeros((1, plan.n_masked, 48)), u, grad)
     grads = params.views(grad)
     for name in ("head_w", "head_b", "dec_proj_w", "mask_token", "dec_norm_g"):
         assert not grads[name].any()
@@ -250,17 +264,14 @@ def test_backward_zero_pred_seed_leaves_decoder_untouched():
 def test_backward_directional_derivative():
     params, patches, plan = tiny_setup(seed=11)
     rng = np.random.default_rng(2)
-    w_pred = rng.normal(size=(len(plan.masked), TINY.patch_dim))
+    w_pred = rng.normal(size=(1, plan.n_masked, TINY.patch_dim))
     u = rng.normal(size=8)
-    m = np.asarray(plan.masked)
     vis, masked = indices(plan)
 
     tape = {}
-    _, pred = forward(params, patches, vis, masked, tape)
-    d_pred = np.zeros_like(pred)
-    d_pred[0, m] = w_pred
+    forward(params, patches, vis, masked, tape)
     grad = np.zeros(params.n_params)
-    backward(params, tape, d_pred, u[None], grad)
+    backward(params, tape, w_pred, u[None], grad)
 
     delta = rng.normal(size=params.n_params)
     analytic = float(grad @ delta)
@@ -268,7 +279,7 @@ def test_backward_directional_derivative():
     def value(t):
         moved = params.views(params.flat + t * delta)
         cls, pred = forward(ModelParams(TINY, moved), patches, vis, masked)
-        return float((pred[0, m] * w_pred).sum() + cls[0] @ u)
+        return float((pred * w_pred).sum() + cls[0] @ u)
 
     h = 1e-6
     fd = (value(h) - value(-h)) / (2 * h)

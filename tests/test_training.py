@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import os
+import platform
 import warnings
 
 import numpy as np
@@ -367,6 +368,31 @@ def test_pretrain_writes_artifacts(tmp_path, disk_dataset):
                  "metrics.jsonl"):
         assert os.path.exists(os.path.join(out, name)), name
     assert MetricsLog.read(os.path.join(out, "metrics.jsonl")).records == log.records
+
+
+def test_pretrain_without_a_reachable_c_library(tmp_path, disk_dataset, monkeypatch):
+    # The malloc top pad is a side effect on placement only: when ctypes cannot
+    # reach the C library, run_pretrain goes on and writes the same bytes.
+    cfg = run_cfg()
+    frozen = lambda: 0.0
+    run_pretrain(cfg, disk_dataset, out_dir=str(tmp_path / "padded"), timer=frozen)
+    calls = []
+
+    def unreachable(name):
+        calls.append(name)
+        raise OSError("no C library")
+
+    monkeypatch.setattr(training.ctypes, "CDLL", unreachable)
+    run_pretrain(cfg, disk_dataset, out_dir=str(tmp_path / "plain"), timer=frozen)
+    if platform.libc_ver()[0] == "glibc":
+        assert calls == [None]  # one lookup per run, none at import
+    monkeypatch.setattr(training.os, "confstr", lambda name: None)  # not glibc
+    run_pretrain(cfg, disk_dataset, out_dir=str(tmp_path / "other"), timer=frozen)
+    assert len(calls) <= 1  # off glibc, ctypes is never asked
+    for out in ("plain", "other"):
+        for name in ("checkpoint.bin", "checkpoint_ep1.bin", "metrics.jsonl"):
+            assert ((tmp_path / "padded" / name).read_bytes()
+                    == (tmp_path / out / name).read_bytes()), (out, name)
 
 
 def test_pretrain_is_deterministic(disk_dataset):
