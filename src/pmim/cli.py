@@ -4,7 +4,7 @@ Subcommands: pretrain, mask-plan, visualize, stats, attn-map, grad-check.
 Configuration comes from an optional JSON file plus repeatable --set
 KEY=VALUE overrides (dotted paths, e.g. loss.align_weight=0; the shorthands
 gamma, beta, tau and lr expand to the usual fields). Exit codes: 0 success,
-2 usage or config error, 3 numerical failure.
+2 usage, config or output error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import data_io
 from .errors import ConfigError, NumericsError
-from .geometry import (CropParams, ImageBuffer, KeypointSet, apply_crop, patchify,
+from .geometry import (TARGET_EPS, CropParams, ImageBuffer, KeypointSet, apply_crop, patchify,
                        transform_keypoints, unpatchify)
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
@@ -207,8 +207,10 @@ def _paste_reconstruction(patches: np.ndarray, vis: np.ndarray, masked: np.ndarr
     rows = pred[0]  # the masked patches, in the plan's order
     if loss.normalize_targets:  # undo the per-patch standardization of the targets
         target = patches[m]
-        mean = target.mean(axis=-1, keepdims=True)
-        std = np.sqrt(target.var(axis=-1, keepdims=True) + 1e-6)
+        n = target.shape[-1]
+        mean = target.sum(axis=-1, keepdims=True) / n
+        centred = target - mean
+        std = np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + TARGET_EPS)
         rows = rows * std + mean
     out = patches.copy()
     out[m] = np.clip(rows, 0.0, 1.0)
@@ -346,31 +348,33 @@ def make_parser() -> argparse.ArgumentParser:
                         help="global seed; overrides any configured train.seed")
     common.add_argument("--set", dest="overrides", action="append", default=[],
                         metavar="KEY=VALUE", help="config override, repeatable")
-    common.add_argument("--out", metavar="PATH", help="output file or directory")
 
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("pretrain", parents=[common], help="run pre-training")
     p.add_argument("--manifest", metavar="PATH")
     p.add_argument("--resume", metavar="CKPT", help="continue from a checkpoint")
+    p.add_argument("--out", metavar="DIR", help="run directory (default: run)")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("mask-plan", parents=[common],
                        help="emit two mask plans per sample")
     p.add_argument("--manifest", metavar="PATH")
     p.add_argument("--strategy", choices=("part", "random"), default="part")
+    p.add_argument("--out", metavar="FILE", help="plan file (default: plans.jsonl)")
     p.set_defaults(func=cmd_mask_plan)
 
     p = sub.add_parser("visualize", parents=[common],
                        help="triptychs: original / masked / reconstruction")
     p.add_argument("--manifest", metavar="PATH")
-    p.add_argument("--plans", required=True, metavar="PATH")
+    p.add_argument("--plans", required=True, metavar="FILE")
     p.add_argument("--checkpoint", metavar="CKPT")
+    p.add_argument("--out", metavar="DIR", help="triptych directory (default: viz)")
     p.set_defaults(func=cmd_visualize)
 
     p = sub.add_parser("stats", parents=[common], help="mask/part-region statistics")
     p.add_argument("--manifest", metavar="PATH")
-    p.add_argument("--plans", action="append", required=True, metavar="PATH")
+    p.add_argument("--plans", action="append", required=True, metavar="FILE")
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("attn-map", parents=[common],
@@ -379,6 +383,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True, metavar="CKPT")
     p.add_argument("--id", required=True, help="sample id")
     p.add_argument("--query", type=int, required=True, help="query patch index")
+    p.add_argument("--out", metavar="DIR", help="heat map directory (default: attn)")
     p.set_defaults(func=cmd_attn_map)
 
     p = sub.add_parser("grad-check", parents=[common],
@@ -398,7 +403,7 @@ def entry(argv=None) -> int:
         return args.func(args)
     except SystemExit as e:  # argparse errors already printed a message
         return int(e.code or 0)
-    except ConfigError as e:
+    except (ConfigError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
         return 2
     except NumericsError as e:

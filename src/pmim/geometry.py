@@ -46,6 +46,9 @@ COCO_FLIP_PERM = tuple(
     for i, n in enumerate(COCO_KEYPOINT_NAMES)
 )
 
+# Added to each patch's variance when reconstruction targets are standardized.
+TARGET_EPS = 1e-6
+
 
 @dataclass
 class ImageBuffer:
@@ -260,15 +263,13 @@ def unpatchify(patches: np.ndarray, grid: PatchGrid) -> ImageBuffer:
     return ImageBuffer(x.reshape(grid.image_h, grid.image_w, 3).copy())
 
 
-def normalize_targets(patches: np.ndarray, eps: float = 1e-6) -> np.ndarray:
-    """Standardize each patch row (last axis) to mean 0 and (regularized) unit variance.
+def normalize_targets(patches: np.ndarray) -> np.ndarray:
+    """Standardize each patch row (last axis) to mean 0 and variance 1, regularized by TARGET_EPS.
 
     One mean, as sum / n, and one centred array serve both moments: the reduce
     and divide that ndarray.mean and ndarray.var each run, bit for bit.
     """
-    if eps <= 0:
-        raise ConfigError(f"eps must be positive, got {eps}")
     n = patches.shape[-1]
     centred = patches - patches.sum(axis=-1, keepdims=True) / n
     var = (centred * centred).sum(axis=-1, keepdims=True) / n
-    return centred / np.sqrt(var + eps)
+    return centred / np.sqrt(var + TARGET_EPS)

@@ -69,8 +69,8 @@ def recon_loss_and_grad(pred, targets):
     if diff.shape[1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
         return np.zeros(len(diff)), diff
-    value = np.mean(diff * diff, axis=(-2, -1))
-    return value, 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
+    n = diff.shape[-2] * diff.shape[-1]
+    return (diff * diff).sum(axis=(-2, -1)) / n, 2.0 * diff / n
 
 
 def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:
@@ -111,7 +111,7 @@ def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
     e = np.exp(s - m)
     denom = e.sum(axis=1, keepdims=True)
     lse = (m + np.log(denom))[:, 0]
-    value = float(np.mean(lse - pos))
+    value = float((lse - pos).sum() / b)
     p = e / denom  # softmax rows
     ds = (p - np.eye(b)) / (b * tau)
     return value, ds @ z_tilde, ds.T @ z

@@ -21,8 +21,6 @@ from .geometry import KEYPOINT_INDEX, KeypointSet, PatchGrid
 # The six part labels, fixed order (used for reproducible selection draws).
 PART_IDS = ("head", "upper_body", "left_arm", "right_arm", "left_leg", "right_leg")
 
-PartId = str
-
 # Keypoint pairs spanning each part's boxes. 15 pairs total.
 PART_KEYPOINT_PAIRS = {
     "head": (
@@ -53,26 +51,6 @@ PART_KEYPOINT_PAIRS = {
         ("right_knee", "right_ankle"),
     ),
 }
-
-
-@dataclass(frozen=True)
-class PartSelection:
-    """Distinct parts in draw order."""
-
-    parts: tuple[PartId, ...]
-
-    def __post_init__(self):
-        if len(set(self.parts)) != len(self.parts):
-            raise ConfigError(f"duplicate parts in selection: {self.parts}")
-        for p in self.parts:
-            if p not in PART_IDS:
-                raise ConfigError(f"unknown part id {p!r}")
-
-    def __iter__(self):
-        return iter(self.parts)
-
-    def __len__(self):
-        return len(self.parts)
 
 
 @dataclass(frozen=True)
@@ -154,9 +132,8 @@ class MaskPlan:
 class BlockFillResult:
     """Outcome of blockwise_fill, with enough bookkeeping to audit the draws."""
 
-    indices: list[int]
-    new_indices: list[int]
-    new_tags: list[str]  # "block" | "fill", aligned with new_indices
+    indices: list[int]  # the existing indices, then the new ones
+    new_tags: list[str]  # "block" | "fill", aligned with indices[len(existing):]
     rects: list[tuple[int, int, int, int]] = field(default_factory=list)  # (r0, c0, h, w)
 
 
@@ -169,13 +146,13 @@ def num_masked(beta: float, n_patches: int) -> int:
     return math.floor(beta * n_patches)
 
 
-def part_keypoint_pairs(part: PartId) -> tuple[tuple[str, str], ...]:
+def part_keypoint_pairs(part: str) -> tuple[tuple[str, str], ...]:
     if part not in PART_KEYPOINT_PAIRS:
         raise ConfigError(f"unknown part id {part!r}")
     return PART_KEYPOINT_PAIRS[part]
 
 
-def part_patches(kps: KeypointSet, part: PartId, grid: PatchGrid,
+def part_patches(kps: KeypointSet, part: str, grid: PatchGrid,
                  conf_threshold: float = 0.2) -> set[int]:
     """Patches touched by any keypoint-pair box of a part.
 
@@ -211,7 +188,7 @@ def all_part_patches(kps: KeypointSet, grid: PatchGrid,
     return out
 
 
-def select_parts(rng: np.random.Generator) -> PartSelection:
+def select_parts(rng: np.random.Generator) -> tuple[str, ...]:
     """Draw P ~ unif{0..6} parts, then a uniform ordered P-subset.
 
     Consumes exactly two draws: one integer for the count, one permutation
@@ -219,7 +196,7 @@ def select_parts(rng: np.random.Generator) -> PartSelection:
     """
     count = int(rng.integers(0, len(PART_IDS) + 1))
     order = rng.permutation(len(PART_IDS))
-    return PartSelection(tuple(PART_IDS[i] for i in order[:count]))
+    return tuple(PART_IDS[i] for i in order[:count])
 
 
 def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int],
@@ -272,7 +249,6 @@ def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
     if target > grid.n_patches:
         raise ConfigError(f"target {target} exceeds {grid.n_patches} patches")
 
-    new_indices: list[int] = []
     new_tags: list[str] = []
     rects: list[tuple[int, int, int, int]] = []
     need = target - len(indices)
@@ -284,72 +260,50 @@ def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
             continue
         new, rect = drawn
         rects.append(rect)
-        for i in new:
-            have.add(i)
-            new_indices.append(i)
-            new_tags.append("block")
+        have.update(new)
+        indices += new
+        new_tags += ["block"] * len(new)
         need -= len(new)
 
     if need > 0:
         free = np.array(sorted(set(range(grid.n_patches)) - have), dtype=np.intp)
-        picked = rng.choice(free, size=need, replace=False)
-        for i in picked:
-            new_indices.append(int(i))
-            new_tags.append("fill")
+        indices += [int(i) for i in rng.choice(free, size=need, replace=False)]
+        new_tags += ["fill"] * need
 
-    return BlockFillResult(indices + new_indices, new_indices, new_tags, rects)
+    return BlockFillResult(indices, new_tags, rects)
 
 
 def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid,
                      cfg: SamplerConfig | None = None) -> MaskPlan:
     """Mask exactly floor(beta * N) patches, guided by body-part regions.
 
-    Selected parts accumulate a patch union in draw order. With N_p patches
-    in the union and a budget of N_m, two cases apply: a union within budget
-    is completed by blockwise_fill (which draws nothing when N_p == N_m); an
-    oversized union keeps whole parts in selection order and takes a uniform
-    random subset of the first part that would overflow, dropping the rest.
+    One budget loop over the selected parts, in draw order: each part adds
+    its not-yet-masked patches in sorted order, and the first part that would
+    overflow the budget N_m adds a uniform random subset of what still fits,
+    ending the loop. blockwise_fill then completes the set to N_m; it draws
+    nothing when the set is already full.
 
-    Random draws, in order: select_parts, then either the blockwise_fill
-    draws (within budget) or one subset draw over the overflowing part's new
-    patches (oversized).
+    Random draws, in order: select_parts, the subset draw (only when a part
+    overflows), then the blockwise_fill draws.
     """
     if cfg is None:
         cfg = SamplerConfig()
     n_m = num_masked(cfg.masking_ratio, grid.n_patches)
-    selection = select_parts(rng)
-
-    seen: set[int] = set()
-    per_part_new: list[tuple[PartId, list[int]]] = []
-    for part in selection:
-        patches = part_patches(kps, part, grid, cfg.keypoint_conf_threshold)
-        new = sorted(patches - seen)
-        seen.update(new)
-        per_part_new.append((part, new))
-    n_p = len(seen)
-
     masked: list[int] = []
     provenance: list[str] = []
-    if n_p <= n_m:
-        for part, new in per_part_new:
-            masked.extend(new)
-            provenance.extend([part] * len(new))
-        fill = blockwise_fill(rng, grid, masked, n_m, cfg)
-        masked = fill.indices
-        provenance.extend(fill.new_tags)
-    else:
-        for part, new in per_part_new:
-            if len(masked) + len(new) <= n_m:
-                masked.extend(new)
-                provenance.extend([part] * len(new))
-                continue
-            k = n_m - len(masked)
-            picked = rng.choice(np.array(new, dtype=np.intp), size=k, replace=False)
-            masked.extend(int(i) for i in picked)
-            provenance.extend([part] * k)
+    for part in select_parts(rng):
+        region = part_patches(kps, part, grid, cfg.keypoint_conf_threshold)
+        new = sorted(region.difference(masked))
+        room = n_m - len(masked)
+        if len(new) > room:
+            picked = rng.choice(np.array(new, dtype=np.intp), size=room, replace=False)
+            masked += [int(i) for i in picked]
+            provenance += [part] * room
             break
-
-    return MaskPlan(grid, n_m, masked, provenance)
+        masked += new
+        provenance += [part] * len(new)
+    fill = blockwise_fill(rng, grid, masked, n_m, cfg)
+    return MaskPlan(grid, n_m, fill.indices, provenance + fill.new_tags)
 
 
 def random_mask(rng: np.random.Generator, grid: PatchGrid, target: int) -> MaskPlan:

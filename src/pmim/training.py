@@ -191,11 +191,10 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
                 cfg: TrainConfig, root: str = "."):
-    """One augmentation, two part-guided masks.
+    """One augmentation and two part-guided masks: (patches_a, plan_a, patches_b, plan_b).
 
-    Returns ((patches, keypoints, plan_a), (patches, keypoints, plan_b)).
-    Draw order: crop, plan_a, plan_b; with independent_crops, crop_a,
-    plan_a, crop_b, plan_b.
+    That tuple is the item a ViewBatch takes. Draw order: crop, plan_a,
+    plan_b; with independent_crops, crop_a, plan_a, crop_b, plan_b.
     """
     grid = cfg.model.grid
     out_h, out_w = grid.image_h, grid.image_w
@@ -212,7 +211,7 @@ def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
     plan_a = part_guided_mask(rng, kps_a, grid, scfg)
     patches_b, kps_b = one_view(image) if cfg.independent_crops else (patches_a, kps_a)
     plan_b = part_guided_mask(rng, kps_b, grid, scfg)
-    return (patches_a, kps_a, plan_a), (patches_b, kps_b, plan_b)
+    return patches_a, plan_a, patches_b, plan_b
 
 
 class ViewBatch:
@@ -301,25 +300,22 @@ def batch_backward(params: ModelParams, tape: dict) -> np.ndarray:
 
 
 def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConfig,
-               rngs, root: str = "."):
-    """One optimizer step over a batch of manifest records.
+               rngs, root: str = ".") -> tuple[float, LossBreakdown]:
+    """One optimizer step over a batch of manifest records; returns (lr, loss breakdown).
 
-    rngs is one generator per record (or a single shared one); unreadable
-    records are skipped with a log line. Requires a resolved schedule.
+    rngs is one generator per record; unreadable records are skipped with a
+    log line. params and opt are updated in place. Requires a resolved schedule.
     """
-    if isinstance(rngs, np.random.Generator):
-        rngs = [rngs] * len(records)
     if len(rngs) != len(records):
         raise ConfigError(f"{len(rngs)} generators for {len(records)} records")
     views = []
     used = []
     for record, rng in zip(records, rngs):
         try:
-            va, vb = build_views(rng, record, cfg, root)
+            views.append(build_views(rng, record, cfg, root))
         except ConfigError as e:
             logger.warning("skipping sample %s: %s", record.sample_id, e)
             continue
-        views.append((va[0], va[2], vb[0], vb[2]))
         used.append(record.sample_id)
     if not views:
         raise ConfigError(f"no loadable record in batch {[r.sample_id for r in records]}")
@@ -331,7 +327,7 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
             f"non-finite loss {breakdown} at step {opt.step + 1}; batch ids {used}")
     lr = lr_at(opt.step, cfg)
     adamw_update(params, batch_backward(params, tape), opt, lr, cfg.weight_decay)
-    return params, opt, breakdown
+    return lr, breakdown
 
 
 _M_TOP_PAD = -2  # glibc <malloc.h>
@@ -417,10 +413,9 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
             rngs = [np.random.default_rng(
                 np.random.SeedSequence([rcfg.seed, _SEED_SAMPLE, epoch, int(i)]))
                 for i in idxs]
-            lr_used = lr_at(opt.step, rcfg)
             t0 = timer()
-            params, opt, lb = train_step(params, opt, records, rcfg, rngs, manifest.root)
-            log.append(opt.step, lr_used, lb.recon, lb.align, lb.total, timer() - t0)
+            lr, lb = train_step(params, opt, records, rcfg, rngs, manifest.root)
+            log.append(opt.step, lr, lb.recon, lb.align, lb.total, timer() - t0)
             if out_dir is not None:
                 with open(metrics_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(log.records[-1]) + "\n")

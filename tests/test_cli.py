@@ -189,6 +189,30 @@ def test_stats_rejects_plans_for_another_grid(tmp_path, manifest_path):
     assert f"{short}: plans for a 4x4 grid, the model grid is 8x4" in err, err
 
 
+@pytest.mark.parametrize("command", ["mask-plan", "pretrain", "visualize"])
+def test_unwritable_output_exits_2(tmp_path, manifest_path, command):
+    plans = str(tmp_path / "plans.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", plans])[0] == 0
+    blocker = tmp_path / "a_file"
+    blocker.write_text("")
+    out, extra = {
+        "mask-plan": (tmp_path / "missing" / "plans.jsonl", []),
+        "pretrain": (blocker / "run", [*MICRO_SET, "--set", "train.batch_size=3"]),
+        "visualize": (blocker / "viz", ["--plans", plans]),
+    }[command]
+    code, stdout, err = run_cli([command, "--manifest", manifest_path, "--out", str(out), *extra])
+    assert code == 2 and stdout == "", (code, stdout)
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(out) in err, err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("argv", [["stats", "--plans", "p.jsonl"], ["grad-check"]])
+def test_out_is_refused_where_nothing_is_written(argv):
+    code, stdout, err = run_cli([*argv, "--out", "out.json"])
+    assert code == 2 and stdout == ""
+    assert "unrecognized arguments: --out out.json" in err, err
+
+
 def _off_frame_manifest(tmp_path):
     """Two records whose images are not the 64x32 model frame: a 128x64 P6 and a 32x16 P5."""
     root = tmp_path / "off_frame"

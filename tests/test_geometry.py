@@ -313,8 +313,3 @@ def test_normalize_targets_matches_the_two_moment_formula():
 def test_normalize_targets_constant_patch_is_zero():
     out = normalize_targets(np.full((2, 12), 0.37))
     np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_normalize_targets_rejects_bad_eps():
-    with pytest.raises(ConfigError):
-        normalize_targets(np.zeros((1, 4)), eps=0.0)

@@ -87,6 +87,19 @@ def test_recon_gradient_matches_finite_differences():
     assert np.array_equal(grad, 2.0 * (pred - tgt) / (2 * 48))
 
 
+def test_loss_values_equal_the_np_mean_reductions():
+    # Both losses reduce as sum / n, which is the reduce and divide np.mean runs, bit for bit.
+    rng = np.random.default_rng(8)
+    pred, tgt = rng.random((4, 2, 192)), rng.random((4, 2, 192))
+    diff = pred - tgt
+    assert np.array_equal(recon_loss_and_grad(pred, tgt)[0], np.mean(diff * diff, axis=(-2, -1)))
+    z, zt = unit_rows(rng, 5), unit_rows(rng, 5)
+    s = (z @ zt.T) / 0.2
+    m = s.max(axis=1, keepdims=True)
+    lse = (m + np.log(np.exp(s - m).sum(axis=1, keepdims=True)))[:, 0]
+    assert align_loss(z, zt) == float(np.mean(lse - np.sum(z * zt, axis=1) / 0.2))
+
+
 def test_recon_empty_mask_warns():
     with pytest.warns(RuntimeWarning):
         values, grad = recon_loss_and_grad(np.ones((1, 0, 48)), np.zeros((1, 0, 48)))

@@ -19,7 +19,6 @@ from pmim.geometry import COCO_KEYPOINT_NAMES, KeypointSet, PatchGrid, make_patc
 from pmim.mask_sampling import (
     PART_IDS,
     PART_KEYPOINT_PAIRS,
-    BlockFillResult,
     MaskPlan,
     SamplerConfig,
     all_part_patches,
@@ -260,8 +259,8 @@ def test_select_parts_count_distribution():
 def test_select_parts_replays():
     a = select_parts(np.random.default_rng(42))
     b = select_parts(np.random.default_rng(42))
-    assert a.parts == b.parts
-    assert len(set(a.parts)) == len(a.parts)
+    assert type(a) is tuple and a == b
+    assert len(set(a)) == len(a) and set(a) <= set(PART_IDS)
 
 
 def test_mask_plan_validation():
@@ -302,7 +301,7 @@ def test_blockwise_fill_hits_target_exactly():
         assert len(out.indices) == 64
         assert len(set(out.indices)) == 64
         assert out.indices[:3] == [0, 1, 2]
-        assert len(out.new_indices) == 61 and len(out.new_tags) == 61
+        assert len(out.new_tags) == 61
         assert set(out.new_tags) <= {"block", "fill"}
         lo, hi = cfg.blockwise_aspect
         for r0, c0, h, w in out.rects:
@@ -411,11 +410,13 @@ def test_part_guided_matches_oracle():
         kps = random_figure(np.random.default_rng(1000 + data_seed))
         for grid in (make_patch_grid(32, 32, 8), make_patch_grid(64, 32, 8)):
             for seed in range(40):
-                want, want_prov, case = oracle_plan(
-                    np.random.default_rng(seed), kps, grid, cfg)
-                plan = part_guided_mask(np.random.default_rng(seed), kps, grid, cfg)
+                replay, draws = np.random.default_rng(seed), np.random.default_rng(seed)
+                want, want_prov, case = oracle_plan(replay, kps, grid, cfg)
+                plan = part_guided_mask(draws, kps, grid, cfg)
                 assert plan.masked == want, (data_seed, grid, seed, case)
                 assert plan.provenance == want_prov
+                # the sampler drew exactly as often as the oracle
+                assert draws.integers(2**63) == replay.integers(2**63), (data_seed, seed, case)
                 cases[case] += 1
     assert min(cases.values()) > 0, cases
 

@@ -104,8 +104,7 @@ def part_batch(manifest, cfg):
     """A ViewBatch of part-guided views, drawn the way a training step draws them."""
     views = []
     for i, record in enumerate(manifest.records):
-        va, vb = build_views(np.random.default_rng(i), record, cfg, manifest.root)
-        views.append((va[0], va[2], vb[0], vb[2]))
+        views.append(build_views(np.random.default_rng(i), record, cfg, manifest.root))
     return ViewBatch(views, cfg.model.grid)
 
 

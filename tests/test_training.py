@@ -11,8 +11,9 @@ import pytest
 
 from pmim import model as model_module
 from pmim import training
-from pmim.data_io import make_synthetic_dataset, save_checkpoint
+from pmim.data_io import load_image, make_synthetic_dataset, save_checkpoint
 from pmim.errors import ConfigError
+from pmim.geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from pmim.losses import LossConfig
 from pmim.model import ModelConfig, ModelParams, backward, forward, init_params
 from pmim.training import (
@@ -31,7 +32,7 @@ from pmim.training import (
     run_pretrain,
     train_step,
 )
-from pmim.mask_sampling import MaskPlan, random_mask
+from pmim.mask_sampling import MaskPlan, part_guided_mask, random_mask
 
 # smallest legal transformer; keeps finite differences cheap
 MICRO = ModelConfig(embed_dim=4, depth=1, n_heads=1, decoder_dim=4,
@@ -164,14 +165,20 @@ def test_adamw_matches_per_group_loop():
 def test_build_views_shares_one_crop(disk_dataset):
     cfg = run_cfg()
     record = disk_dataset.records[0]
-    va, vb = build_views(np.random.default_rng(5), record, cfg, disk_dataset.root)
-    patches_a, kps_a, plan_a = va
-    patches_b, kps_b, plan_b = vb
-    assert patches_a is patches_b and kps_a is kps_b
+    patches_a, plan_a, patches_b, plan_b = build_views(
+        np.random.default_rng(5), record, cfg, disk_dataset.root)
+    assert patches_a is patches_b
     assert patches_a.shape == (4, 48)
-    again, _ = build_views(np.random.default_rng(5), record, cfg, disk_dataset.root)
-    np.testing.assert_array_equal(again[0], patches_a)
-    assert again[2].masked == plan_a.masked
+    # replay of the draw order: one crop, then both plans from its keypoints
+    rng, grid = np.random.default_rng(5), MICRO.grid
+    image = load_image(os.path.join(disk_dataset.root, record.image))
+    crop = sample_crop(rng, image.height, image.width, cfg.scale_min, grid.image_h / grid.image_w)
+    kps = transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
+    aug = apply_crop(image, crop, grid.image_h, grid.image_w)
+    np.testing.assert_array_equal(patchify(aug, grid), patches_a)
+    for plan in (plan_a, plan_b):
+        want = part_guided_mask(rng, kps, grid, cfg.sampler())
+        assert (plan.masked, plan.provenance) == (want.masked, want.provenance)
 
 
 def test_build_views_independent_crops_differ(disk_dataset):
@@ -179,8 +186,9 @@ def test_build_views_independent_crops_differ(disk_dataset):
     record = disk_dataset.records[0]
     saw_difference = False
     for seed in range(5):
-        va, vb = build_views(np.random.default_rng(seed), record, cfg, disk_dataset.root)
-        if not np.array_equal(va[0], vb[0]):
+        patches_a, _, patches_b, _ = build_views(
+            np.random.default_rng(seed), record, cfg, disk_dataset.root)
+        if not np.array_equal(patches_a, patches_b):
             saw_difference = True
     assert saw_difference
 
@@ -190,8 +198,9 @@ def test_build_views_masks_rarely_collide(disk_dataset):
     record = disk_dataset.records[0]
     differing = 0
     for seed in range(50):
-        va, vb = build_views(np.random.default_rng(seed), record, cfg, disk_dataset.root)
-        if va[2].masked != vb[2].masked:
+        _, plan_a, _, plan_b = build_views(
+            np.random.default_rng(seed), record, cfg, disk_dataset.root)
+        if plan_a.masked != plan_b.masked:
             differing += 1
     assert differing >= 49
 
@@ -322,13 +331,14 @@ def test_train_step_skips_unreadable(disk_dataset, caplog):
     from pmim.data_io import SampleRecord
     ghost = SampleRecord("ghost", "missing.ppm", disk_dataset.records[0].keypoints)
     records = [disk_dataset.records[0], ghost]
-    params, opt, lb = train_step(params, opt, records, cfg,
-                                 np.random.default_rng(1), disk_dataset.root)
-    assert opt.step == 1
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    lr, lb = train_step(params, opt, records, cfg, rngs, disk_dataset.root)
+    assert opt.step == 1 and lr == lr_at(0, cfg)
     assert math.isfinite(lb.total)
     with pytest.raises(ConfigError, match="no loadable"):
-        train_step(params, opt, [ghost], cfg, np.random.default_rng(1),
-                   disk_dataset.root)
+        train_step(params, opt, [ghost], cfg, [np.random.default_rng(1)], disk_dataset.root)
+    with pytest.raises(ConfigError, match="1 generators for 2 records"):
+        train_step(params, opt, records, cfg, rngs[:1], disk_dataset.root)
 
 
 def test_metrics_log_round_trip(tmp_path):
