@@ -4,7 +4,8 @@ Subcommands: pretrain, mask-plan, visualize, stats, attn-map, grad-check.
 Configuration comes from an optional JSON file plus repeatable --set
 KEY=VALUE overrides (dotted paths, e.g. loss.align_weight=0; the shorthands
 gamma, beta, tau and lr expand to the usual fields). Exit codes: 0 success,
-2 usage, config or output error, 3 numerical failure.
+2 usage, config or output error, 3 numerical failure, 141 (128 + SIGPIPE)
+when stdout is a pipe whose reader has gone.
 """
 
 from __future__ import annotations
@@ -253,7 +254,6 @@ def cmd_visualize(args) -> int:
 def cmd_stats(args) -> int:
     train = _build_configs(_load_config(args))
     manifest = _load_manifest(args, train)
-    scfg = train.sampler()
     regions_by_id: dict[str, set[int]] = {}
     reports = {}
     order = []
@@ -271,8 +271,7 @@ def cmd_stats(args) -> int:
             if sample_id not in regions_by_id:
                 record = manifest.by_id(sample_id)
                 kps = _frame_keypoints(record, manifest, train.model)
-                regions_by_id[sample_id] = all_part_patches(
-                    kps, train.model.grid, scfg.keypoint_conf_threshold)
+                regions_by_id[sample_id] = all_part_patches(kps, train.model.grid)
             plans.append(plan)
             regions.append(regions_by_id[sample_id])
         reports[path] = mask_stats(plans, regions)
@@ -394,17 +393,33 @@ def make_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout() -> None:
+    """Point stdout at os.devnull, so the interpreter's flush at exit writes nowhere."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, sys.stdout.fileno())
+    os.close(devnull)
+
+
 def entry(argv=None) -> int:
     logging.basicConfig(stream=sys.stderr, level=logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = make_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout fails here, not at interpreter exit
+        return code
     except SystemExit as e:  # argparse errors already printed a message
         return int(e.code or 0)
+    except BrokenPipeError:  # the reader closed stdout: stop quietly, as a SIGPIPE would
+        _drop_stdout()
+        return 141
     except (ConfigError, OSError) as e:  # OSError: an output that cannot be written
         print(f"error: {e}", file=sys.stderr)
+        try:
+            sys.stdout.flush()
+        except OSError:  # stdout itself cannot be written (say, a full disk)
+            _drop_stdout()
         return 2
     except NumericsError as e:
         print(f"numerical failure: {e}", file=sys.stderr)

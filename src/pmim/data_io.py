@@ -35,6 +35,12 @@ class SampleRecord:
 class DatasetManifest:
     records: list[SampleRecord]
     root: str = "."
+    _index: dict[str, SampleRecord] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {}
+        for r in self.records:  # an id's first record, as a scan would find it
+            self._index.setdefault(r.sample_id, r)
 
     def __len__(self):
         return len(self.records)
@@ -43,10 +49,9 @@ class DatasetManifest:
         return os.path.join(self.root, record.image)
 
     def by_id(self, sample_id: str) -> SampleRecord:
-        for r in self.records:
-            if r.sample_id == sample_id:
-                return r
-        raise ConfigError(f"sample id {sample_id!r} not in manifest")
+        if sample_id not in self._index:
+            raise ConfigError(f"sample id {sample_id!r} not in manifest")
+        return self._index[sample_id]
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +195,9 @@ def write_ppm(image: ImageBuffer, path: str):
 # ---------------------------------------------------------------------------
 # synthetic stick figures
 
+LINE_RADIUS = 1.1  # pixels
+
+
 @dataclass
 class SyntheticSpec:
     """Pose and rendering parameters for one stick figure.
@@ -215,9 +223,7 @@ class SyntheticSpec:
     bg: float = 0.15
     fg: float = 0.85
     noise: float = 0.0
-    kp_dropout: float = 0.0  # chance of zeroing each keypoint's confidence
     seed: int = 0
-    line_radius: float = 1.1  # pixels
 
 
 def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
@@ -254,7 +260,7 @@ def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
     j["right_knee"] = down(j["right_hip"], 0.205 * s, spec.r_hip_angle, -1)
     j["right_ankle"] = down(j["right_knee"], 0.205 * s,
                             spec.r_hip_angle + spec.r_knee_angle, -1)
-    margin = spec.line_radius + 0.5
+    margin = LINE_RADIUS + 0.5
     for name, pt in j.items():
         if not (margin <= pt[0] < spec.canvas_w - margin
                 and margin <= pt[1] < spec.canvas_h - margin):
@@ -289,12 +295,7 @@ _FIGURE_SEGMENTS = (
 
 
 def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
-    """Rasterize one figure.
-
-    Keypoint confidences are 1.0, except that kp_dropout > 0 zeroes each
-    confidence independently with that probability (keypoints stay rendered;
-    only the labels degrade, which exercises the confidence threshold).
-    """
+    """Rasterize one figure; every keypoint confidence is 1.0."""
     from .geometry import COCO_KEYPOINT_NAMES
 
     joints = _figure_joints(spec)
@@ -314,7 +315,7 @@ def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
         else:
             t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
             d2 = (px - (a[0] + t * ab[0])) ** 2 + (py - (a[1] + t * ab[1])) ** 2
-        img[d2 <= spec.line_radius ** 2] = spec.fg
+        img[d2 <= LINE_RADIUS ** 2] = spec.fg
     img[(px - hc[0]) ** 2 + (py - hc[1]) ** 2 <= radius ** 2] = spec.fg
 
     if spec.noise > 0.0:
@@ -324,9 +325,6 @@ def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
     pts = np.ones((17, 3))
     for i, name in enumerate(COCO_KEYPOINT_NAMES):
         pts[i, :2] = joints[name]
-    if spec.kp_dropout > 0.0:
-        drop_rng = np.random.default_rng(np.random.SeedSequence([spec.seed, 1]))
-        pts[drop_rng.random(17) < spec.kp_dropout, 2] = 0.0
     return ImageBuffer(np.repeat(img[:, :, None], 3, axis=2)), KeypointSet(pts)
 
 
@@ -362,17 +360,17 @@ def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
     raise ConfigError("could not place a figure inside the canvas after 100 tries")
 
 
-def generate_synthetic(specs: list[SyntheticSpec],
-                       out_dir: str | None = None) -> tuple[DatasetManifest, list[ImageBuffer]]:
-    """Render a batch of figures; optionally write images plus manifest.jsonl."""
+def make_synthetic_dataset(n: int, seed: int, out_dir: str | None = None,
+                           canvas_h: int = 64, canvas_w: int = 32,
+                           noise: float = 0.0) -> tuple[DatasetManifest, list[ImageBuffer]]:
+    """Render n random figures from one seed; optionally write images plus manifest.jsonl."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     records, images = [], []
-    for spec in specs:
+    for i in range(n):
+        spec = random_spec(rng, f"synth{i:04d}", canvas_h, canvas_w, noise)
         img, kps = render_stick_figure(spec)
         records.append(SampleRecord(spec.sample_id, spec.sample_id + ".ppm", kps))
         images.append(img)
-    ids = [r.sample_id for r in records]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate sample ids in synthetic specs")
     manifest = DatasetManifest(records, root=out_dir or ".")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)
@@ -380,16 +378,6 @@ def generate_synthetic(specs: list[SyntheticSpec],
             write_ppm(img, os.path.join(out_dir, record.image))
         write_manifest(manifest, os.path.join(out_dir, "manifest.jsonl"))
     return manifest, images
-
-
-def make_synthetic_dataset(n: int, seed: int, out_dir: str | None = None,
-                           canvas_h: int = 64, canvas_w: int = 32,
-                           noise: float = 0.0) -> tuple[DatasetManifest, list[ImageBuffer]]:
-    """Convenience wrapper: n random figures from one seed."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
-    specs = [random_spec(rng, f"synth{i:04d}", canvas_h, canvas_w, noise)
-             for i in range(n)]
-    return generate_synthetic(specs, out_dir)
 
 
 # ---------------------------------------------------------------------------

@@ -84,12 +84,6 @@ def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def align_loss(z: np.ndarray, z_tilde: np.ndarray, tau: float = 0.2) -> float:
-    """InfoNCE over the two views' class vectors, anchored on the first."""
-    value, _, _ = align_loss_and_grad(z, z_tilde, LossConfig(temperature=tau))
-    return value
-
-
 def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
                         cfg: LossConfig | None = None):
     """InfoNCE value, mean over the batch, plus gradients at both (normalized) class batches.

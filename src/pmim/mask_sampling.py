@@ -53,25 +53,20 @@ PART_KEYPOINT_PAIRS = {
 }
 
 
+# Fixed sampler settings, read by part_patches and blockwise_fill.
+KEYPOINT_CONF_THRESHOLD = 0.2
+BLOCK_MIN_AREA = 4
+BLOCK_ASPECT = (0.3, 10.0 / 3.0)
+BLOCK_ATTEMPTS = 10
+
+
 @dataclass(frozen=True)
 class SamplerConfig:
     masking_ratio: float = 0.5
-    keypoint_conf_threshold: float = 0.2
-    blockwise_min_area: int = 4
-    blockwise_aspect: tuple[float, float] = (0.3, 10.0 / 3.0)
-    blockwise_attempts: int = 10
 
     def __post_init__(self):
         if not (0.0 <= self.masking_ratio <= 1.0):
             raise ConfigError(f"masking_ratio must be in [0, 1], got {self.masking_ratio}")
-        if not (0.0 <= self.keypoint_conf_threshold <= 1.0):
-            raise ConfigError(
-                f"keypoint_conf_threshold must be in [0, 1], got {self.keypoint_conf_threshold}")
-        if self.blockwise_min_area < 1:
-            raise ConfigError("blockwise_min_area must be >= 1")
-        lo, hi = self.blockwise_aspect
-        if not (0.0 < lo <= hi):
-            raise ConfigError(f"bad blockwise_aspect {self.blockwise_aspect}")
 
 
 @dataclass
@@ -152,13 +147,12 @@ def part_keypoint_pairs(part: str) -> tuple[tuple[str, str], ...]:
     return PART_KEYPOINT_PAIRS[part]
 
 
-def part_patches(kps: KeypointSet, part: str, grid: PatchGrid,
-                 conf_threshold: float = 0.2) -> set[int]:
+def part_patches(kps: KeypointSet, part: str, grid: PatchGrid) -> set[int]:
     """Patches touched by any keypoint-pair box of a part.
 
     A pair contributes the axis-aligned box between its two points, expanded
-    to every patch the box intersects; pairs with either endpoint below the
-    confidence threshold contribute nothing. Patch (r, c) covers the
+    to every patch the box intersects; pairs with either endpoint below
+    KEYPOINT_CONF_THRESHOLD contribute nothing. Patch (r, c) covers the
     half-open pixel region [c*p, (c+1)*p) x [r*p, (r+1)*p).
     """
     p = grid.patch_size
@@ -167,7 +161,7 @@ def part_patches(kps: KeypointSet, part: str, grid: PatchGrid,
     for name_a, name_b in part_keypoint_pairs(part):
         xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
         xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
-        if ca < conf_threshold or cb < conf_threshold:
+        if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
             continue
         c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
         c_hi = min(int(math.floor(max(xa, xb) / p)), grid.grid_w - 1)
@@ -179,12 +173,11 @@ def part_patches(kps: KeypointSet, part: str, grid: PatchGrid,
     return out
 
 
-def all_part_patches(kps: KeypointSet, grid: PatchGrid,
-                     conf_threshold: float = 0.2) -> set[int]:
+def all_part_patches(kps: KeypointSet, grid: PatchGrid) -> set[int]:
     """Union of every part's patches; the full body-prior region."""
     out: set[int] = set()
     for part in PART_IDS:
-        out |= part_patches(kps, part, grid, conf_threshold)
+        out |= part_patches(kps, part, grid)
     return out
 
 
@@ -199,16 +192,15 @@ def select_parts(rng: np.random.Generator) -> tuple[str, ...]:
     return tuple(PART_IDS[i] for i in order[:count])
 
 
-def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int],
-                need: int, cfg: SamplerConfig):
+def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int], need: int):
     """One rectangle attempt. Returns (new_indices, rect) or None on failure.
 
     Consumes three uniform draws (area, log-aspect, position) per call; a
     position draw happens only when the rectangle fits the grid.
     """
-    area_lo = min(cfg.blockwise_min_area, need)
+    area_lo = min(BLOCK_MIN_AREA, need)
     s = int(rng.integers(area_lo, need + 1))
-    lo, hi = cfg.blockwise_aspect
+    lo, hi = BLOCK_ASPECT
     r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     h = max(int(round(math.sqrt(s * r))), 1)
     w = max(int(round(math.sqrt(s / r))), 1)
@@ -228,18 +220,16 @@ def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int],
 
 
 def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
-                   target: int, cfg: SamplerConfig | None = None) -> BlockFillResult:
+                   target: int) -> BlockFillResult:
     """Grow a patch set to exactly `target` indices with block-wise draws.
 
-    Rectangles keep their area at or above blockwise_min_area (capped at the
-    remaining need) and their aspect ratio inside cfg.blockwise_aspect; a
-    rectangle is rejected when it would overshoot the budget or adds nothing.
-    After blockwise_attempts rejections in total, the remaining shortfall is
+    Rectangles keep their area at or above BLOCK_MIN_AREA (capped at the
+    remaining need) and their aspect ratio inside BLOCK_ASPECT; a rectangle
+    is rejected when it would overshoot the budget or adds nothing. After
+    BLOCK_ATTEMPTS rejections in total, the remaining shortfall is
     filled with uniformly random single patches so the count is always exact.
     A set already at `target` is returned as is, with no draws.
     """
-    if cfg is None:
-        cfg = SamplerConfig()
     indices = list(existing)
     have = set(indices)
     if len(have) != len(indices):
@@ -253,8 +243,8 @@ def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
     rects: list[tuple[int, int, int, int]] = []
     need = target - len(indices)
     failures = 0
-    while need > 0 and failures < cfg.blockwise_attempts:
-        drawn = _draw_block(rng, grid, have, need, cfg)
+    while need > 0 and failures < BLOCK_ATTEMPTS:
+        drawn = _draw_block(rng, grid, have, need)
         if drawn is None:
             failures += 1
             continue
@@ -292,7 +282,7 @@ def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid
     masked: list[int] = []
     provenance: list[str] = []
     for part in select_parts(rng):
-        region = part_patches(kps, part, grid, cfg.keypoint_conf_threshold)
+        region = part_patches(kps, part, grid)
         new = sorted(region.difference(masked))
         room = n_m - len(masked)
         if len(new) > room:
@@ -302,7 +292,7 @@ def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid
             break
         masked += new
         provenance += [part] * len(new)
-    fill = blockwise_fill(rng, grid, masked, n_m, cfg)
+    fill = blockwise_fill(rng, grid, masked, n_m)
     return MaskPlan(grid, n_m, fill.indices, provenance + fill.new_tags)
 
 

@@ -361,12 +361,13 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     """Epoch loop with seeded shuffling; returns (params, opt, MetricsLog).
 
     With out_dir set, writes metrics.jsonl one row per step as it goes (a
-    fresh run truncates it), a checkpoint_ep{N}.bin every checkpoint_every
-    epochs, and a final checkpoint.bin. resume_from restarts at the
-    checkpoint's epoch boundary and replays the original trajectory exactly;
-    rows of an existing out_dir/metrics.jsonl up to the checkpoint step are
-    rewritten first, so the log holds the whole history. Under glibc it also
-    sets the process's malloc top pad (see _pad_heap_top).
+    fresh run truncates it), a checkpoint_ep{N}.bin after every
+    checkpoint_every-th epoch that total_steps did not cut short, and a final
+    checkpoint.bin. resume_from restarts at the checkpoint's epoch boundary
+    and replays the original trajectory exactly; rows of an existing
+    out_dir/metrics.jsonl up to the checkpoint step are rewritten first, so
+    the log holds the whole history. Under glibc it also sets the process's
+    malloc top pad (see _pad_heap_top).
     """
     if not len(manifest):
         raise ConfigError("manifest is empty")
@@ -419,7 +420,8 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
             if out_dir is not None:
                 with open(metrics_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(log.records[-1]) + "\n")
-        if out_dir is not None and (epoch + 1) % rcfg.checkpoint_every == 0:
+        completed = opt.step == (epoch + 1) * steps_per_epoch  # not cut short by total_steps
+        if out_dir is not None and completed and (epoch + 1) % rcfg.checkpoint_every == 0:
             data_io.save_checkpoint(
                 params, opt, opt.step,
                 os.path.join(out_dir, f"checkpoint_ep{epoch + 1}.bin"))

@@ -14,8 +14,9 @@ import pytest
 
 from pmim.data_io import make_synthetic_dataset
 from pmim.geometry import COCO_KEYPOINT_NAMES, KeypointSet, make_patch_grid
-from pmim.losses import LossConfig, align_loss
+from pmim.losses import LossConfig, align_loss_and_grad
 from pmim.mask_sampling import (
+    KEYPOINT_CONF_THRESHOLD,
     PART_IDS,
     MaskPlan,
     SamplerConfig,
@@ -93,7 +94,7 @@ def replayed_plan(rng, kps, grid, cfg):
     for idx in order[:count]:
         part = PART_IDS[idx]
         region = region_by_intersection(kps.pts, part, grid,
-                                        cfg.keypoint_conf_threshold)
+                                        KEYPOINT_CONF_THRESHOLD)
         new = sorted(region - seen)
         seen.update(new)
         per_new.append((part, new))
@@ -107,7 +108,7 @@ def replayed_plan(rng, kps, grid, cfg):
         for part, new in per_new:
             masked += new
             prov += [part] * len(new)
-        fill = blockwise_fill(rng, grid, masked, n_m, cfg)
+        fill = blockwise_fill(rng, grid, masked, n_m)
         masked = fill.indices
         prov = prov + fill.new_tags
     else:
@@ -210,11 +211,11 @@ def test_criterion_04_alignment_oracle():
         z /= np.linalg.norm(z, axis=1, keepdims=True)
         zt = rng.normal(size=(b, 8))
         zt /= np.linalg.norm(zt, axis=1, keepdims=True)
-        worst = max(worst, abs(align_loss(z, zt) - reference(z, zt, 0.2)))
+        worst = max(worst, abs(align_loss_and_grad(z, zt)[0] - reference(z, zt, 0.2)))
 
-    single = abs(align_loss(np.eye(1, 8), np.eye(1, 8)))
+    single = abs(align_loss_and_grad(np.eye(1, 8), np.eye(1, 8))[0])
     same = np.tile(np.eye(1, 8), (4, 1))
-    ident_err = abs(align_loss(same, same.copy()) - math.log(4.0))
+    ident_err = abs(align_loss_and_grad(same, same.copy())[0] - math.log(4.0))
     report(4, worst <= 1e-10 and single <= 1e-12 and ident_err <= 1e-9,
            f"fuzzed max err {worst:.2e}, single-pair {single:.2e}, "
            f"identical-batch err {ident_err:.2e}")

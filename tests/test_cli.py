@@ -177,6 +177,43 @@ def test_stats_compares_strategies(tmp_path, manifest_path):
     assert delta["part_overlap_delta"] > 0.0
 
 
+def _stats_into(stdout, manifest_path, plans, buffered):
+    """Run `pmim stats` in a new interpreter with the given stdout file descriptor."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    env.pop("PYTHONUNBUFFERED", None)
+    if not buffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "pmim.cli", "stats", "--manifest",
+                           manifest_path, "--plans", plans],
+                          stdout=stdout, stderr=subprocess.PIPE, env=env, timeout=60)
+
+
+@pytest.mark.parametrize("buffered", [True, False])
+def test_closed_stdout_exits_141_quietly(tmp_path, manifest_path, buffered):
+    plans = str(tmp_path / "plans.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", plans])[0] == 0
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        proc = _stats_into(write_end, manifest_path, plans, buffered)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 141 and proc.stderr == b"", proc.stderr
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("buffered", [True, False])
+def test_full_stdout_exits_2_with_one_error_line(tmp_path, manifest_path, buffered):
+    plans = str(tmp_path / "plans.jsonl")
+    assert run_cli(["mask-plan", "--manifest", manifest_path, "--out", plans])[0] == 0
+    with open("/dev/full", "wb") as full:
+        proc = _stats_into(full, manifest_path, plans, buffered)
+    assert proc.returncode == 2, proc.stderr
+    lines = proc.stderr.decode().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
+
 def test_stats_rejects_plans_for_another_grid(tmp_path, manifest_path):
     good = str(tmp_path / "good.jsonl")
     short = str(tmp_path / "short.jsonl")
@@ -256,7 +293,7 @@ def test_mask_plan_and_stats_map_keypoints_of_off_frame_images(tmp_path):
     code, stdout, err = run_cli(["stats", "--manifest", manifest, "--seed", str(seed),
                                  "--plans", paths["part"], "--plans", paths["random"]])
     assert code == 0, err
-    regions = {r.sample_id: all_part_patches(k, grid, scfg.keypoint_conf_threshold)
+    regions = {r.sample_id: all_part_patches(k, grid)
                for r, k in zip(records, kps)}
     reports = []
     for path in paths.values():

@@ -115,8 +115,28 @@ def test_manifest_round_trip(tmp_path):
         assert got.sample_id == orig.sample_id
         np.testing.assert_array_equal(got.keypoints.pts, orig.keypoints.pts)
     assert back.by_id("s1").image == "s1.ppm"
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="'nope'"):
         back.by_id("nope")
+
+
+def test_manifest_by_id_reads_an_index():
+    class CountingList(list):
+        scans = 0
+
+        def __iter__(self):
+            CountingList.scans += 1
+            return super().__iter__()
+
+    kps = KeypointSet(np.ones((17, 3)))
+    records = CountingList(SampleRecord(f"s{i}", f"s{i}.ppm", kps) for i in range(512))
+    records.append(SampleRecord("s7", "again.ppm", kps))
+    manifest = DatasetManifest(records)
+    assert CountingList.scans == 1  # the index is built once
+    for i in range(512):
+        assert manifest.by_id(f"s{i}") is records[i]  # a repeated id finds its first record
+    assert CountingList.scans == 1
+    with pytest.raises(ConfigError, match="'s512' not in manifest"):
+        manifest.by_id("s512")
 
 
 def test_manifest_error_reporting(tmp_path):
@@ -187,17 +207,6 @@ def test_stick_figure_noise_is_seeded():
     assert a.data.min() >= 0.0 and a.data.max() <= 1.0
     clean, _ = render_stick_figure(dataclasses.replace(spec, noise=0.0))
     assert not np.array_equal(a.data, clean.data)
-
-
-def test_stick_figure_keypoint_dropout():
-    spec = SyntheticSpec(kp_dropout=1.0)
-    _, kps = render_stick_figure(spec)
-    assert (kps.pts[:, 2] == 0.0).all()
-    half = SyntheticSpec(kp_dropout=0.5, seed=3)
-    _, a = render_stick_figure(half)
-    _, b = render_stick_figure(half)
-    np.testing.assert_array_equal(a.pts, b.pts)
-    assert 0 < a.pts[:, 2].sum() < 17
 
 
 def test_random_spec_stays_in_ranges():

@@ -11,7 +11,6 @@ from pmim.errors import ConfigError, NumericsError
 from pmim.geometry import make_patch_grid, normalize_targets
 from pmim.losses import (
     LossConfig,
-    align_loss,
     align_loss_and_grad,
     recon_loss_and_grad,
     total_loss,
@@ -97,7 +96,7 @@ def test_loss_values_equal_the_np_mean_reductions():
     s = (z @ zt.T) / 0.2
     m = s.max(axis=1, keepdims=True)
     lse = (m + np.log(np.exp(s - m).sum(axis=1, keepdims=True)))[:, 0]
-    assert align_loss(z, zt) == float(np.mean(lse - np.sum(z * zt, axis=1) / 0.2))
+    assert align_loss_and_grad(z, zt)[0] == float(np.mean(lse - np.sum(z * zt, axis=1) / 0.2))
 
 
 def test_recon_empty_mask_warns():
@@ -153,13 +152,13 @@ def test_recon_view_axis_checks():
 
 def test_align_orthogonal_negatives():
     z = np.eye(2, 8)  # two orthonormal rows
-    value = align_loss(z, z.copy(), tau=0.2)
+    value = align_loss_and_grad(z, z.copy(), LossConfig(temperature=0.2))[0]
     assert value == pytest.approx(math.log(1.0 + math.exp(-5.0)), abs=1e-12)
 
 
 def test_align_identical_batch_saturates():
     z = np.tile(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), (4, 1))
-    assert align_loss(z, z.copy()) == pytest.approx(math.log(4.0), abs=1e-12)
+    assert align_loss_and_grad(z, z.copy())[0] == pytest.approx(math.log(4.0), abs=1e-12)
     # and the saturated point is a stationary point of the batch
     _, dz, dzt = align_loss_and_grad(z, z.copy())
     assert np.abs(dz).max() == 0.0
@@ -170,16 +169,16 @@ def test_align_single_pair_is_zero():
     rng = np.random.default_rng(4)
     z = unit_rows(rng, 1)
     zt = unit_rows(rng, 1)
-    assert align_loss(z, zt) == 0.0
+    assert align_loss_and_grad(z, zt)[0] == 0.0
 
 
 def test_align_requires_unit_rows():
     with pytest.raises(NumericsError):
-        align_loss(np.full((2, 8), 0.5), np.eye(2, 8))
+        align_loss_and_grad(np.full((2, 8), 0.5), np.eye(2, 8))
     with pytest.raises(ConfigError):
-        align_loss(np.ones(8), np.ones(8))
+        align_loss_and_grad(np.ones(8), np.ones(8))
     with pytest.raises(ConfigError):
-        align_loss(np.eye(2, 8), np.eye(3, 8))
+        align_loss_and_grad(np.eye(2, 8), np.eye(3, 8))
 
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(temperature=0.07)])
@@ -206,7 +205,7 @@ def test_align_nonnegative_and_bounded(b, seed):
     # denominator includes the positive, so the value never dips below zero;
     # log-sum-exp over cosines in [-1, 1] caps it at 2/tau + log B
     rng = np.random.default_rng(seed)
-    value = align_loss(unit_rows(rng, b), unit_rows(rng, b))
+    value = align_loss_and_grad(unit_rows(rng, b), unit_rows(rng, b))[0]
     assert -1e-12 <= value <= 2.0 / 0.2 + math.log(b) + 1e-9
 
 

@@ -17,6 +17,8 @@ from pmim import mask_sampling
 from pmim.errors import ConfigError
 from pmim.geometry import COCO_KEYPOINT_NAMES, KeypointSet, PatchGrid, make_patch_grid
 from pmim.mask_sampling import (
+    BLOCK_ASPECT,
+    KEYPOINT_CONF_THRESHOLD,
     PART_IDS,
     PART_KEYPOINT_PAIRS,
     MaskPlan,
@@ -79,8 +81,7 @@ def oracle_plan(rng, kps, grid, cfg):
     seen = set()
     per_new = []
     for part in parts:
-        new = sorted(oracle_part_patches(kps.pts, part, grid,
-                                         cfg.keypoint_conf_threshold) - seen)
+        new = sorted(oracle_part_patches(kps.pts, part, grid, KEYPOINT_CONF_THRESHOLD) - seen)
         seen.update(new)
         per_new.append((part, new))
 
@@ -94,7 +95,7 @@ def oracle_plan(rng, kps, grid, cfg):
         for part, new in per_new:
             masked += new
             prov += [part] * len(new)
-        fill = blockwise_fill(rng, grid, masked, n_m, cfg)
+        fill = blockwise_fill(rng, grid, masked, n_m)
         return fill.indices, prov + fill.new_tags, "short"
     for part, new in per_new:
         if len(masked) + len(new) <= n_m:
@@ -192,14 +193,14 @@ def test_all_part_patches_is_union():
     assert all_part_patches(kps, grid) == union
 
 
-def numpy_scalar_part_patches(kps, part, grid, conf_threshold=0.2):
+def numpy_scalar_part_patches(kps, part, grid):
     """part_patches as it read keypoints through KeypointSet.get (numpy scalars)."""
     p = grid.patch_size
     out = set()
     for name_a, name_b in PART_KEYPOINT_PAIRS[part]:
         xa, ya, ca = kps.get(name_a)
         xb, yb, cb = kps.get(name_b)
-        if ca < conf_threshold or cb < conf_threshold:
+        if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
             continue
         c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
         c_hi = min(int(math.floor(max(xa, xb) / p)), grid.grid_w - 1)
@@ -228,14 +229,14 @@ def edge_case_figure(rng, grid, thresh):
 
 def test_part_regions_and_plans_match_numpy_scalar_reference(monkeypatch):
     rng = np.random.default_rng(21)
-    for grid, thresh in ((make_patch_grid(64, 32, 8), 0.2), (make_patch_grid(32, 48, 4), 0.5)):
-        cfg = SamplerConfig(keypoint_conf_threshold=thresh)
+    cfg = SamplerConfig()
+    for grid in (make_patch_grid(64, 32, 8), make_patch_grid(32, 48, 4)):
         for trial in range(150):
-            kps = edge_case_figure(rng, grid, thresh)
-            want = {part: numpy_scalar_part_patches(kps, part, grid, thresh) for part in PART_IDS}
+            kps = edge_case_figure(rng, grid, KEYPOINT_CONF_THRESHOLD)
+            want = {part: numpy_scalar_part_patches(kps, part, grid) for part in PART_IDS}
             for part in PART_IDS:
-                assert part_patches(kps, part, grid, thresh) == want[part]
-            assert all_part_patches(kps, grid, thresh) == set().union(*want.values())
+                assert part_patches(kps, part, grid) == want[part]
+            assert all_part_patches(kps, grid) == set().union(*want.values())
 
             plans = []
             for patch_fn in (part_patches, numpy_scalar_part_patches):
@@ -294,16 +295,15 @@ def test_batch_indices_rule_and_reuse():
 
 def test_blockwise_fill_hits_target_exactly():
     grid = make_patch_grid(128, 64, 8)  # 16x8
-    cfg = SamplerConfig()
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        out = blockwise_fill(rng, grid, [0, 1, 2], 64, cfg)
+        out = blockwise_fill(rng, grid, [0, 1, 2], 64)
         assert len(out.indices) == 64
         assert len(set(out.indices)) == 64
         assert out.indices[:3] == [0, 1, 2]
         assert len(out.new_tags) == 61
         assert set(out.new_tags) <= {"block", "fill"}
-        lo, hi = cfg.blockwise_aspect
+        lo, hi = BLOCK_ASPECT
         for r0, c0, h, w in out.rects:
             assert 0 <= r0 and r0 + h <= grid.grid_h
             assert 0 <= c0 and c0 + w <= grid.grid_w
@@ -322,10 +322,11 @@ def test_blockwise_fill_input_checks():
 
 
 def test_blockwise_fill_exhausted_attempts_fall_back():
-    grid = make_patch_grid(32, 32, 8)
-    cfg = SamplerConfig(blockwise_attempts=0)
-    out = blockwise_fill(np.random.default_rng(1), grid, [], 10, cfg)
-    assert len(out.indices) == 10
+    # On one row a rectangle has h = 1, so its aspect bound caps w at 3 and its
+    # area below the minimum of 4: every attempt is rejected.
+    grid = make_patch_grid(8, 96, 8)  # 1x12
+    out = blockwise_fill(np.random.default_rng(1), grid, [], 10)
+    assert len(out.indices) == 10 and len(set(out.indices)) == 10
     assert out.new_tags == ["fill"] * 10
     assert out.rects == []
 

@@ -380,6 +380,14 @@ def test_pretrain_writes_artifacts(tmp_path, disk_dataset):
     assert MetricsLog.read(os.path.join(out, "metrics.jsonl")).records == log.records
 
 
+def test_pretrain_writes_no_epoch_checkpoint_for_a_cut_epoch(tmp_path, disk_dataset):
+    out = str(tmp_path / "run")
+    _, opt, _ = run_pretrain(run_cfg(total_steps=3), disk_dataset, out_dir=out)
+    assert opt.step == 3  # two steps per epoch: the second epoch stops after one
+    assert sorted(n for n in os.listdir(out) if n.endswith(".bin")) == [
+        "checkpoint.bin", "checkpoint_ep1.bin"]
+
+
 def test_pretrain_without_a_reachable_c_library(tmp_path, disk_dataset, monkeypatch):
     # The malloc top pad is a side effect on placement only: when ctypes cannot
     # reach the C library, run_pretrain goes on and writes the same bytes.
