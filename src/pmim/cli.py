@@ -22,8 +22,8 @@ import numpy as np
 
 from . import data_io
 from .errors import ConfigError, NumericsError
-from .geometry import (TARGET_EPS, CropParams, ImageBuffer, KeypointSet, apply_crop, patchify,
-                       transform_keypoints, unpatchify)
+from .geometry import (CropParams, ImageBuffer, KeypointSet, apply_crop, patchify,
+                       target_moments, transform_keypoints, unpatchify)
 from .losses import LossConfig
 from .mask_sampling import (MaskPlan, all_part_patches, mask_stats, num_masked,
                             part_guided_mask, random_mask, stats_delta)
@@ -142,24 +142,26 @@ def _load_params(checkpoint: str, model: ModelConfig):
     return params
 
 
+def _whole_frame(record, manifest) -> tuple[ImageBuffer, CropParams]:
+    """The record's image and the crop that resizes all of it: no crop, no flip."""
+    image = data_io.load_image(manifest.image_path(record))
+    return image, CropParams(0, 0, image.width, image.height, flip=False)
+
+
 def _frame_keypoints(record, manifest, model: ModelConfig) -> KeypointSet:
     """The record's keypoints mapped into the model frame by a whole-image resize.
 
     The image is read only for its size, so a missing or corrupt one is still
     a ConfigError; its pixels are not resized.
     """
-    image = data_io.load_image(manifest.image_path(record))
-    crop = CropParams(0, 0, image.width, image.height, flip=False)
-    grid = model.grid
-    return transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
+    _, crop = _whole_frame(record, manifest)
+    return transform_keypoints(record.keypoints, crop, model.grid.image_h, model.grid.image_w)
 
 
 def _frame_image(record, manifest, model: ModelConfig) -> ImageBuffer:
-    """The record's whole image resized into the model frame: no crop, no flip."""
-    image = data_io.load_image(manifest.image_path(record))
-    crop = CropParams(0, 0, image.width, image.height, flip=False)
-    grid = model.grid
-    return apply_crop(image, crop, grid.image_h, grid.image_w)
+    """The record's whole image resized into the model frame."""
+    image, crop = _whole_frame(record, manifest)
+    return apply_crop(image, crop, model.grid.image_h, model.grid.image_w)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,7 @@ def cmd_mask_plan(args) -> int:
     manifest = _load_manifest(args, train)
     out_path = args.out or "plans.jsonl"
     grid = train.model.grid
-    scfg = train.sampler()
+    n_masked = num_masked(train.masking_ratio, grid.n_patches)
     entries = []
     for i, record in enumerate(manifest.records):
         rng = np.random.default_rng(
@@ -191,9 +193,9 @@ def cmd_mask_plan(args) -> int:
         kps = _frame_keypoints(record, manifest, train.model)
         for view in ("a", "b"):
             if args.strategy == "part":
-                plan = part_guided_mask(rng, kps, grid, scfg)
+                plan = part_guided_mask(rng, kps, grid, n_masked)
             else:
-                plan = random_mask(rng, grid, num_masked(scfg.masking_ratio, grid.n_patches))
+                plan = random_mask(rng, grid, n_masked)
             entries.append((record.sample_id, view, plan))
     data_io.write_mask_plan(entries, out_path)
     print(json.dumps({"plans": len(entries), "out": out_path}))
@@ -207,11 +209,7 @@ def _paste_reconstruction(patches: np.ndarray, vis: np.ndarray, masked: np.ndarr
     m = masked[0]
     rows = pred[0]  # the masked patches, in the plan's order
     if loss.normalize_targets:  # undo the per-patch standardization of the targets
-        target = patches[m]
-        n = target.shape[-1]
-        mean = target.sum(axis=-1, keepdims=True) / n
-        centred = target - mean
-        std = np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + TARGET_EPS)
+        mean, std = target_moments(patches[m])
         rows = rows * std + mean
     out = patches.copy()
     out[m] = np.clip(rows, 0.0, 1.0)

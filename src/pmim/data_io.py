@@ -65,10 +65,12 @@ def _parse_keypoints(raw, where: str) -> KeypointSet:
     for j, trip in enumerate(raw):
         if not isinstance(trip, list) or len(trip) != 3:
             raise ConfigError(f"{where}: keypoints[{j}] must be [x, y, confidence]")
+        if any(type(v) not in (int, float) for v in trip):  # not a bool, nor a string
+            raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
         try:
             pts[j] = [float(v) for v in trip]
-        except (TypeError, ValueError):
-            raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
+        except OverflowError:  # an integer beyond float range
+            raise ConfigError(f"{where}: keypoints[{j}] holds a value out of range")
     try:
         return KeypointSet(pts)
     except ConfigError as e:
@@ -222,8 +224,6 @@ class SyntheticSpec:
     r_knee_angle: float = 0.07
     bg: float = 0.15
     fg: float = 0.85
-    noise: float = 0.0
-    seed: int = 0
 
 
 def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
@@ -318,10 +318,6 @@ def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
         img[d2 <= LINE_RADIUS ** 2] = spec.fg
     img[(px - hc[0]) ** 2 + (py - hc[1]) ** 2 <= radius ** 2] = spec.fg
 
-    if spec.noise > 0.0:
-        rng = np.random.default_rng(spec.seed)
-        img = np.clip(img + rng.normal(0.0, spec.noise, img.shape), 0.0, 1.0)
-
     pts = np.ones((17, 3))
     for i, name in enumerate(COCO_KEYPOINT_NAMES):
         pts[i, :2] = joints[name]
@@ -329,7 +325,7 @@ def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
 
 
 def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
-                canvas_w: int = 32, noise: float = 0.0) -> SyntheticSpec:
+                canvas_w: int = 32) -> SyntheticSpec:
     """Draw a plausible in-canvas pose; retries until the figure fits."""
     for _ in range(100):
         spec = SyntheticSpec(
@@ -349,9 +345,10 @@ def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
             r_knee_angle=float(rng.uniform(0.02, 0.12)),
             bg=float(rng.uniform(0.08, 0.22)),
             fg=float(rng.uniform(0.78, 0.92)),
-            noise=noise,
-            seed=int(rng.integers(0, 2 ** 31)),
         )
+        # This draw once seeded optional pixel noise. It is still made, and thrown away,
+        # so the draws after it, and with them every synthetic dataset, stay byte-identical.
+        rng.integers(0, 2 ** 31)
         try:
             _figure_joints(spec)
         except ConfigError:
@@ -360,14 +357,13 @@ def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
     raise ConfigError("could not place a figure inside the canvas after 100 tries")
 
 
-def make_synthetic_dataset(n: int, seed: int, out_dir: str | None = None,
-                           canvas_h: int = 64, canvas_w: int = 32,
-                           noise: float = 0.0) -> tuple[DatasetManifest, list[ImageBuffer]]:
+def make_synthetic_dataset(n: int, seed: int, out_dir: str | None = None, canvas_h: int = 64,
+                           canvas_w: int = 32) -> tuple[DatasetManifest, list[ImageBuffer]]:
     """Render n random figures from one seed; optionally write images plus manifest.jsonl."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
     records, images = [], []
     for i in range(n):
-        spec = random_spec(rng, f"synth{i:04d}", canvas_h, canvas_w, noise)
+        spec = random_spec(rng, f"synth{i:04d}", canvas_h, canvas_w)
         img, kps = render_stick_figure(spec)
         records.append(SampleRecord(spec.sample_id, spec.sample_id + ".ppm", kps))
         images.append(img)

@@ -115,7 +115,7 @@ class KeypointSet:
         if not np.isfinite(self.pts[:, :2]).all():
             raise ConfigError("keypoint coordinates must be finite")
         conf = self.pts[:, 2]
-        if (conf < 0.0).any() or (conf > 1.0).any():
+        if not ((conf >= 0.0) & (conf <= 1.0)).all():  # NaN fails both, so it is refused
             raise ConfigError("keypoint confidences must lie in [0, 1]")
 
     def get(self, name: str) -> np.ndarray:
@@ -263,13 +263,19 @@ def unpatchify(patches: np.ndarray, grid: PatchGrid) -> ImageBuffer:
     return ImageBuffer(x.reshape(grid.image_h, grid.image_w, 3).copy())
 
 
-def normalize_targets(patches: np.ndarray) -> np.ndarray:
-    """Standardize each patch row (last axis) to mean 0 and variance 1, regularized by TARGET_EPS.
+def target_moments(patches: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each patch row's (mean, std) over the last axis, the variance regularized by TARGET_EPS.
 
     One mean, as sum / n, and one centred array serve both moments: the reduce
     and divide that ndarray.mean and ndarray.var each run, bit for bit.
     """
     n = patches.shape[-1]
-    centred = patches - patches.sum(axis=-1, keepdims=True) / n
-    var = (centred * centred).sum(axis=-1, keepdims=True) / n
-    return centred / np.sqrt(var + TARGET_EPS)
+    mean = patches.sum(axis=-1, keepdims=True) / n
+    centred = patches - mean
+    return mean, np.sqrt((centred * centred).sum(axis=-1, keepdims=True) / n + TARGET_EPS)
+
+
+def normalize_targets(patches: np.ndarray) -> np.ndarray:
+    """Standardize each patch row to mean 0 and variance 1 by its target_moments."""
+    mean, std = target_moments(patches)
+    return (patches - mean) / std

@@ -60,15 +60,6 @@ BLOCK_ASPECT = (0.3, 10.0 / 3.0)
 BLOCK_ATTEMPTS = 10
 
 
-@dataclass(frozen=True)
-class SamplerConfig:
-    masking_ratio: float = 0.5
-
-    def __post_init__(self):
-        if not (0.0 <= self.masking_ratio <= 1.0):
-            raise ConfigError(f"masking_ratio must be in [0, 1], got {self.masking_ratio}")
-
-
 @dataclass
 class MaskPlan:
     """An exact-budget mask with per-patch provenance.
@@ -264,27 +255,26 @@ def blockwise_fill(rng: np.random.Generator, grid: PatchGrid, existing,
 
 
 def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid,
-                     cfg: SamplerConfig | None = None) -> MaskPlan:
-    """Mask exactly floor(beta * N) patches, guided by body-part regions.
+                     n_masked: int) -> MaskPlan:
+    """Mask exactly `n_masked` patches, guided by body-part regions.
 
-    One budget loop over the selected parts, in draw order: each part adds
-    its not-yet-masked patches in sorted order, and the first part that would
-    overflow the budget N_m adds a uniform random subset of what still fits,
-    ending the loop. blockwise_fill then completes the set to N_m; it draws
-    nothing when the set is already full.
+    The budget comes from num_masked. One budget loop over the selected
+    parts, in draw order: each part adds its not-yet-masked patches in sorted
+    order, and the first part that would overflow the budget adds a uniform
+    random subset of what still fits, ending the loop. blockwise_fill then
+    completes the set to the budget; it draws nothing when the set is full.
 
     Random draws, in order: select_parts, the subset draw (only when a part
     overflows), then the blockwise_fill draws.
     """
-    if cfg is None:
-        cfg = SamplerConfig()
-    n_m = num_masked(cfg.masking_ratio, grid.n_patches)
+    if not (0 <= n_masked <= grid.n_patches):
+        raise ConfigError(f"n_masked {n_masked} not in [0, {grid.n_patches}]")
     masked: list[int] = []
     provenance: list[str] = []
     for part in select_parts(rng):
         region = part_patches(kps, part, grid)
         new = sorted(region.difference(masked))
-        room = n_m - len(masked)
+        room = n_masked - len(masked)
         if len(new) > room:
             picked = rng.choice(np.array(new, dtype=np.intp), size=room, replace=False)
             masked += [int(i) for i in picked]
@@ -292,8 +282,8 @@ def part_guided_mask(rng: np.random.Generator, kps: KeypointSet, grid: PatchGrid
             break
         masked += new
         provenance += [part] * len(new)
-    fill = blockwise_fill(rng, grid, masked, n_m)
-    return MaskPlan(grid, n_m, fill.indices, provenance + fill.new_tags)
+    fill = blockwise_fill(rng, grid, masked, n_masked)
+    return MaskPlan(grid, n_masked, fill.indices, provenance + fill.new_tags)
 
 
 def random_mask(rng: np.random.Generator, grid: PatchGrid, target: int) -> MaskPlan:

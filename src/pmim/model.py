@@ -220,9 +220,6 @@ class ModelParams:
     def __getitem__(self, name: str) -> np.ndarray:
         return self.arrays[name]
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(self.cfg, self.arrays)
-
     @property
     def n_params(self) -> int:
         return _layout(self.cfg)[-1][2]

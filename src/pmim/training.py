@@ -31,7 +31,7 @@ from . import data_io
 from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, normalize_targets, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
-from .mask_sampling import MaskPlan, SamplerConfig, part_guided_mask, random_mask
+from .mask_sampling import MaskPlan, num_masked, part_guided_mask, random_mask
 from .model import ModelConfig, ModelParams, backward, decode, encode, forward, init_params
 
 logger = logging.getLogger("pmim")
@@ -55,14 +55,12 @@ class TrainConfig:
     scale_min: float = 0.8
     total_steps: int | None = None  # resolved from epochs when None
     warmup_steps: int | None = None
-    checkpoint_every: int = 1  # epochs
-    independent_crops: bool = False
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
     dataset: str | None = None
 
     def __post_init__(self):
-        for name in ("batch_size", "total_epochs", "warmup_epochs", "seed", "checkpoint_every"):
+        for name in ("batch_size", "total_epochs", "warmup_epochs", "seed"):
             value = getattr(self, name)
             if type(value) is not int:
                 raise ConfigError(f"{name} must be an integer, got {value!r}")
@@ -74,9 +72,6 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if type(self.independent_crops) is not bool:
-            raise ConfigError(
-                f"independent_crops must be true or false, got {self.independent_crops!r}")
         if self.dataset is not None and type(self.dataset) is not str:
             raise ConfigError(f"dataset must be a path string, got {self.dataset!r}")
         if self.seed < 0:
@@ -94,11 +89,6 @@ class TrainConfig:
             raise ConfigError(f"masking_ratio must be in [0, 1], got {self.masking_ratio}")
         if not (0.0 < self.scale_min <= 1.0):
             raise ConfigError(f"scale_min must be in (0, 1], got {self.scale_min}")
-        if self.checkpoint_every < 1:
-            raise ConfigError("checkpoint_every must be >= 1")
-
-    def sampler(self) -> SamplerConfig:
-        return SamplerConfig(masking_ratio=self.masking_ratio)
 
 
 @dataclass
@@ -191,27 +181,21 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
                 cfg: TrainConfig, root: str = "."):
-    """One augmentation and two part-guided masks: (patches_a, plan_a, patches_b, plan_b).
+    """One crop and two part-guided masks on it: (patches, plan_a, patches, plan_b).
 
-    That tuple is the item a ViewBatch takes. Draw order: crop, plan_a,
-    plan_b; with independent_crops, crop_a, plan_a, crop_b, plan_b.
+    That tuple is the item a ViewBatch takes. Both plans hide
+    num_masked(masking_ratio, N) patches. Draw order: crop, plan_a, plan_b.
     """
     grid = cfg.model.grid
     out_h, out_w = grid.image_h, grid.image_w
-    scfg = cfg.sampler()
-
-    def one_view(image):
-        crop = sample_crop(rng, image.height, image.width, cfg.scale_min, out_h / out_w)
-        aug = apply_crop(image, crop, out_h, out_w)
-        kps = transform_keypoints(record.keypoints, crop, out_h, out_w)
-        return patchify(aug, grid), kps
-
     image = data_io.load_image(os.path.join(root, record.image))
-    patches_a, kps_a = one_view(image)
-    plan_a = part_guided_mask(rng, kps_a, grid, scfg)
-    patches_b, kps_b = one_view(image) if cfg.independent_crops else (patches_a, kps_a)
-    plan_b = part_guided_mask(rng, kps_b, grid, scfg)
-    return patches_a, plan_a, patches_b, plan_b
+    crop = sample_crop(rng, image.height, image.width, cfg.scale_min, out_h / out_w)
+    patches = patchify(apply_crop(image, crop, out_h, out_w), grid)
+    kps = transform_keypoints(record.keypoints, crop, out_h, out_w)
+    n_masked = num_masked(cfg.masking_ratio, grid.n_patches)
+    plan_a = part_guided_mask(rng, kps, grid, n_masked)
+    plan_b = part_guided_mask(rng, kps, grid, n_masked)
+    return patches, plan_a, patches, plan_b
 
 
 class ViewBatch:
@@ -361,13 +345,12 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     """Epoch loop with seeded shuffling; returns (params, opt, MetricsLog).
 
     With out_dir set, writes metrics.jsonl one row per step as it goes (a
-    fresh run truncates it), a checkpoint_ep{N}.bin after every
-    checkpoint_every-th epoch that total_steps did not cut short, and a final
-    checkpoint.bin. resume_from restarts at the checkpoint's epoch boundary
-    and replays the original trajectory exactly; rows of an existing
-    out_dir/metrics.jsonl up to the checkpoint step are rewritten first, so
-    the log holds the whole history. Under glibc it also sets the process's
-    malloc top pad (see _pad_heap_top).
+    fresh run truncates it), a checkpoint_ep{N}.bin after every epoch that
+    total_steps did not cut short, and a final checkpoint.bin. resume_from
+    restarts at the checkpoint's epoch boundary and replays the original
+    trajectory exactly; rows of an existing out_dir/metrics.jsonl up to the
+    checkpoint step are rewritten first, so the log holds the whole history.
+    Under glibc it also sets the process's malloc top pad (see _pad_heap_top).
     """
     if not len(manifest):
         raise ConfigError("manifest is empty")
@@ -421,7 +404,7 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
                 with open(metrics_path, "a", encoding="utf-8") as f:
                     f.write(json.dumps(log.records[-1]) + "\n")
         completed = opt.step == (epoch + 1) * steps_per_epoch  # not cut short by total_steps
-        if out_dir is not None and completed and (epoch + 1) % rcfg.checkpoint_every == 0:
+        if out_dir is not None and completed:
             data_io.save_checkpoint(
                 params, opt, opt.step,
                 os.path.join(out_dir, f"checkpoint_ep{epoch + 1}.bin"))

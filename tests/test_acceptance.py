@@ -19,7 +19,6 @@ from pmim.mask_sampling import (
     KEYPOINT_CONF_THRESHOLD,
     PART_IDS,
     MaskPlan,
-    SamplerConfig,
     all_part_patches,
     blockwise_fill,
     mask_stats,
@@ -85,9 +84,9 @@ def region_by_intersection(pts, part, grid, thresh):
     return out
 
 
-def replayed_plan(rng, kps, grid, cfg):
+def replayed_plan(rng, kps, grid, beta):
     """Budget-adjustment reference: replays the sampler's draws in order."""
-    n_m = math.floor(cfg.masking_ratio * grid.n_patches)
+    n_m = math.floor(beta * grid.n_patches)
     count = int(rng.integers(0, 7))
     order = rng.permutation(6)
     seen, per_new = set(), []
@@ -151,8 +150,7 @@ def test_criterion_01_mask_budget_exactness():
         beta = betas[(i // 4) % 4]
         rng = np.random.default_rng(i)
         kps = fuzz_keypoints(rng, grid.image_w, grid.image_h)
-        plan = part_guided_mask(rng, kps, grid,
-                                SamplerConfig(masking_ratio=beta))
+        plan = part_guided_mask(rng, kps, grid, num_masked(beta, grid.n_patches))
         want = math.floor(beta * grid.n_patches)
         if len(plan.masked) != want or len(set(plan.masked)) != want:
             violations += 1
@@ -168,11 +166,12 @@ def test_criterion_02_budget_adjustment_oracle():
     mismatches = 0
     for case in range(1000):
         grid = grids[case % 3]
-        cfg = SamplerConfig(masking_ratio=betas[(case // 3) % 4])
+        beta = betas[(case // 3) % 4]
         kps = fuzz_keypoints(np.random.default_rng(50_000 + case),
                              grid.image_w, grid.image_h)
-        want, want_prov = replayed_plan(np.random.default_rng(case), kps, grid, cfg)
-        plan = part_guided_mask(np.random.default_rng(case), kps, grid, cfg)
+        want, want_prov = replayed_plan(np.random.default_rng(case), kps, grid, beta)
+        plan = part_guided_mask(np.random.default_rng(case), kps, grid,
+                                num_masked(beta, grid.n_patches))
         if plan.masked != want or plan.provenance != want_prov:
             mismatches += 1
     report(2, mismatches == 0,
@@ -255,14 +254,14 @@ def test_criterion_07_alignment_weight_matters(smoke):
 def test_criterion_08_region_coverage_gap(smoke):
     manifest = smoke["manifest"]
     grid = ModelConfig().grid  # 8x4, same pixel frame as the 64x32 canvas
-    cfg = SamplerConfig(masking_ratio=0.5)
+    n_masked = num_masked(0.5, grid.n_patches)
     plans_part, plans_rand, regions = [], [], []
     for i, record in enumerate(manifest.records):
         region = all_part_patches(record.keypoints, grid)
         for rep in range(8):
             rng = np.random.default_rng(np.random.SeedSequence([77, i, rep]))
-            plans_part.append(part_guided_mask(rng, record.keypoints, grid, cfg))
-            plans_rand.append(random_mask(rng, grid, num_masked(0.5, grid.n_patches)))
+            plans_part.append(part_guided_mask(rng, record.keypoints, grid, n_masked))
+            plans_rand.append(random_mask(rng, grid, n_masked))
             regions.append(region)
     cov_part = mask_stats(plans_part, regions).region_coverage_mean
     cov_rand = mask_stats(plans_rand, regions).region_coverage_mean
@@ -274,8 +273,7 @@ def test_criterion_08_region_coverage_gap(smoke):
 
 def test_criterion_09_determinism_and_resume(tmp_path, smoke):
     manifest = smoke["manifest"]
-    cfg = TrainConfig(batch_size=8, total_epochs=2, checkpoint_every=1, seed=5,
-                      model=TINY_CHECK_MODEL)
+    cfg = TrainConfig(batch_size=8, total_epochs=2, seed=5, model=TINY_CHECK_MODEL)
     frozen = lambda: 0.0
     out = str(tmp_path / "first")
     p1, _, log1 = run_pretrain(cfg, manifest, out_dir=out, timer=frozen)

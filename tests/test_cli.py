@@ -50,8 +50,7 @@ def micro_run(tmp_path_factory, manifest_path):
     out = str(tmp_path_factory.mktemp("cli_run"))
     code, stdout, stderr = run_cli(
         ["pretrain", "--manifest", manifest_path, "--out", out, *MICRO_SET,
-         "--set", "train.batch_size=3", "--set", "train.total_epochs=2",
-         "--set", "train.checkpoint_every=1"])
+         "--set", "train.batch_size=3", "--set", "train.total_epochs=2"])
     assert code == 0, stderr
     return {"out": out, "summary": json.loads(stdout)}
 
@@ -82,7 +81,6 @@ def test_pretrain_resume_reproduces(tmp_path, manifest_path, micro_run):
     code, _, err = run_cli(
         ["pretrain", "--manifest", manifest_path, "--out", out2, *MICRO_SET,
          "--set", "train.batch_size=3", "--set", "train.total_epochs=2",
-         "--set", "train.checkpoint_every=1",
          "--resume", os.path.join(micro_run["out"], "checkpoint_ep1.bin")])
     assert code == 0, err
     final_a = open(os.path.join(micro_run["out"], "checkpoint.bin"), "rb").read()
@@ -123,11 +121,12 @@ def test_rejects_unknown_config(tmp_path, manifest_path):
     code, _, err = run_cli(["mask-plan", "--config", bad,
                             "--manifest", manifest_path])
     assert code == 2 and "optimizer" in err
-    for key in ("align_mode", "negatives", "symmetrize"):
-        message = f"unknown config key loss.{key}"
-        code, _, err = run_cli(["grad-check", "--set", f"loss.{key}=x"])
+    for section, key in (("loss", "align_mode"), ("loss", "negatives"), ("loss", "symmetrize"),
+                         ("train", "independent_crops"), ("train", "checkpoint_every")):
+        message = f"unknown config key {section}.{key}"
+        code, _, err = run_cli(["grad-check", "--set", f"{section}.{key}=1"])
         assert code == 2 and message in err, err
-        json.dump({"loss": {key: "x"}}, open(bad, "w"))
+        json.dump({section: {key: 1}}, open(bad, "w"))
         code, _, err = run_cli(["grad-check", "--config", bad])
         assert code == 2 and message in err, err
 
@@ -269,7 +268,8 @@ def _off_frame_manifest(tmp_path):
 def test_mask_plan_and_stats_map_keypoints_of_off_frame_images(tmp_path):
     manifest, records = _off_frame_manifest(tmp_path)
     train = TrainConfig()
-    grid, scfg = train.model.grid, train.sampler()
+    grid = train.model.grid
+    n_masked = num_masked(train.masking_ratio, grid.n_patches)
     kps = [transform_keypoints(r.keypoints, CropParams(0, 0, w, h, False), 64, 32)
            for r, (h, w) in zip(records, ((128, 64), (32, 16)))]
     seed = 4
@@ -283,8 +283,8 @@ def test_mask_plan_and_stats_map_keypoints_of_off_frame_images(tmp_path):
         for i, (record, k) in enumerate(zip(records, kps)):
             rng = np.random.default_rng(np.random.SeedSequence([seed, cli._SEED_PLAN, i]))
             for view in ("a", "b"):
-                plan = (part_guided_mask(rng, k, grid, scfg) if strategy == "part"
-                        else random_mask(rng, grid, num_masked(scfg.masking_ratio, grid.n_patches)))
+                plan = (part_guided_mask(rng, k, grid, n_masked) if strategy == "part"
+                        else random_mask(rng, grid, n_masked))
                 want.append((record.sample_id, view, plan.masked, plan.provenance))
         got = [(sample_id, view, plan.masked, plan.provenance)
                for sample_id, view, plan in read_mask_plan(paths[strategy])]
@@ -318,6 +318,18 @@ def test_mask_plan_and_stats_exit_2_on_a_missing_or_truncated_image(tmp_path):
                      ["stats", "--plans", plans]):
             code, _, err = run_cli([*argv, "--manifest", manifest])
             assert code == 2 and big in err and message in err, (argv, err)
+
+
+def test_mask_plan_exits_2_on_a_nan_or_non_numeric_keypoint(tmp_path, manifest_path):
+    lines = open(manifest_path).read().splitlines()
+    path = str(tmp_path / "manifest.jsonl")
+    for value in (float("nan"), "0.5", True):
+        row = json.loads(lines[1])
+        row["keypoints"][4][2] = value  # json.dumps writes the float as NaN
+        open(path, "w").write("\n".join([lines[0], json.dumps(row), *lines[2:]]) + "\n")
+        code, stdout, err = run_cli(["mask-plan", "--manifest", path,
+                                     "--out", str(tmp_path / "plans.jsonl")])
+        assert code == 2 and stdout == "" and f"{path}:2:" in err, (value, err)
 
 
 def test_visualize_writes_triptychs(tmp_path, manifest_path):
@@ -419,8 +431,7 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run, monkeypatch)
     for bad in ("loss.temperature=nan", "loss.align_weight=inf",
                 "loss.normalize_targets=1", "model.proj_head=x", "train.seed=abc",
                 "train.seed=-1", "train.batch_size=2.5", "train.base_lr=nan",
-                "train.scale_min=2", "train.total_steps=1.5", "train.independent_crops=x",
-                "data.manifest=7"):
+                "train.scale_min=2", "train.total_steps=1.5", "data.manifest=7"):
         code, _, err = run_cli(["grad-check", "--set", bad])
         assert code == 2 and err.startswith("error:"), (bad, err)
 

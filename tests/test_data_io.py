@@ -165,6 +165,14 @@ def test_manifest_error_reporting(tmp_path):
     with pytest.raises(ConfigError, match="empty"):
         load_manifest(path)
 
+    # json reads NaN; a string, a bool or an integer beyond float range is no coordinate
+    for value, message in (("NaN", "confidences"), ('"0.5"', "non-numeric"),
+                           ("true", "non-numeric"), ("1" + "0" * 400, "out of range")):
+        row = ", ".join(["[1.0, 2.0, 1.0]"] * 16 + [f"[1.0, 2.0, {value}]"])
+        open(path, "w").write(f'{{"id": "a", "image": "a.ppm", "keypoints": [{row}]}}\n')
+        with pytest.raises(ConfigError, match=re.escape(f"{path}:1:") + ".*" + message):
+            load_manifest(path)
+
     open(path, "wb").write(good.encode() + b"\n\xff\xfe\n")
     with pytest.raises(ConfigError, match=re.escape(f"{path}:2:")):
         load_manifest(path)
@@ -199,25 +207,24 @@ def test_stick_figure_rejects_oversized():
         render_stick_figure(SyntheticSpec(height_frac=1.2))
 
 
-def test_stick_figure_noise_is_seeded():
-    spec = SyntheticSpec(noise=0.1, seed=42)
-    a, _ = render_stick_figure(spec)
-    b, _ = render_stick_figure(spec)
-    np.testing.assert_array_equal(a.data, b.data)
-    assert a.data.min() >= 0.0 and a.data.max() <= 1.0
-    clean, _ = render_stick_figure(dataclasses.replace(spec, noise=0.0))
-    assert not np.array_equal(a.data, clean.data)
-
-
 def test_random_spec_stays_in_ranges():
     rng = np.random.default_rng(5)
     for i in range(20):
-        spec = random_spec(rng, f"s{i}", noise=0.02)
+        spec = random_spec(rng, f"s{i}")
         assert 0.78 <= spec.height_frac <= 0.83
         assert 0.08 <= spec.bg <= 0.22
         assert 0.78 <= spec.fg <= 0.92
-        assert spec.noise == 0.02
-        render_stick_figure(dataclasses.replace(spec, noise=0.0))  # must fit
+        render_stick_figure(spec)  # must fit
+
+
+def test_random_spec_still_draws_the_retired_noise_seed():
+    # 13 pose and tone draws, then the integer that once seeded pixel noise: dropping
+    # it would shift every later figure of a synthetic dataset
+    rng, replay = np.random.default_rng(8), np.random.default_rng(8)
+    random_spec(rng, "s0")
+    replay.uniform(size=13)
+    replay.integers(0, 2 ** 31)
+    assert rng.bit_generator.state == replay.bit_generator.state
 
 
 def test_synthetic_dataset_deterministic():

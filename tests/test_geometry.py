@@ -69,10 +69,11 @@ def test_keypoint_set_validation():
     bad[3, 0] = np.nan
     with pytest.raises(ConfigError):
         KeypointSet(bad)
-    bad2 = np.zeros((17, 3))
-    bad2[0, 2] = 2.0
-    with pytest.raises(ConfigError):
-        KeypointSet(bad2)
+    for conf in (2.0, -0.1, np.nan):  # NaN fails both bounds, so it is no confidence
+        bad2 = np.zeros((17, 3))
+        bad2[0, 2] = conf
+        with pytest.raises(ConfigError, match="confidences"):
+            KeypointSet(bad2)
 
 
 def test_flip_perm_swaps_sides():

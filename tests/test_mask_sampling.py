@@ -22,7 +22,6 @@ from pmim.mask_sampling import (
     PART_IDS,
     PART_KEYPOINT_PAIRS,
     MaskPlan,
-    SamplerConfig,
     all_part_patches,
     blockwise_fill,
     mask_stats,
@@ -66,14 +65,14 @@ def oracle_part_patches(pts, part, grid, thresh):
     return out
 
 
-def oracle_plan(rng, kps, grid, cfg):
+def oracle_plan(rng, kps, grid, beta):
     """Replay of the sampler: same draws, independently coded case logic.
 
     Returns (masked, provenance, case) where case names which budget branch
     ran. The short case hands the same rng to blockwise_fill, the one shared
     subroutine; everything else is recomputed here.
     """
-    n_m = math.floor(cfg.masking_ratio * grid.n_patches)
+    n_m = math.floor(beta * grid.n_patches)
     count = int(rng.integers(0, 7))
     order = rng.permutation(6)
     parts = [PART_IDS[i] for i in order[:count]]
@@ -229,7 +228,6 @@ def edge_case_figure(rng, grid, thresh):
 
 def test_part_regions_and_plans_match_numpy_scalar_reference(monkeypatch):
     rng = np.random.default_rng(21)
-    cfg = SamplerConfig()
     for grid in (make_patch_grid(64, 32, 8), make_patch_grid(32, 48, 4)):
         for trial in range(150):
             kps = edge_case_figure(rng, grid, KEYPOINT_CONF_THRESHOLD)
@@ -243,7 +241,7 @@ def test_part_regions_and_plans_match_numpy_scalar_reference(monkeypatch):
                 monkeypatch.setattr(mask_sampling, "part_patches", patch_fn)
                 draws = np.random.default_rng([21, trial])
                 for _ in range(2):
-                    plan = part_guided_mask(draws, kps, grid, cfg)
+                    plan = part_guided_mask(draws, kps, grid, num_masked(0.5, grid.n_patches))
                     plans.append((plan.masked, plan.provenance, draws.bit_generator.state))
             assert plans[:2] == plans[2:]
 
@@ -346,13 +344,17 @@ def test_random_mask_basics():
     assert plan.provenance == ["fill"] * 64
     again = random_mask(np.random.default_rng(3), grid, 64)
     assert plan.masked == again.masked
-    with pytest.raises(ConfigError):
-        random_mask(np.random.default_rng(0), grid, 129)
+    kps = random_figure(np.random.default_rng(0))
+    for bad in (-1, 129):  # budgets outside [0, N] for both samplers
+        with pytest.raises(ConfigError):
+            random_mask(np.random.default_rng(0), grid, bad)
+        with pytest.raises(ConfigError):
+            part_guided_mask(np.random.default_rng(0), kps, grid, bad)
 
 
 def test_part_guided_equal_case_keeps_union():
     grid = make_patch_grid(32, 32, 8)
-    cfg = SamplerConfig(masking_ratio=0.25)  # budget 4 = |union| of any part
+    n_masked = num_masked(0.25, grid.n_patches)  # budget 4 = |union| of any part
     kps = piled_keypoints()
     hits = 0
     for seed in range(12):
@@ -360,7 +362,7 @@ def test_part_guided_equal_case_keeps_union():
         if int(probe.integers(0, 7)) == 0:
             continue  # empty selection goes down the fill path instead
         hits += 1
-        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, cfg)
+        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, n_masked)
         assert sorted(plan.masked) == [0, 1, 4, 5]
         # every patch is new at the first selected part
         replay = np.random.default_rng(seed)
@@ -372,13 +374,13 @@ def test_part_guided_equal_case_keeps_union():
 
 def test_part_guided_overflow_takes_uniform_subset():
     grid = make_patch_grid(32, 32, 8)
-    cfg = SamplerConfig(masking_ratio=0.125)  # budget 2 < any part's 4 patches
+    n_masked = num_masked(0.125, grid.n_patches)  # budget 2 < any part's 4 patches
     kps = piled_keypoints()
     for seed in range(12):
         probe = np.random.default_rng(seed)
         if int(probe.integers(0, 7)) == 0:
             continue
-        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, cfg)
+        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, n_masked)
         assert plan.n_masked == 2
         assert set(plan.masked) <= {0, 1, 4, 5}
         replay = np.random.default_rng(seed)
@@ -392,10 +394,10 @@ def test_part_guided_overflow_takes_uniform_subset():
 
 def test_part_guided_short_case_fills():
     grid = make_patch_grid(32, 32, 8)
-    cfg = SamplerConfig(masking_ratio=0.75)  # budget 12 > 4 union patches
+    n_masked = num_masked(0.75, grid.n_patches)  # budget 12 > 4 union patches
     kps = piled_keypoints()
     for seed in range(12):
-        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, cfg)
+        plan = part_guided_mask(np.random.default_rng(seed), kps, grid, n_masked)
         assert plan.n_masked == 12
         probe = np.random.default_rng(seed)
         if int(probe.integers(0, 7)) > 0:
@@ -405,15 +407,14 @@ def test_part_guided_short_case_fills():
 
 
 def test_part_guided_matches_oracle():
-    cfg = SamplerConfig()
     cases = {"equal": 0, "short": 0, "long": 0}
     for data_seed in range(8):
         kps = random_figure(np.random.default_rng(1000 + data_seed))
         for grid in (make_patch_grid(32, 32, 8), make_patch_grid(64, 32, 8)):
             for seed in range(40):
                 replay, draws = np.random.default_rng(seed), np.random.default_rng(seed)
-                want, want_prov, case = oracle_plan(replay, kps, grid, cfg)
-                plan = part_guided_mask(draws, kps, grid, cfg)
+                want, want_prov, case = oracle_plan(replay, kps, grid, 0.5)
+                plan = part_guided_mask(draws, kps, grid, num_masked(0.5, grid.n_patches))
                 assert plan.masked == want, (data_seed, grid, seed, case)
                 assert plan.provenance == want_prov
                 # the sampler drew exactly as often as the oracle
@@ -427,9 +428,8 @@ def test_part_guided_matches_oracle():
 @settings(max_examples=120, deadline=None)
 def test_part_guided_budget_always_exact(beta, seed, fig):
     grid = make_patch_grid(32, 32, 8)
-    cfg = SamplerConfig(masking_ratio=beta)
     kps = random_figure(np.random.default_rng(fig))
-    plan = part_guided_mask(np.random.default_rng(seed), kps, grid, cfg)
+    plan = part_guided_mask(np.random.default_rng(seed), kps, grid, num_masked(beta, 16))
     assert plan.n_masked == math.floor(beta * 16)
     assert len(plan.masked) == plan.n_masked
     assert len(set(plan.masked)) == plan.n_masked

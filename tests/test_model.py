@@ -70,7 +70,8 @@ def test_encoder_stop_is_found_once_per_config():
     stop = params.encoder_stop
     assert stop == params.views(np.arange(params.n_params))["dec_proj_w"].flat[0]
     misses = model._encoder_stop.cache_info().misses
-    assert params.copy().encoder_stop == stop  # another instance, the same config
+    twin = ModelParams(params.cfg, params.arrays)  # another instance, the same config
+    assert twin.encoder_stop == stop
     assert model._encoder_stop.cache_info().misses == misses
 
 
@@ -145,7 +146,7 @@ def test_params_groups_cannot_be_rebound():
 
 def test_params_copy_shares_no_memory():
     params = init_params(np.random.default_rng(3), TINY)
-    twin = params.copy()
+    twin = ModelParams(params.cfg, params.arrays)
     assert np.array_equal(twin.flat, params.flat)
     assert not np.shares_memory(twin.flat, params.flat)
     assert not np.shares_memory(twin["head_b"], params.flat)

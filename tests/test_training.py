@@ -32,7 +32,7 @@ from pmim.training import (
     run_pretrain,
     train_step,
 )
-from pmim.mask_sampling import MaskPlan, part_guided_mask, random_mask
+from pmim.mask_sampling import MaskPlan, num_masked, part_guided_mask, random_mask
 
 # smallest legal transformer; keeps finite differences cheap
 MICRO = ModelConfig(embed_dim=4, depth=1, n_heads=1, decoder_dim=4,
@@ -76,8 +76,6 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(masking_ratio=1.5)
-    with pytest.raises(ConfigError):
-        TrainConfig(checkpoint_every=0)
 
 
 def test_resolve_schedule_from_epochs():
@@ -177,20 +175,8 @@ def test_build_views_shares_one_crop(disk_dataset):
     aug = apply_crop(image, crop, grid.image_h, grid.image_w)
     np.testing.assert_array_equal(patchify(aug, grid), patches_a)
     for plan in (plan_a, plan_b):
-        want = part_guided_mask(rng, kps, grid, cfg.sampler())
+        want = part_guided_mask(rng, kps, grid, num_masked(cfg.masking_ratio, grid.n_patches))
         assert (plan.masked, plan.provenance) == (want.masked, want.provenance)
-
-
-def test_build_views_independent_crops_differ(disk_dataset):
-    cfg = run_cfg(independent_crops=True)
-    record = disk_dataset.records[0]
-    saw_difference = False
-    for seed in range(5):
-        patches_a, _, patches_b, _ = build_views(
-            np.random.default_rng(seed), record, cfg, disk_dataset.root)
-        if not np.array_equal(patches_a, patches_b):
-            saw_difference = True
-    assert saw_difference
 
 
 def test_build_views_masks_rarely_collide(disk_dataset):
@@ -319,7 +305,7 @@ def test_batch_backward_reuses_a_zeroed_buffer():
     assert first.any()
     second = batch_backward(params, tape_b)
     assert second is first is params.grad
-    fresh = params.copy()
+    fresh = ModelParams(params.cfg, params.arrays)
     assert np.array_equal(second, batch_backward(fresh, tape_b))
     assert not np.shares_memory(fresh.grad, params.grad)
 
