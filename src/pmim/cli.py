@@ -47,7 +47,7 @@ def _section_defaults(cls, skip=()):
 
 def _default_config() -> dict:
     return {
-        "train": _section_defaults(TrainConfig, skip=("loss", "model", "dataset")),
+        "train": _section_defaults(TrainConfig, skip=("loss", "model")),
         "model": _section_defaults(ModelConfig),
         "loss": _section_defaults(LossConfig),
         "data": {"manifest": None},
@@ -115,28 +115,32 @@ def _load_config(args, model_default: ModelConfig | None = None) -> dict:
     return cfg
 
 
-def _build_configs(cfg: dict):
+def _build_configs(cfg: dict) -> TrainConfig:
+    manifest = cfg["data"]["manifest"]
+    if manifest is not None and type(manifest) is not str:
+        raise ConfigError(f"data.manifest must be a path string, got {manifest!r}")
     try:
         model = ModelConfig(**cfg["model"])
         loss = LossConfig(**cfg["loss"])
-        train = TrainConfig(**cfg["train"], loss=loss, model=model,
-                            dataset=cfg["data"]["manifest"])
+        train = TrainConfig(**cfg["train"], loss=loss, model=model)
     except TypeError as e:
         raise ConfigError(f"bad config value: {e}")
     return train
 
 
-def _load_manifest(args, train: TrainConfig) -> data_io.DatasetManifest:
-    """The manifest named by --manifest, else by data.manifest."""
-    path = args.manifest or train.dataset
+def _configs_and_manifest(args) -> tuple[TrainConfig, data_io.DatasetManifest]:
+    """The built configs, and the manifest named by --manifest, else by data.manifest."""
+    cfg = _load_config(args)
+    train = _build_configs(cfg)
+    path = args.manifest or cfg["data"]["manifest"]
     if not path:
         raise ConfigError("no manifest: pass --manifest or set data.manifest")
-    return data_io.load_manifest(path)
+    return train, data_io.load_manifest(path)
 
 
 def _load_params(checkpoint: str, model: ModelConfig):
     """Checkpoint parameters, which must be for the configured model."""
-    params, _, _ = data_io.load_checkpoint(checkpoint)
+    params, _ = data_io.load_checkpoint(checkpoint)
     if params.cfg != model:
         raise ConfigError("checkpoint model config does not match configured model")
     return params
@@ -168,8 +172,7 @@ def _frame_image(record, manifest, model: ModelConfig) -> ImageBuffer:
 # subcommands
 
 def cmd_pretrain(args) -> int:
-    train = _build_configs(_load_config(args))
-    manifest = _load_manifest(args, train)
+    train, manifest = _configs_and_manifest(args)
     out_dir = args.out or "run"
     params, opt, log = run_pretrain(train, manifest, out_dir=out_dir,
                                     resume_from=args.resume)
@@ -181,8 +184,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_mask_plan(args) -> int:
-    train = _build_configs(_load_config(args))
-    manifest = _load_manifest(args, train)
+    train, manifest = _configs_and_manifest(args)
     out_path = args.out or "plans.jsonl"
     grid = train.model.grid
     n_masked = num_masked(train.masking_ratio, grid.n_patches)
@@ -217,8 +219,7 @@ def _paste_reconstruction(patches: np.ndarray, vis: np.ndarray, masked: np.ndarr
 
 
 def cmd_visualize(args) -> int:
-    train = _build_configs(_load_config(args))
-    manifest = _load_manifest(args, train)
+    train, manifest = _configs_and_manifest(args)
     entries = data_io.read_mask_plan(args.plans, patch_size=train.model.patch_size)
     if not entries:
         raise ConfigError(f"empty plan file: {args.plans}")
@@ -250,8 +251,7 @@ def cmd_visualize(args) -> int:
 
 
 def cmd_stats(args) -> int:
-    train = _build_configs(_load_config(args))
-    manifest = _load_manifest(args, train)
+    train, manifest = _configs_and_manifest(args)
     regions_by_id: dict[str, set[int]] = {}
     reports = {}
     order = []
@@ -283,8 +283,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_attn_map(args) -> int:
-    train = _build_configs(_load_config(args))
-    manifest = _load_manifest(args, train)
+    train, manifest = _configs_and_manifest(args)
     params = _load_params(args.checkpoint, train.model)
     record = manifest.by_id(args.id)
     grid = train.model.grid
@@ -292,8 +291,7 @@ def cmd_attn_map(args) -> int:
         raise ConfigError(f"query index {args.query} outside [0, {grid.n_patches})")
     image = _frame_image(record, manifest, train.model)
     patches = patchify(image, grid)
-    empty = MaskPlan(grid, 0, [], [])
-    attn = attention_maps(params, patches, empty)  # (depth, heads, S, S)
+    attn = attention_maps(params, patches)  # (depth, heads, S, S)
     weights = attn[-1].mean(axis=0)[1 + args.query]  # (S,), row of the query token
     patch_w = weights[1:]
     peak = float(patch_w.max())

@@ -7,6 +7,7 @@ container for checkpoints.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import math
@@ -408,31 +409,16 @@ def _read_array(f, path: str) -> tuple[str, np.ndarray]:
     return name, data.reshape(dims).astype(np.float64)
 
 
-def save_checkpoint(params, opt_state, step: int, path: str):
-    """Self-describing binary: magic, version, JSON config echo, named arrays.
+@contextlib.contextmanager
+def _replacing(path: str):
+    """A binary file at path + ".tmp", renamed over `path` once the block completes.
 
-    Written to path + ".tmp" and renamed over `path` once complete, so a crash
-    partway through leaves any earlier file at `path` intact.
+    A crash partway through leaves any earlier file at `path` intact, and no .tmp file.
     """
-    meta = {
-        "format": CHECKPOINT_VERSION,
-        "step": int(step),
-        "model": dataclasses.asdict(params.cfg),
-        "optimizer": {"beta1": opt_state.beta1, "beta2": opt_state.beta2,
-                      "eps": opt_state.eps, "step": opt_state.step},
-    }
-    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as f:
-            f.write(CHECKPOINT_MAGIC)
-            f.write(struct.pack("<I", CHECKPOINT_VERSION))
-            f.write(struct.pack("<I", len(blob)))
-            f.write(blob)
-            f.write(struct.pack("<I", 3 * len(params.arrays)))
-            for prefix, vec in (("p.", params.flat), ("m.", opt_state.m), ("v.", opt_state.v)):
-                for name, arr in params.views(vec).items():
-                    _write_array(f, prefix + name, arr)
+            yield f
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -440,8 +426,32 @@ def save_checkpoint(params, opt_state, step: int, path: str):
         raise
 
 
+def save_checkpoint(params, opt, path: str):
+    """Self-describing binary: magic, version, JSON config echo, named arrays.
+
+    The echo holds opt.step in both step slots. Written through _replacing.
+    """
+    meta = {
+        "format": CHECKPOINT_VERSION,
+        "step": opt.step,
+        "model": dataclasses.asdict(params.cfg),
+        "optimizer": {"beta1": opt.beta1, "beta2": opt.beta2, "eps": opt.eps,
+                      "step": opt.step},
+    }
+    blob = json.dumps(meta, sort_keys=True).encode("utf-8")
+    with _replacing(path) as f:
+        f.write(CHECKPOINT_MAGIC)
+        f.write(struct.pack("<I", CHECKPOINT_VERSION))
+        f.write(struct.pack("<I", len(blob)))
+        f.write(blob)
+        f.write(struct.pack("<I", 3 * len(params.arrays)))
+        for prefix, vec in (("p.", params.flat), ("m.", opt.m), ("v.", opt.v)):
+            for name, arr in params.views(vec).items():
+                _write_array(f, prefix + name, arr)
+
+
 def load_checkpoint(path: str):
-    """Returns (ModelParams, OptimizerState, step); values round-trip bit-exactly."""
+    """Returns (ModelParams, OptimizerState); values round-trip bit-exactly."""
     from .model import ModelConfig, ModelParams
     from .training import OptimizerState
 
@@ -476,21 +486,18 @@ def load_checkpoint(path: str):
             and {"step", "beta1", "beta2", "eps"} <= set(meta["optimizer"])):
         raise ConfigError(f"{path}: config echo lacks step, model or optimizer fields")
     hyper = meta["optimizer"]
-    if (any(type(v) is not int for v in (meta["step"], hyper["step"]))
-            or any(type(hyper[k]) not in (int, float) for k in ("beta1", "beta2", "eps"))):
-        raise ConfigError(f"{path}: config echo step or optimizer value is not a number")
+    if any(type(v) is not int for v in (meta["step"], hyper["step"])):
+        raise ConfigError(f"{path}: config echo step is not an integer")
     # AdamW's bias corrections run on the optimizer's step, the schedule on the checkpoint's
     if hyper["step"] != meta["step"]:
         raise ConfigError(f"{path}: optimizer step {hyper['step']} differs from "
                           f"checkpoint step {meta['step']}")
     if meta["step"] < 0:
         raise ConfigError(f"{path}: checkpoint step must be >= 0, got {meta['step']}")
-    # settings AdamW cannot use: beta2 = 1 divides by zero, a NaN poisons every update
-    for key, ok, want in (("beta1", 0.0 <= hyper["beta1"] < 1.0, "in [0, 1)"),
-                          ("beta2", 0.0 <= hyper["beta2"] < 1.0, "in [0, 1)"),
-                          ("eps", 0.0 < hyper["eps"] < math.inf, "finite and > 0")):
-        if not ok:
-            raise ConfigError(f"{path}: optimizer {key} must be {want}, got {hyper[key]!r}")
+    fixed = {k: getattr(OptimizerState, k) for k in ("beta1", "beta2", "eps")}
+    saved = {k: hyper[k] for k in fixed}
+    if saved != fixed:
+        raise ConfigError(f"{path}: optimizer settings {saved} differ from AdamW's fixed {fixed}")
     fields = {f.name for f in dataclasses.fields(ModelConfig)}
     unknown = set(meta["model"]) - fields
     if unknown:
@@ -508,10 +515,7 @@ def load_checkpoint(path: str):
                               ("v.", ~(np.isfinite(v) & (v >= 0.0)), "negative or non-finite")):
         if bad.any():
             raise ConfigError(f"{path}: {prefix}{params.first_group(bad)} has {what} values")
-    opt = OptimizerState(m=m, v=v, step=int(hyper["step"]),
-                         beta1=float(hyper["beta1"]), beta2=float(hyper["beta2"]),
-                         eps=float(hyper["eps"]))
-    return params, opt, int(meta["step"])
+    return params, OptimizerState(m=m, v=v, step=hyper["step"])
 
 
 # ---------------------------------------------------------------------------

@@ -574,9 +574,8 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     _add(grads, "patch_proj_b", dtok.sum(axis=-2))
 
 
-def attention_maps(params: ModelParams, patches: np.ndarray, plan: MaskPlan) -> np.ndarray:
-    """One view's encoder attention weights, (depth, heads, seq, seq); row 0 is the class token."""
+def attention_maps(params: ModelParams, patches: np.ndarray) -> np.ndarray:
+    """One unmasked view's encoder attention, (depth, heads, 1 + N, 1 + N); row 0: class token."""
     tape: dict = {}
-    vis, _ = MaskPlan.batch_indices([plan], params.cfg.grid)
-    encode(params, patches[None], vis, tape)
+    encode(params, patches[None], np.arange(params.cfg.n_patches)[None], tape)
     return np.stack([attnc[4][0] for _, attnc, _, _ in tape["enc"][0]])

@@ -24,6 +24,7 @@ import math
 import os
 import time
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,7 +58,6 @@ class TrainConfig:
     warmup_steps: int | None = None
     loss: LossConfig = field(default_factory=LossConfig)
     model: ModelConfig = field(default_factory=ModelConfig)
-    dataset: str | None = None
 
     def __post_init__(self):
         for name in ("batch_size", "total_epochs", "warmup_epochs", "seed"):
@@ -72,8 +72,6 @@ class TrainConfig:
             value = getattr(self, name)
             if type(value) not in (int, float) or not math.isfinite(value):
                 raise ConfigError(f"{name} must be a finite number, got {value!r}")
-        if self.dataset is not None and type(self.dataset) is not str:
-            raise ConfigError(f"dataset must be a path string, got {self.dataset!r}")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
@@ -96,9 +94,9 @@ class OptimizerState:
     m: np.ndarray  # AdamW moments, each laid out like ModelParams.flat
     v: np.ndarray
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.95
-    eps: float = 1e-8
+    beta1: ClassVar[float] = 0.9  # MAE's fixed AdamW settings
+    beta2: ClassVar[float] = 0.95
+    eps: ClassVar[float] = 1e-8
 
 
 def init_optimizer(params: ModelParams) -> OptimizerState:
@@ -135,8 +133,8 @@ class MetricsLog:
         return "".join(json.dumps(r) + "\n" for r in self.records)
 
     def write(self, path: str):
-        with open(path, "w", encoding="utf-8") as f:
-            f.write(self.to_jsonl())
+        with data_io._replacing(path) as f:  # a failed write keeps the old file whole
+            f.write(self.to_jsonl().encode("utf-8"))
 
     @staticmethod
     def read(path: str) -> "MetricsLog":
@@ -348,8 +346,9 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     fresh run truncates it), a checkpoint_ep{N}.bin after every epoch that
     total_steps did not cut short, and a final checkpoint.bin. resume_from
     restarts at the checkpoint's epoch boundary and replays the original
-    trajectory exactly; rows of an existing out_dir/metrics.jsonl up to the
-    checkpoint step are rewritten first, so the log holds the whole history.
+    trajectory exactly; the rows of an existing out_dir/metrics.jsonl up to the
+    checkpoint step first replace that file whole, so the log holds the whole
+    history, and a failed rewrite leaves it as it was.
     Under glibc it also sets the process's malloc top pad (see _pad_heap_top).
     """
     if not len(manifest):
@@ -359,15 +358,15 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     _pad_heap_top()
 
     if resume_from is not None:
-        params, opt, step0 = data_io.load_checkpoint(resume_from)
+        params, opt = data_io.load_checkpoint(resume_from)
         if params.cfg != rcfg.model:
             raise ConfigError(
                 f"checkpoint model {params.cfg} does not match configured {rcfg.model}")
-        if step0 % steps_per_epoch != 0:
+        if opt.step % steps_per_epoch != 0:
             raise ConfigError(
-                f"checkpoint step {step0} is not an epoch boundary "
+                f"checkpoint step {opt.step} is not an epoch boundary "
                 f"({steps_per_epoch} steps per epoch)")
-        start_epoch = step0 // steps_per_epoch
+        start_epoch = opt.step // steps_per_epoch
     else:
         params = init_params(
             np.random.default_rng(np.random.SeedSequence([rcfg.seed, _SEED_INIT])),
@@ -382,7 +381,7 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
         metrics_path = os.path.join(out_dir, "metrics.jsonl")
         if resume_from is not None and os.path.exists(metrics_path):
             log.records = [r for r in MetricsLog.read(metrics_path).records
-                           if r["step"] <= step0]
+                           if r["step"] <= opt.step]
         log.write(metrics_path)  # then one appended row per step: a crash keeps them
 
     for epoch in range(start_epoch, n_epochs):
@@ -406,12 +405,10 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
         completed = opt.step == (epoch + 1) * steps_per_epoch  # not cut short by total_steps
         if out_dir is not None and completed:
             data_io.save_checkpoint(
-                params, opt, opt.step,
-                os.path.join(out_dir, f"checkpoint_ep{epoch + 1}.bin"))
+                params, opt, os.path.join(out_dir, f"checkpoint_ep{epoch + 1}.bin"))
 
     if out_dir is not None:
-        data_io.save_checkpoint(params, opt, opt.step,
-                                os.path.join(out_dir, "checkpoint.bin"))
+        data_io.save_checkpoint(params, opt, os.path.join(out_dir, "checkpoint.bin"))
     return params, opt, log
 
 

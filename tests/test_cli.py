@@ -460,14 +460,14 @@ def test_malformed_files_exit_2(tmp_path, manifest_path, micro_run, monkeypatch)
 
     # resume from optimizer moments AdamW cannot use, written by a real save
     ep1 = os.path.join(micro_run["out"], "checkpoint_ep1.bin")
-    params, opt, step = data_io.load_checkpoint(ep1)
+    params, opt = data_io.load_checkpoint(ep1)
     write_array = data_io._write_array
     bad = str(tmp_path / "bad_moments.bin")
     for record, arr in (("m.head_b", np.zeros(3)), ("v.head_b", np.full(48, np.nan)),
                         ("v.enc0_qkv_b", np.full(12, -1.0))):
         monkeypatch.setattr(data_io, "_write_array", lambda f, name, a: write_array(
             f, name, arr if name == record else a))
-        data_io.save_checkpoint(params, opt, step, bad)
+        data_io.save_checkpoint(params, opt, bad)
         monkeypatch.undo()
         code, _, err = run_cli(
             ["pretrain", "--manifest", manifest_path, "--out", str(tmp_path / "bad_run"),

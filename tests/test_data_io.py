@@ -261,11 +261,10 @@ def test_checkpoint_round_trip(tmp_path):
     opt.v[:] = rng.random(opt.v.shape)
     opt.step = 21
     path = str(tmp_path / "ck.bin")
-    save_checkpoint(params, opt, 21, path)
+    save_checkpoint(params, opt, path)
     assert os.path.getsize(path) < 2_000_000
 
-    params2, opt2, step = load_checkpoint(path)
-    assert step == 21
+    params2, opt2 = load_checkpoint(path)
     assert params2.cfg == cfg
     assert opt2.step == 21
     assert (opt2.beta1, opt2.beta2, opt2.eps) == (0.9, 0.95, 1e-8)
@@ -285,7 +284,7 @@ def test_checkpoint_rejects_garbage(tmp_path):
     cfg = ModelConfig(embed_dim=8, depth=1, decoder_dim=8, grid_h=2, grid_w=2)
     params = init_params(np.random.default_rng(0), cfg)
     good = str(tmp_path / "ck.bin")
-    save_checkpoint(params, init_optimizer(params), 0, good)
+    save_checkpoint(params, init_optimizer(params), good)
     cut = str(tmp_path / "cut.bin")
     open(cut, "wb").write(open(good, "rb").read()[:200])
     with pytest.raises(ConfigError, match="truncated"):
@@ -311,7 +310,7 @@ def test_checkpoint_crash_keeps_previous_file(tmp_path, monkeypatch):
     params = init_params(np.random.default_rng(0), cfg)
     opt = init_optimizer(params)
     path = str(tmp_path / "checkpoint.bin")
-    save_checkpoint(params, opt, 0, path)
+    save_checkpoint(params, opt, path)
     before = open(path, "rb").read()
 
     real_write = data_io._write_array
@@ -325,10 +324,27 @@ def test_checkpoint_crash_keeps_previous_file(tmp_path, monkeypatch):
 
     monkeypatch.setattr(data_io, "_write_array", crash_on_fifth)
     params["head_b"][...] += 1.0
+    opt.step = 1
     with pytest.raises(OSError, match="disk full"):
-        save_checkpoint(params, opt, 1, path)
+        save_checkpoint(params, opt, path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["checkpoint.bin"]
+
+
+def test_saved_checkpoint_loads_with_its_one_step(tmp_path):
+    params = init_params(np.random.default_rng(0), SMALL)
+    opt = init_optimizer(params)
+    path = str(tmp_path / "ck.bin")
+    for step in (0, 1, 7):
+        opt.step = step
+        save_checkpoint(params, opt, path)
+        raw = open(path, "rb").read()
+        (n,) = struct.unpack("<I", raw[8:12])
+        echo = json.loads(raw[12:12 + n])
+        assert echo["step"] == echo["optimizer"]["step"] == step
+        params2, opt2 = load_checkpoint(path)
+        assert opt2.step == step
+        np.testing.assert_array_equal(params2.flat, params.flat)
 
 
 def test_mask_plan_round_trip(tmp_path):
@@ -440,6 +456,9 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
                                      SMALL_ARRAYS)),
     ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, eps=math.inf)),
                                      SMALL_ARRAYS)),
+    # settings AdamW can use, but not the fixed ones a run trains with
+    ("checkpoint", _checkpoint_bytes(dict(SMALL_ECHO, optimizer=dict(OPT_ECHO, beta2=0.999)),
+                                     SMALL_ARRAYS)),
     # n_heads changes no array shape, so only the echo can tell 1 from the default 2
     ("checkpoint", _checkpoint_bytes(
         dict(SMALL_ECHO, model={k: v for k, v in SMALL_ECHO["model"].items() if k != "n_heads"}),
@@ -448,7 +467,8 @@ SMALL_ARRAYS = _arrays_bytes(SMALL)
         "plan-not-utf8", "echo-list", "echo-no-model", "echo-unknown-key", "array-name-not-utf8",
         "array-dims-oversized", "no-arrays", "echo-embed-dim-str", "echo-depth-null",
         "echo-beta1-str", "echo-step-str", "echo-beta1-nan", "echo-beta1-five",
-        "echo-beta2-one", "echo-eps-negative", "echo-eps-inf", "echo-model-key-missing"])
+        "echo-beta2-one", "echo-eps-negative", "echo-eps-inf", "echo-beta2-other",
+        "echo-model-key-missing"])
 def test_malformed_files_name_the_file(tmp_path, kind, body):
     if kind == "plan":
         path = str(tmp_path / "plans.jsonl")

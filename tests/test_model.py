@@ -310,10 +310,9 @@ def test_projection_head_leaves_pixels_alone():
 
 
 def test_attention_maps_are_distributions():
-    params, patches, plan = tiny_setup(seed=14)
-    maps = attention_maps(params, patches[0], plan)
-    n_vis = TINY.n_patches - plan.n_masked
-    assert maps.shape == (1, 2, n_vis + 1, n_vis + 1)
+    params, patches, _ = tiny_setup(seed=14)
+    maps = attention_maps(params, patches[0])
+    assert maps.shape == (1, 2, TINY.n_patches + 1, TINY.n_patches + 1)
     assert (maps >= 0.0).all()
     np.testing.assert_allclose(maps.sum(axis=-1), 1.0, atol=1e-6)
 

@@ -458,12 +458,30 @@ def test_pretrain_crash_keeps_streamed_rows(tmp_path, disk_dataset, monkeypatch)
     assert kept.splitlines() == open(os.path.join(full, "metrics.jsonl"), "rb").read().splitlines()[:2]
 
 
+def test_pretrain_failed_resume_rewrite_keeps_metrics(tmp_path, disk_dataset, monkeypatch):
+    cfg = run_cfg()
+    out = str(tmp_path / "run")
+    metrics = os.path.join(out, "metrics.jsonl")
+    run_pretrain(cfg, disk_dataset, out_dir=out, timer=lambda: 0.0)
+    before = open(metrics, "rb").read()
+
+    def disk_full(self):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(MetricsLog, "to_jsonl", disk_full)
+    with pytest.raises(OSError, match="disk full"):
+        run_pretrain(cfg, disk_dataset, out_dir=out,
+                     resume_from=os.path.join(out, "checkpoint_ep1.bin"))
+    assert open(metrics, "rb").read() == before
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
+
+
 def test_pretrain_resume_rejects_mismatch(tmp_path, disk_dataset):
     other = init_params(np.random.default_rng(0), ModelConfig())
     path = str(tmp_path / "other.bin")
     opt = init_optimizer(other)
     opt.step = 2
-    save_checkpoint(other, opt, 2, path)
+    save_checkpoint(other, opt, path)
     with pytest.raises(ConfigError, match="model"):
         run_pretrain(run_cfg(), disk_dataset, resume_from=path)
 
@@ -471,7 +489,7 @@ def test_pretrain_resume_rejects_mismatch(tmp_path, disk_dataset):
     odd = str(tmp_path / "odd.bin")
     opt = init_optimizer(micro)
     opt.step = 3
-    save_checkpoint(micro, opt, 3, odd)
+    save_checkpoint(micro, opt, odd)
     with pytest.raises(ConfigError, match="boundary"):
         run_pretrain(run_cfg(), disk_dataset, resume_from=odd)
 
