@@ -59,36 +59,38 @@ class DatasetManifest:
 # manifests
 
 def _parse_keypoints(raw, where: str) -> KeypointSet:
+    """Check the 17 triples in one pass, first fault first; then convert them in one call."""
     if not isinstance(raw, list) or len(raw) != 17:
         n = len(raw) if isinstance(raw, list) else type(raw).__name__
         raise ConfigError(f"{where}: keypoints must be a list of 17 triples, got {n}")
-    pts = np.zeros((17, 3))
     for j, trip in enumerate(raw):
         if not isinstance(trip, list) or len(trip) != 3:
             raise ConfigError(f"{where}: keypoints[{j}] must be [x, y, confidence]")
+        x, y, c = trip
+        if type(x) is float and type(y) is float and type(c) is float:
+            continue
         if any(type(v) not in (int, float) for v in trip):  # not a bool, nor a string
             raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
         try:
-            pts[j] = [float(v) for v in trip]
+            float(x), float(y), float(c)
         except OverflowError:  # an integer beyond float range
             raise ConfigError(f"{where}: keypoints[{j}] holds a value out of range")
     try:
-        return KeypointSet(pts)
+        return KeypointSet(np.array(raw, dtype=np.float64))
     except ConfigError as e:
         raise ConfigError(f"{where}: {e}")
 
 
-def read_json_lines(path: str, what: str, fields=()):
-    """Yield ("path:line", obj) for each non-blank line of a JSON-lines file.
-
-    An unreadable file, a line that is not UTF-8 or not JSON, a value that is
-    not an object and a missing one of `fields` fail as ConfigError.
-    """
+def _read_file(path: str, what: str) -> bytes:
     try:
         with open(path, "rb") as f:
-            lines = f.read().splitlines()
+            return f.read()
     except OSError as e:
         raise ConfigError(f"cannot read {what} {path}: {e}")
+
+
+def _json_objects(lines: list[bytes], path: str, what: str, fields=()):
+    """Yield ("path:line", obj) for each non-blank line of `lines`, read from `path`."""
     for ln, raw in enumerate(lines, 1):
         where = f"{path}:{ln}"
         try:
@@ -107,6 +109,15 @@ def read_json_lines(path: str, what: str, fields=()):
             if key not in obj:
                 raise ConfigError(f"{where}: missing field {key!r}")
         yield where, obj
+
+
+def read_json_lines(path: str, what: str, fields=()):
+    """Yield ("path:line", obj) for each non-blank line of a JSON-lines file.
+
+    An unreadable file, a line that is not UTF-8 or not JSON, a value that is
+    not an object and a missing one of `fields` fail as ConfigError.
+    """
+    return _json_objects(_read_file(path, what).splitlines(), path, what, fields)
 
 
 def load_manifest(path: str) -> DatasetManifest:
@@ -522,16 +533,19 @@ def load_checkpoint(path: str):
 # mask plans
 
 def write_mask_plan(entries: list[tuple[str, str, MaskPlan]], path: str):
-    """JSON lines of (sample id, view tag, plan); grid stored as [rows, cols]."""
-    with open(path, "w", encoding="utf-8") as f:
+    """JSON lines of (sample id, view tag, plan); grid stored as [rows, cols].
+
+    Written through _replacing, so a failed write leaves any earlier file whole.
+    """
+    with _replacing(path) as f:
         for sample_id, view, plan in entries:
-            f.write(json.dumps({
+            f.write((json.dumps({
                 "id": sample_id,
                 "view": view,
                 "grid": [plan.grid.grid_h, plan.grid.grid_w],
                 "masked": list(plan.masked),
                 "provenance": list(plan.provenance),
-            }) + "\n")
+            }) + "\n").encode("utf-8"))
 
 
 def read_mask_plan(path: str, patch_size: int = 1) -> list[tuple[str, str, MaskPlan]]:

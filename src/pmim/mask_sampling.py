@@ -10,6 +10,7 @@ index arrays that the model and the losses take; one plan is a batch of one.
 
 from __future__ import annotations
 
+import collections
 import math
 from dataclasses import dataclass, field
 
@@ -58,6 +59,7 @@ KEYPOINT_CONF_THRESHOLD = 0.2
 BLOCK_MIN_AREA = 4
 BLOCK_ASPECT = (0.3, 10.0 / 3.0)
 BLOCK_ATTEMPTS = 10
+_LOG_BLOCK_ASPECT = (math.log(BLOCK_ASPECT[0]), math.log(BLOCK_ASPECT[1]))  # the log-aspect range of _draw_block
 
 
 @dataclass
@@ -80,9 +82,10 @@ class MaskPlan:
                 f"|masked|={len(self.masked)}, |provenance|={len(self.provenance)}")
         if len(set(self.masked)) != len(self.masked):
             raise ConfigError("mask plan contains duplicate patch indices")
-        for i in self.masked:
-            if not (0 <= i < self.grid.n_patches):
-                raise ConfigError(f"patch index {i} outside grid of {self.grid.n_patches}")
+        n = self.grid.n_patches
+        if self.masked and not (0 <= min(self.masked) and max(self.masked) < n):
+            bad = next(i for i in self.masked if not (0 <= i < n))
+            raise ConfigError(f"patch index {bad} outside grid of {n}")
 
     @staticmethod
     def batch_indices(plans, grid: PatchGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -138,6 +141,37 @@ def part_keypoint_pairs(part: str) -> tuple[tuple[str, str], ...]:
     return PART_KEYPOINT_PAIRS[part]
 
 
+def _add_boxes(out: set[int], pts: list, pairs, grid: PatchGrid) -> set[int]:
+    """Add to `out` every patch touched by the box of a confident pair, one box row at a time.
+
+    pts is kps.pts.tolist(): the same float64 values, without numpy scalars.
+    Comparisons stand in for min, max and clamp calls; they give the same integers.
+    """
+    p, gw, gh = grid.patch_size, grid.grid_w, grid.grid_h
+    for name_a, name_b in pairs:
+        xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
+        xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
+        if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
+            continue
+        if xb < xa:
+            xa, xb = xb, xa
+        if yb < ya:
+            ya, yb = yb, ya
+        c_lo, c_stop = math.floor(xa / p), math.floor(xb / p) + 1
+        r_lo, r_hi = math.floor(ya / p), math.floor(yb / p)
+        if c_lo < 0:
+            c_lo = 0
+        if c_stop > gw:
+            c_stop = gw
+        if r_lo < 0:
+            r_lo = 0
+        if r_hi >= gh:
+            r_hi = gh - 1
+        for row in range(r_lo * gw, r_hi * gw + 1, gw):  # empty when the box misses the grid
+            out.update(range(row + c_lo, row + c_stop))
+    return out
+
+
 def part_patches(kps: KeypointSet, part: str, grid: PatchGrid) -> set[int]:
     """Patches touched by any keypoint-pair box of a part.
 
@@ -146,29 +180,15 @@ def part_patches(kps: KeypointSet, part: str, grid: PatchGrid) -> set[int]:
     KEYPOINT_CONF_THRESHOLD contribute nothing. Patch (r, c) covers the
     half-open pixel region [c*p, (c+1)*p) x [r*p, (r+1)*p).
     """
-    p = grid.patch_size
-    pts = kps.pts.tolist()  # plain floats: the same float64 values, without numpy scalars
-    out: set[int] = set()
-    for name_a, name_b in part_keypoint_pairs(part):
-        xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
-        xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
-        if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
-            continue
-        c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
-        c_hi = min(int(math.floor(max(xa, xb) / p)), grid.grid_w - 1)
-        r_lo = max(int(math.floor(min(ya, yb) / p)), 0)
-        r_hi = min(int(math.floor(max(ya, yb) / p)), grid.grid_h - 1)
-        for r in range(r_lo, r_hi + 1):
-            for c in range(c_lo, c_hi + 1):
-                out.add(r * grid.grid_w + c)
-    return out
+    return _add_boxes(set(), kps.pts.tolist(), part_keypoint_pairs(part), grid)
 
 
 def all_part_patches(kps: KeypointSet, grid: PatchGrid) -> set[int]:
     """Union of every part's patches; the full body-prior region."""
     out: set[int] = set()
+    pts = kps.pts.tolist()
     for part in PART_IDS:
-        out |= part_patches(kps, part, grid)
+        _add_boxes(out, pts, PART_KEYPOINT_PAIRS[part], grid)
     return out
 
 
@@ -192,7 +212,7 @@ def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int], need:
     area_lo = min(BLOCK_MIN_AREA, need)
     s = int(rng.integers(area_lo, need + 1))
     lo, hi = BLOCK_ASPECT
-    r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
+    r = math.exp(rng.uniform(*_LOG_BLOCK_ASPECT))
     h = max(int(round(math.sqrt(s * r))), 1)
     w = max(int(round(math.sqrt(s / r))), 1)
     if h > grid.grid_h or w > grid.grid_w:
@@ -201,10 +221,9 @@ def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int], need:
         return None
     r0 = int(rng.integers(0, grid.grid_h - h + 1))
     c0 = int(rng.integers(0, grid.grid_w - w + 1))
-    new = [rr * grid.grid_w + cc
-           for rr in range(r0, r0 + h)
-           for cc in range(c0, c0 + w)
-           if rr * grid.grid_w + cc not in have]
+    gw = grid.grid_w
+    new = [i for row in range(r0 * gw + c0, (r0 + h) * gw, gw)
+           for i in range(row, row + w) if i not in have]
     if not (1 <= len(new) <= need):
         return None
     return new, (r0, c0, h, w)
@@ -290,8 +309,7 @@ def random_mask(rng: np.random.Generator, grid: PatchGrid, target: int) -> MaskP
     """Uniformly random mask of exactly `target` patches (baseline strategy)."""
     if not (0 <= target <= grid.n_patches):
         raise ConfigError(f"target {target} not in [0, {grid.n_patches}]")
-    picked = rng.choice(grid.n_patches, size=target, replace=False)
-    masked = [int(i) for i in picked]
+    masked = rng.choice(grid.n_patches, size=target, replace=False).tolist()
     return MaskPlan(grid, target, masked, ["fill"] * target)
 
 
@@ -317,13 +335,12 @@ def mask_stats(plans: list[MaskPlan], part_regions: list[set[int]]) -> MaskStats
     overlaps = []
     coverages = []
     hist: dict[int, int] = {}
-    tag_counts: dict[str, int] = {}
+    tag_counts: collections.Counter[str] = collections.Counter()
     degenerate = 0
     for plan, region in zip(plans, part_regions):
         hist[plan.n_masked] = hist.get(plan.n_masked, 0) + 1
-        for tag in plan.provenance:
-            tag_counts[tag] = tag_counts.get(tag, 0) + 1
-        inside = sum(1 for i in plan.masked if i in region)
+        tag_counts.update(plan.provenance)
+        inside = len(region.intersection(plan.masked))  # a plan's indices are distinct
         if plan.n_masked == 0:
             degenerate += 1
             overlaps.append(0.0)

@@ -138,8 +138,20 @@ class MetricsLog:
 
     @staticmethod
     def read(path: str) -> "MetricsLog":
+        """The rows of a metrics file.
+
+        A last line without its newline is a torn append, left by a crash
+        partway through a row: it is dropped with one warning. A malformed
+        line that does end in a newline is a ConfigError naming path:line.
+        """
         log = MetricsLog()
-        for where, row in data_io.read_json_lines(path, "metrics", ("step",)):
+        data = data_io._read_file(path, "metrics")
+        lines = data.splitlines()
+        if lines and not data.endswith(b"\n"):
+            logger.warning("%s:%d: dropping a torn last row (no newline at its end)",
+                           path, len(lines))
+            lines.pop()
+        for where, row in data_io._json_objects(lines, path, "metrics", ("step",)):
             if type(row["step"]) is not int:
                 raise ConfigError(f"{where}: field 'step' must be an integer")
             log.records.append(row)
@@ -307,8 +319,13 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
             and math.isfinite(breakdown.align)):
         raise NumericsError(
             f"non-finite loss {breakdown} at step {opt.step + 1}; batch ids {used}")
+    grad = batch_backward(params, tape)
+    if not np.isfinite(grad).all():  # AdamW would spread it into every moment it touches
+        raise NumericsError(
+            f"non-finite gradient in {params.first_group(~np.isfinite(grad))} "
+            f"at step {opt.step + 1}; batch ids {used}")
     lr = lr_at(opt.step, cfg)
-    adamw_update(params, batch_backward(params, tape), opt, lr, cfg.weight_decay)
+    adamw_update(params, grad, opt, lr, cfg.weight_decay)
     return lr, breakdown
 
 
@@ -348,7 +365,8 @@ def run_pretrain(cfg: TrainConfig, manifest: data_io.DatasetManifest,
     restarts at the checkpoint's epoch boundary and replays the original
     trajectory exactly; the rows of an existing out_dir/metrics.jsonl up to the
     checkpoint step first replace that file whole, so the log holds the whole
-    history, and a failed rewrite leaves it as it was.
+    history, and a failed rewrite leaves it as it was; a torn last row is
+    dropped (MetricsLog.read).
     Under glibc it also sets the process's malloc top pad (see _pad_heap_top).
     """
     if not len(manifest):

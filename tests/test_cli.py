@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 import pmim
-from pmim import cli, data_io
+from pmim import cli, data_io, training
 from pmim.cli import entry
 from pmim.data_io import DatasetManifest, SampleRecord, make_synthetic_dataset, read_mask_plan
 from pmim.errors import ConfigError
@@ -86,6 +86,21 @@ def test_pretrain_resume_reproduces(tmp_path, manifest_path, micro_run):
     final_a = open(os.path.join(micro_run["out"], "checkpoint.bin"), "rb").read()
     final_b = open(os.path.join(out2, "checkpoint.bin"), "rb").read()
     assert final_a == final_b
+
+
+def test_pretrain_exits_3_on_a_non_finite_gradient(tmp_path, manifest_path, monkeypatch):
+    real_backward = training.batch_backward
+
+    def nan_gradient(params, tape):
+        grad = real_backward(params, tape)
+        grad[0] = np.nan
+        return grad
+
+    monkeypatch.setattr(training, "batch_backward", nan_gradient)
+    code, stdout, err = run_cli(["pretrain", "--manifest", manifest_path, "--out",
+                                 str(tmp_path / "run"), *MICRO_SET, "--set", "train.batch_size=3"])
+    assert code == 3 and stdout == "", (code, stdout)
+    assert err.startswith("numerical failure: non-finite gradient in ") and " at step 1;" in err, err
 
 
 def test_config_file_and_seed_precedence(tmp_path, manifest_path):
@@ -315,6 +330,7 @@ def test_mask_plan_and_stats_exit_2_on_a_missing_or_truncated_image(tmp_path):
                             (lambda: os.remove(big), "cannot read image")):
         damage()
         for argv in (["mask-plan", "--out", str(tmp_path / "again.jsonl")],
+                     ["mask-plan", "--strategy", "random", "--out", str(tmp_path / "again.jsonl")],
                      ["stats", "--plans", plans]):
             code, _, err = run_cli([*argv, "--manifest", manifest])
             assert code == 2 and big in err and message in err, (argv, err)

@@ -178,6 +178,81 @@ def test_manifest_error_reporting(tmp_path):
         load_manifest(path)
 
 
+def _per_row_keypoints(raw, where):
+    """The manifest reader's keypoint parse as it was, one numpy row per triple: an oracle."""
+    if not isinstance(raw, list) or len(raw) != 17:
+        n = len(raw) if isinstance(raw, list) else type(raw).__name__
+        raise ConfigError(f"{where}: keypoints must be a list of 17 triples, got {n}")
+    pts = np.zeros((17, 3))
+    for j, trip in enumerate(raw):
+        if not isinstance(trip, list) or len(trip) != 3:
+            raise ConfigError(f"{where}: keypoints[{j}] must be [x, y, confidence]")
+        if any(type(v) not in (int, float) for v in trip):
+            raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
+        try:
+            pts[j] = [float(v) for v in trip]
+        except OverflowError:
+            raise ConfigError(f"{where}: keypoints[{j}] holds a value out of range")
+    try:
+        return KeypointSet(pts)
+    except ConfigError as e:
+        raise ConfigError(f"{where}: {e}")
+
+
+def _read_both(path, monkeypatch):
+    """load_manifest's outcome, (pts bytes per record) or the error text, with each parser."""
+    outcomes = []
+    for parse in (data_io._parse_keypoints, _per_row_keypoints):
+        with monkeypatch.context() as m:
+            m.setattr(data_io, "_parse_keypoints", parse)
+            try:
+                outcomes.append([r.keypoints.pts.tobytes() for r in load_manifest(path).records])
+            except ConfigError as e:
+                outcomes.append(str(e))
+    return outcomes
+
+
+def test_manifest_reader_matches_the_per_row_reader(tmp_path, monkeypatch):
+    rng = np.random.default_rng(1909)
+    path = str(tmp_path / "m.jsonl")
+    corruptions = [
+        lambda trip, k: trip.__setitem__(k, True),
+        lambda trip, k: trip.__setitem__(k, "0.5"),
+        lambda trip, k: trip.__setitem__(k, float("nan")),
+        lambda trip, k: trip.__setitem__(k, int("9" * 400)),
+        lambda trip, k: trip.pop(),
+    ]
+
+    def keypoints():
+        # floats, with ints in random places: small, past 2**53 and near the top of float range
+        rows = [[float(rng.uniform(-5, 70)), float(rng.uniform(-5, 70)), float(rng.uniform())]
+                for _ in range(17)]
+        for _ in range(int(rng.integers(0, 6))):
+            j, k = int(rng.integers(17)), int(rng.integers(3))
+            rows[j][k] = (int(rng.integers(0, 2)) if k == 2
+                          else int(rng.choice([7, 2 ** 53 + 1, -(2 ** 70) - 3, 10 ** 300])))
+        return rows
+
+    n_errors = 0
+    for trial in range(60):
+        records = [{"id": f"s{i}", "image": f"s{i}.ppm", "keypoints": keypoints()}
+                   for i in range(int(rng.integers(1, 5)))]
+        fault = int(rng.integers(-1, len(corruptions) + 1))  # -1: valid; the last: 16 triples
+        for _ in range(int(rng.integers(1, 3)) if fault >= 0 else 0):
+            rec = records[int(rng.integers(len(records)))]
+            if fault == len(corruptions):
+                rec["keypoints"].pop(int(rng.integers(17)))
+            else:
+                j, k = int(rng.integers(len(rec["keypoints"]))), int(rng.integers(3))
+                if len(rec["keypoints"][j]) == 3:
+                    corruptions[fault](rec["keypoints"][j], k)
+        open(path, "w").write("".join(json.dumps(r) + "\n" for r in records))
+        new, old = _read_both(path, monkeypatch)
+        assert new == old, (trial, new, old)
+        n_errors += isinstance(new, str)
+    assert 0 < n_errors < 60  # both outcomes were exercised
+
+
 def test_stick_figure_two_tone_and_labelled():
     img, kps = render_stick_figure(SyntheticSpec())
     assert img.data.shape == (64, 32, 3)
@@ -362,6 +437,19 @@ def test_mask_plan_round_trip(tmp_path):
         assert gplan.masked == eplan.masked
         assert gplan.provenance == eplan.provenance
         assert gplan.grid == eplan.grid
+
+
+def test_mask_plan_write_failing_partway_keeps_the_old_file(tmp_path):
+    grid = make_patch_grid(64, 32, 8)
+    path = str(tmp_path / "plans.jsonl")
+    write_mask_plan([("s0", "a", MaskPlan(grid, 1, [5], ["head"]))], path)
+    before = open(path, "rb").read()
+    unwritable = MaskPlan(grid, 1, [np.int64(7)], ["fill"])  # json cannot encode a numpy integer
+    entries = [("s0", "a", MaskPlan(grid, 1, [9], ["block"])), ("s1", "a", unwritable)]
+    with pytest.raises(TypeError):
+        write_mask_plan(entries, path)
+    assert open(path, "rb").read() == before
+    assert os.listdir(tmp_path) == ["plans.jsonl"]
 
 
 def test_mask_plan_read_errors(tmp_path):

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import os
 import platform
+import re
 import warnings
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from pmim import model as model_module
 from pmim import training
 from pmim.data_io import load_image, make_synthetic_dataset, save_checkpoint
-from pmim.errors import ConfigError
+from pmim.errors import ConfigError, NumericsError
 from pmim.geometry import apply_crop, patchify, sample_crop, transform_keypoints
 from pmim.losses import LossConfig
 from pmim.model import ModelConfig, ModelParams, backward, forward, init_params
@@ -327,6 +328,28 @@ def test_train_step_skips_unreadable(disk_dataset, caplog):
         train_step(params, opt, records, cfg, rngs[:1], disk_dataset.root)
 
 
+def test_train_step_stops_a_non_finite_gradient_before_adamw(disk_dataset, monkeypatch):
+    cfg, _ = resolve_schedule(run_cfg(), len(disk_dataset))
+    params = init_params(np.random.default_rng(0), MICRO)
+    opt = init_optimizer(params)
+    records = disk_dataset.records[:2]
+    group = list(params.arrays)[3]
+    real_backward = training.batch_backward
+
+    def nan_in_one_group(params, tape):
+        grad = real_backward(params, tape)
+        params.views(grad)[group].flat[-1] = np.nan
+        return grad
+
+    monkeypatch.setattr(training, "batch_backward", nan_in_one_group)
+    before = params.flat.copy()
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    with pytest.raises(NumericsError, match=rf"non-finite gradient in {group} at step 1;"):
+        train_step(params, opt, records, cfg, rngs, disk_dataset.root)
+    assert opt.step == 0 and not opt.m.any() and not opt.v.any()
+    np.testing.assert_array_equal(params.flat, before)
+
+
 def test_metrics_log_round_trip(tmp_path):
     log = MetricsLog()
     log.append(1, 0.1, 0.5, 0.2, 0.51, 0.0)
@@ -348,6 +371,19 @@ def test_metrics_log_read_rejects_garbage(tmp_path):
         open(path, "w").write('{"step": 1}\n' + row + "\n")
         with pytest.raises(ConfigError, match=":2:"):
             MetricsLog.read(path)
+
+
+def test_metrics_log_read_drops_only_a_torn_last_row(tmp_path, caplog):
+    path = str(tmp_path / "metrics.jsonl")
+    for torn in ('{"step": 2, "lr"', '{"step": 2}', "  "):
+        open(path, "w").write('{"step": 1}\n' + torn)
+        caplog.clear()
+        assert MetricsLog.read(path).records == [{"step": 1}]
+        warned = [r.getMessage() for r in caplog.records]
+        assert warned == [f"{path}:2: dropping a torn last row (no newline at its end)"], warned
+    open(path, "w").write('{"step": 1}\n{"step": 2, "lr"\n{"step": 3}')
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:2: invalid JSON")):
+        MetricsLog.read(path)
 
 
 def test_pretrain_writes_artifacts(tmp_path, disk_dataset):
@@ -456,6 +492,22 @@ def test_pretrain_crash_keeps_streamed_rows(tmp_path, disk_dataset, monkeypatch)
         run_pretrain(cfg, disk_dataset, out_dir=out, timer=frozen)
     kept = open(os.path.join(out, "metrics.jsonl"), "rb").read()
     assert kept.splitlines() == open(os.path.join(full, "metrics.jsonl"), "rb").read().splitlines()[:2]
+
+
+def test_pretrain_resumes_over_a_torn_last_row(tmp_path, disk_dataset):
+    cfg = run_cfg()
+    full, out = str(tmp_path / "full"), str(tmp_path / "torn")
+    run_pretrain(cfg, disk_dataset, out_dir=full, timer=lambda: 0.0)
+    run_pretrain(cfg, disk_dataset, out_dir=out, timer=lambda: 0.0)
+    metrics = os.path.join(out, "metrics.jsonl")
+    rows = open(metrics, "rb").read().splitlines(keepends=True)
+    assert len(rows) == 4
+    open(metrics, "wb").write(b"".join(rows[:3]) + rows[3][:20])  # a crash partway through row 4
+    run_pretrain(cfg, disk_dataset, out_dir=out, timer=lambda: 0.0,
+                 resume_from=os.path.join(out, "checkpoint_ep1.bin"))
+    for name in ("checkpoint.bin", "metrics.jsonl"):
+        assert open(os.path.join(out, name), "rb").read() == open(os.path.join(full, name), "rb").read()
+    assert not [name for name in os.listdir(out) if name.endswith(".tmp")]
 
 
 def test_pretrain_failed_resume_rewrite_keeps_metrics(tmp_path, disk_dataset, monkeypatch):
