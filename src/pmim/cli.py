@@ -192,13 +192,13 @@ def cmd_mask_plan(args) -> int:
     for i, record in enumerate(manifest.records):
         rng = np.random.default_rng(
             np.random.SeedSequence([train.seed, _SEED_PLAN, i]))
-        if args.strategy == "part":
-            kps = _frame_keypoints(record, manifest, train.model)
-            plans = [part_guided_mask(rng, kps, grid, n_masked) for _view in "ab"]
-        else:  # random plans never read the keypoints; the image is still read, and checked
-            data_io.load_image(manifest.image_path(record))
-            plans = [random_mask(rng, grid, n_masked) for _view in "ab"]
-        entries += [(record.sample_id, view, plan) for view, plan in zip(("a", "b"), plans)]
+        kps = _frame_keypoints(record, manifest, train.model)
+        for view in ("a", "b"):
+            if args.strategy == "part":
+                plan = part_guided_mask(rng, kps, grid, n_masked)
+            else:
+                plan = random_mask(rng, grid, n_masked)
+            entries.append((record.sample_id, view, plan))
     data_io.write_mask_plan(entries, out_path)
     print(json.dumps({"plans": len(entries), "out": out_path}))
     return 0

@@ -66,13 +66,11 @@ def _parse_keypoints(raw, where: str) -> KeypointSet:
     for j, trip in enumerate(raw):
         if not isinstance(trip, list) or len(trip) != 3:
             raise ConfigError(f"{where}: keypoints[{j}] must be [x, y, confidence]")
-        x, y, c = trip
-        if type(x) is float and type(y) is float and type(c) is float:
-            continue
         if any(type(v) not in (int, float) for v in trip):  # not a bool, nor a string
             raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
         try:
-            float(x), float(y), float(c)
+            for v in trip:
+                float(v)
         except OverflowError:  # an integer beyond float range
             raise ConfigError(f"{where}: keypoints[{j}] holds a value out of range")
     try:

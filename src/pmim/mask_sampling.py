@@ -10,7 +10,6 @@ index arrays that the model and the losses take; one plan is a batch of one.
 
 from __future__ import annotations
 
-import collections
 import math
 from dataclasses import dataclass, field
 
@@ -59,7 +58,6 @@ KEYPOINT_CONF_THRESHOLD = 0.2
 BLOCK_MIN_AREA = 4
 BLOCK_ASPECT = (0.3, 10.0 / 3.0)
 BLOCK_ATTEMPTS = 10
-_LOG_BLOCK_ASPECT = (math.log(BLOCK_ASPECT[0]), math.log(BLOCK_ASPECT[1]))  # the log-aspect range of _draw_block
 
 
 @dataclass
@@ -145,30 +143,19 @@ def _add_boxes(out: set[int], pts: list, pairs, grid: PatchGrid) -> set[int]:
     """Add to `out` every patch touched by the box of a confident pair, one box row at a time.
 
     pts is kps.pts.tolist(): the same float64 values, without numpy scalars.
-    Comparisons stand in for min, max and clamp calls; they give the same integers.
     """
-    p, gw, gh = grid.patch_size, grid.grid_w, grid.grid_h
+    p, gw = grid.patch_size, grid.grid_w
     for name_a, name_b in pairs:
         xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
         xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
         if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
             continue
-        if xb < xa:
-            xa, xb = xb, xa
-        if yb < ya:
-            ya, yb = yb, ya
-        c_lo, c_stop = math.floor(xa / p), math.floor(xb / p) + 1
-        r_lo, r_hi = math.floor(ya / p), math.floor(yb / p)
-        if c_lo < 0:
-            c_lo = 0
-        if c_stop > gw:
-            c_stop = gw
-        if r_lo < 0:
-            r_lo = 0
-        if r_hi >= gh:
-            r_hi = gh - 1
+        c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
+        c_hi = min(int(math.floor(max(xa, xb) / p)), gw - 1)
+        r_lo = max(int(math.floor(min(ya, yb) / p)), 0)
+        r_hi = min(int(math.floor(max(ya, yb) / p)), grid.grid_h - 1)
         for row in range(r_lo * gw, r_hi * gw + 1, gw):  # empty when the box misses the grid
-            out.update(range(row + c_lo, row + c_stop))
+            out.update(range(row + c_lo, row + c_hi + 1))
     return out
 
 
@@ -212,7 +199,7 @@ def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int], need:
     area_lo = min(BLOCK_MIN_AREA, need)
     s = int(rng.integers(area_lo, need + 1))
     lo, hi = BLOCK_ASPECT
-    r = math.exp(rng.uniform(*_LOG_BLOCK_ASPECT))
+    r = math.exp(rng.uniform(math.log(lo), math.log(hi)))
     h = max(int(round(math.sqrt(s * r))), 1)
     w = max(int(round(math.sqrt(s / r))), 1)
     if h > grid.grid_h or w > grid.grid_w:
@@ -221,9 +208,10 @@ def _draw_block(rng: np.random.Generator, grid: PatchGrid, have: set[int], need:
         return None
     r0 = int(rng.integers(0, grid.grid_h - h + 1))
     c0 = int(rng.integers(0, grid.grid_w - w + 1))
-    gw = grid.grid_w
-    new = [i for row in range(r0 * gw + c0, (r0 + h) * gw, gw)
-           for i in range(row, row + w) if i not in have]
+    new = [rr * grid.grid_w + cc
+           for rr in range(r0, r0 + h)
+           for cc in range(c0, c0 + w)
+           if rr * grid.grid_w + cc not in have]
     if not (1 <= len(new) <= need):
         return None
     return new, (r0, c0, h, w)
@@ -335,12 +323,13 @@ def mask_stats(plans: list[MaskPlan], part_regions: list[set[int]]) -> MaskStats
     overlaps = []
     coverages = []
     hist: dict[int, int] = {}
-    tag_counts: collections.Counter[str] = collections.Counter()
+    tag_counts: dict[str, int] = {}
     degenerate = 0
     for plan, region in zip(plans, part_regions):
         hist[plan.n_masked] = hist.get(plan.n_masked, 0) + 1
-        tag_counts.update(plan.provenance)
-        inside = len(region.intersection(plan.masked))  # a plan's indices are distinct
+        for tag in plan.provenance:
+            tag_counts[tag] = tag_counts.get(tag, 0) + 1
+        inside = sum(1 for i in plan.masked if i in region)
         if plan.n_masked == 0:
             degenerate += 1
             overlaps.append(0.0)
