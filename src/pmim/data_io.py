@@ -58,6 +58,9 @@ class DatasetManifest:
 # ---------------------------------------------------------------------------
 # manifests
 
+_NUMBER = (int, float)  # a JSON number: not a bool, nor a string
+
+
 def _parse_keypoints(raw, where: str) -> KeypointSet:
     """Check the 17 triples in one pass, first fault first; then convert them in one call."""
     if not isinstance(raw, list) or len(raw) != 17:
@@ -66,11 +69,11 @@ def _parse_keypoints(raw, where: str) -> KeypointSet:
     for j, trip in enumerate(raw):
         if not isinstance(trip, list) or len(trip) != 3:
             raise ConfigError(f"{where}: keypoints[{j}] must be [x, y, confidence]")
-        if any(type(v) not in (int, float) for v in trip):  # not a bool, nor a string
+        x, y, c = trip
+        if type(x) not in _NUMBER or type(y) not in _NUMBER or type(c) not in _NUMBER:
             raise ConfigError(f"{where}: keypoints[{j}] holds a non-numeric value")
         try:
-            for v in trip:
-                float(v)
+            float(x), float(y), float(c)
         except OverflowError:  # an integer beyond float range
             raise ConfigError(f"{where}: keypoints[{j}] holds a value out of range")
     try:

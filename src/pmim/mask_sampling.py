@@ -143,17 +143,29 @@ def _add_boxes(out: set[int], pts: list, pairs, grid: PatchGrid) -> set[int]:
     """Add to `out` every patch touched by the box of a confident pair, one box row at a time.
 
     pts is kps.pts.tolist(): the same float64 values, without numpy scalars.
+    Comparisons stand in for min, max and clamp calls, which cost more than
+    the box itself on a small grid; they give the same integers.
     """
-    p, gw = grid.patch_size, grid.grid_w
+    p, gw, gh = grid.patch_size, grid.grid_w, grid.grid_h
     for name_a, name_b in pairs:
         xa, ya, ca = pts[KEYPOINT_INDEX[name_a]]
         xb, yb, cb = pts[KEYPOINT_INDEX[name_b]]
         if ca < KEYPOINT_CONF_THRESHOLD or cb < KEYPOINT_CONF_THRESHOLD:
             continue
-        c_lo = max(int(math.floor(min(xa, xb) / p)), 0)
-        c_hi = min(int(math.floor(max(xa, xb) / p)), gw - 1)
-        r_lo = max(int(math.floor(min(ya, yb) / p)), 0)
-        r_hi = min(int(math.floor(max(ya, yb) / p)), grid.grid_h - 1)
+        if xb < xa:
+            xa, xb = xb, xa
+        if yb < ya:
+            ya, yb = yb, ya
+        c_lo, c_hi = math.floor(xa / p), math.floor(xb / p)
+        r_lo, r_hi = math.floor(ya / p), math.floor(yb / p)
+        if c_lo < 0:
+            c_lo = 0
+        if c_hi >= gw:
+            c_hi = gw - 1
+        if r_lo < 0:
+            r_lo = 0
+        if r_hi >= gh:
+            r_hi = gh - 1
         for row in range(r_lo * gw, r_hi * gw + 1, gw):  # empty when the box misses the grid
             out.update(range(row + c_lo, row + c_hi + 1))
     return out
