@@ -304,8 +304,8 @@ def cmd_attn_map(args) -> int:
     dump = {"id": args.id, "query": args.query, "cls_weight": float(weights[0]),
             "self_weight": float(patch_w[args.query]),
             "weights": [float(v) for v in weights]}
-    with open(stem + ".json", "w", encoding="utf-8") as f:
-        json.dump(dump, f)
+    with data_io._replacing(stem + ".json") as f:  # a failed write keeps the old file whole
+        f.write(json.dumps(dump).encode("utf-8"))
     print(json.dumps({"out": stem + ".ppm", "dump": stem + ".json"}))
     return 0
 

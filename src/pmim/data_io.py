@@ -142,10 +142,14 @@ def load_manifest(path: str) -> DatasetManifest:
 
 
 def write_manifest(manifest: DatasetManifest, path: str):
-    with open(path, "w", encoding="utf-8") as f:
+    """JSON lines of (id, image, keypoints).
+
+    Written through _replacing, so a failed write leaves any earlier file whole.
+    """
+    with _replacing(path) as f:
         for r in manifest.records:
-            f.write(json.dumps({"id": r.sample_id, "image": r.image,
-                                "keypoints": r.keypoints.pts.tolist()}) + "\n")
+            f.write((json.dumps({"id": r.sample_id, "image": r.image,
+                                 "keypoints": r.keypoints.pts.tolist()}) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------
@@ -199,11 +203,14 @@ def load_image(path: str) -> ImageBuffer:
 
 
 def write_ppm(image: ImageBuffer, path: str):
-    """Binary P6, maxval 255; values clamped then rounded half away from zero."""
+    """Binary P6, maxval 255; values clamped then rounded half away from zero.
+
+    Written through _replacing, so a failed write leaves any earlier file whole.
+    """
     clamped = np.clip(image.data, 0.0, 1.0)
     q = np.floor(clamped * 255.0 + 0.5).astype(np.uint8)
     header = f"P6\n{image.width} {image.height}\n255\n".encode("ascii")
-    with open(path, "wb") as f:
+    with _replacing(path) as f:
         f.write(header + q.tobytes())
 
 

@@ -26,6 +26,18 @@ rows back into raster order before reducing their gradients over the token
 axis: those sums then add the same nonzero terms in the same order as a head
 run over the full grid with zero seeds on the visible rows, so every gradient
 is bit-equal to it; summed in plan order they would differ in the last bits.
+
+The forward pass is one ordered list of stages, forward_stages(cfg), one per
+primitive: the patch embedding, the class token; per block ln1, attention,
+ln2 and the MLP, each with its residual add; enc_norm, the projection head,
+the class-vector normalization; the decoder input (dec_proj, the mask token
+and the positions); the decoder blocks, dec_norm on the masked rows and the
+head. Each stage is tagged with the first index of params.flat that it reads,
+and since param_shapes lays the groups out in forward order, the tags never
+decrease and what enters a stage depends only on params.flat before its tag.
+encode, decode (so forward, which training tapes) and attention_maps run these
+stages through run_stages; the finite-difference check in training resumes
+them at the stage whose parameters moved.
 """
 
 from __future__ import annotations
@@ -35,6 +47,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -127,8 +140,9 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
 
     Kinds: weight (truncated normal), bias (zeros), gain (ones), token
     (truncated normal). The order fixes both initialization draws and
-    checkpoint layout. Every group that encode reads, the projection head's
-    included, comes before dec_proj_w (see ModelParams.encoder_stop).
+    checkpoint layout. Groups come in the order the forward stages read them
+    (see forward_stages), so every group that encode reads, the projection
+    head's included, comes before dec_proj_w (see ModelParams.encoder_stop).
     """
     d, dd = cfg.embed_dim, cfg.decoder_dim
     shapes: list[tuple[str, tuple, str]] = [
@@ -421,32 +435,157 @@ def _mlp_bwd(dout, params, p, cache, grads):
     return _linear_bwd(dh_act * _gelu_grad(h_pre, cdf), x, params, p + "1", grads)
 
 
-def _stack_fwd(params: ModelParams, prefix: str, depth: int, n_heads: int, x):
-    """Pre-norm transformer blocks: x + attn(ln(x)), then x + mlp(ln(x))."""
-    tapes = []
-    for i in range(depth):
-        p = f"{prefix}{i}_"
-        n1, ln1c = _layernorm_fwd(x, params, p + "ln1")
-        a, attnc = _attn_fwd(n1, params, p, n_heads)
-        x1 = x + a
-        n2, ln2c = _layernorm_fwd(x1, params, p + "ln2")
-        m, mlpc = _mlp_fwd(n2, params, p + "mlp")
-        x = x1 + m
-        tapes.append((ln1c, attnc, ln2c, mlpc))
-    return x, tapes
-
-
 def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
-               tapes, dy, grads):
+               tape: dict, dy, grads):
+    """Backward through the pre-norm blocks x + attn(ln(x)), then x + mlp(ln(x))."""
     dx = dy
     for i in reversed(range(depth)):
         p = f"{prefix}{i}_"
-        ln1c, attnc, ln2c, mlpc = tapes[i]
-        dn2 = _mlp_bwd(dx, params, p + "mlp", mlpc, grads)
-        dx1 = dx + _layernorm_bwd(dn2, params, p + "ln2", ln2c, grads)
-        dn1 = _attn_bwd(dx1, params, p, attnc, n_heads, grads)
-        dx = dx1 + _layernorm_bwd(dn1, params, p + "ln1", ln1c, grads)
+        dn2 = _mlp_bwd(dx, params, p + "mlp", tape[p + "mlp"], grads)
+        dx1 = dx + _layernorm_bwd(dn2, params, p + "ln2", tape[p + "ln2"], grads)
+        dn1 = _attn_bwd(dx1, params, p, tape[p + "attn"], n_heads, grads)
+        dx = dx1 + _layernorm_bwd(dn1, params, p + "ln1", tape[p + "ln1"], grads)
     return dx
+
+
+# ---------------------------------------------------------------------------
+# the forward pass as stages (see the module docstring)
+
+class Activations(NamedTuple):
+    """What flows from one stage into the next, as run_stages takes and returns it."""
+
+    x: np.ndarray  # the token stream; patches before the embedding, predictions after the head
+    res: np.ndarray | None = None  # a block's residual stream, from its norm to its add
+    cls: np.ndarray | None = None  # the class rows, (V, 1, d): raw, then unit-norm
+
+
+class Stage(NamedTuple):
+    """run(params, x, res, cls, vis, masked) -> (x, res, cls, backward cache for tape[name]).
+
+    The activations pass as plain values: building an Activations per stage
+    cost about 2% of a full gradient-check evaluation.
+    """
+
+    name: str
+    start: int  # the first index of params.flat that it reads
+    run: Callable
+
+
+def _patch_embed(params, x, res, cls, vis, masked):
+    patches_vis = x[MaskPlan.view_rows(vis)]
+    pos = sincos_pos_embed(params.cfg.grid, params.cfg.embed_dim)[vis]
+    return _linear(patches_vis, params, "patch_proj") + pos, None, None, patches_vis
+
+
+def _class_token(params, x, res, cls, vis, masked):
+    cls_token = np.broadcast_to(params["cls_token"], x.shape[:-2] + (1, x.shape[-1]))
+    return np.concatenate([cls_token, x], axis=-2), None, None, None
+
+
+def _pre_norm(name, params, x, res, cls, vis, masked):
+    """A block's ln1 or ln2; the stream it normed is kept for the residual add."""
+    y, cache = _layernorm_fwd(x, params, name)
+    return y, x, cls, cache
+
+
+def _residual(sublayer, name, params, x, res, cls, vis, masked):
+    """A block's attention or MLP on the normed stream, added to the residual stream."""
+    out, cache = sublayer(x, params, name)
+    return res + out, None, cls, cache
+
+
+def _enc_norm(params, x, res, cls, vis, masked):
+    # The class row keeps its length-1 token axis, so the projection head is
+    # the block MLP on a one-row sequence and the norm one dot product per view.
+    z, cache = _layernorm_fwd(x, params, "enc_norm")
+    return z, None, z[..., :1, :], cache
+
+
+def _proj_head(params, x, res, cls, vis, masked):
+    raw, cache = _mlp_fwd(cls, params, "proj")
+    return x, None, raw, cache
+
+
+def _cls_norm(params, x, res, cls, vis, masked):
+    """Unit class rows; the stream keeps only the visible tokens."""
+    nrm = np.sqrt(cls @ cls.swapaxes(-1, -2))  # (..., 1, 1)
+    bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
+    if bad.any():
+        raise NumericsError(f"class token norm degenerate: {float(nrm[bad][0])}")
+    cls = cls / nrm
+    return x[..., 1:, :], None, cls, (cls, nrm)
+
+
+def _decoder_input(params, x, res, cls, vis, masked):
+    """Projected visible tokens in their slots, the mask token elsewhere, plus positions."""
+    cfg = params.cfg
+    tokens = np.tile(params["mask_token"], (len(vis), cfg.n_patches, 1))
+    tokens[MaskPlan.view_rows(vis)] = _linear(x, params, "dec_proj")
+    return tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim), None, cls, (x, vis, masked)
+
+
+def _dec_norm(params, x, res, cls, vis, masked):
+    """The final norm, on the masked rows only, in plan order."""
+    z, cache = _layernorm_fwd(x[MaskPlan.view_rows(masked)], params, "dec_norm")
+    return z, None, cls, cache
+
+
+def _head(params, x, res, cls, vis, masked):
+    return _linear(x, params, "head"), None, cls, x
+
+
+def _block_stages(prefix: str, depth: int, n_heads: int, start: dict) -> list[Stage]:
+    attention = functools.partial(_attn_fwd, n_heads=n_heads)
+    stages = []
+    for i in range(depth):
+        p = f"{prefix}{i}_"
+        stages += [
+            Stage(p + "ln1", start[p + "ln1_g"], functools.partial(_pre_norm, p + "ln1")),
+            Stage(p + "attn", start[p + "qkv_w"], functools.partial(_residual, attention, p)),
+            Stage(p + "ln2", start[p + "ln2_g"], functools.partial(_pre_norm, p + "ln2")),
+            Stage(p + "mlp", start[p + "mlp1_w"],
+                  functools.partial(_residual, _mlp_fwd, p + "mlp"))]
+    return stages
+
+
+@functools.lru_cache(maxsize=8)
+def forward_stages(cfg: ModelConfig) -> tuple[Stage, ...]:
+    """The forward pass of a config as stages, in order (see the module docstring).
+
+    Each start is a group start of _layout, and a stage reads the elements
+    from its start up to the next stage's. Starts never decrease: the
+    class-vector normalization reads no parameter and shares its start,
+    encoder_stop, with the decoder input.
+    """
+    start = {name: first for name, first, _, _ in _layout(cfg)}
+    stages = [Stage("patch_proj", start["patch_proj_w"], _patch_embed),
+              Stage("cls_token", start["cls_token"], _class_token),
+              *_block_stages("enc", cfg.depth, cfg.n_heads, start),
+              Stage("enc_norm", start["enc_norm_g"], _enc_norm)]
+    if cfg.proj_head:
+        stages.append(Stage("proj", start["proj1_w"], _proj_head))
+    stages += [Stage("cls_norm", start["dec_proj_w"], _cls_norm),
+               Stage("dec_proj", start["dec_proj_w"], _decoder_input),
+               *_block_stages("dec", cfg.decoder_depth, cfg.decoder_heads, start),
+               Stage("dec_norm", start["dec_norm_g"], _dec_norm),
+               Stage("head", start["head_w"], _head)]
+    return tuple(stages)
+
+
+@functools.lru_cache(maxsize=8)
+def _n_encoder_stages(cfg: ModelConfig) -> int:
+    return [stage.name for stage in forward_stages(cfg)].index("dec_proj")
+
+
+def run_stages(params: ModelParams, stages, acts: Activations, vis: np.ndarray,
+               masked: np.ndarray | None, tape: dict | None = None) -> Activations:
+    """Run `stages` in order from `acts`, recording each one's cache in `tape` if given."""
+    x, res, cls = acts
+    for stage in stages:
+        x, res, cls, cache = stage.run(params, x, res, cls, vis, masked)
+        if tape is not None:
+            tape[stage.name] = cache
+    return Activations(x, res, cls)
 
 
 # ---------------------------------------------------------------------------
@@ -462,23 +601,9 @@ def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = N
     cfg = params.cfg
     if tokens.ndim != 3 or tokens.shape[-1] != cfg.embed_dim:
         raise ConfigError(f"tokens must be (V, n, {cfg.embed_dim}), got {tokens.shape}")
-    cls_token = np.broadcast_to(params["cls_token"], tokens.shape[:-2] + (1, cfg.embed_dim))
-    y, block_tapes = _stack_fwd(params, "enc", cfg.depth, cfg.n_heads,
-                                np.concatenate([cls_token, tokens], axis=-2))
-    z, lnc = _layernorm_fwd(y, params, "enc_norm")
-    # The class row keeps its length-1 token axis, so the projection head is
-    # the block MLP on a one-row sequence and the norm one dot product per view.
-    raw, proj = z[..., :1, :], None
-    if cfg.proj_head:
-        raw, proj = _mlp_fwd(raw, params, "proj")
-    nrm = np.sqrt(raw @ raw.swapaxes(-1, -2))  # (..., 1, 1)
-    bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
-    if bad.any():
-        raise NumericsError(f"class token norm degenerate: {float(nrm[bad][0])}")
-    cls = raw / nrm
-    if tape is not None:
-        tape["enc"] = (block_tapes, lnc, proj, cls, nrm)
-    return cls[..., 0, :], z[..., 1:, :]
+    acts = run_stages(params, forward_stages(cfg)[1:_n_encoder_stages(cfg)],
+                      Activations(tokens), None, None, tape)
+    return acts.cls[..., 0, :], acts.x
 
 
 def encode(params: ModelParams, patches: np.ndarray, vis: np.ndarray,
@@ -492,11 +617,9 @@ def encode(params: ModelParams, patches: np.ndarray, vis: np.ndarray,
     if vis.ndim != 2 or patches.shape != (len(vis), cfg.n_patches, cfg.patch_dim):
         raise ConfigError(f"patches {patches.shape} and visible indices {vis.shape} are not "
                           f"(V, {cfg.n_patches}, {cfg.patch_dim}) and (V, n)")
-    patches_vis = patches[MaskPlan.view_rows(vis)]
-    if tape is not None:
-        tape["patches"] = patches_vis
-    pos = sincos_pos_embed(cfg.grid, cfg.embed_dim)[vis]
-    return encode_tokens(params, _linear(patches_vis, params, "patch_proj") + pos, tape)
+    acts = run_stages(params, forward_stages(cfg)[:_n_encoder_stages(cfg)],
+                      Activations(patches), vis, None, tape)
+    return acts.cls[..., 0, :], acts.x
 
 
 def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
@@ -510,14 +633,8 @@ def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
     if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
         raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
                           f"{vis.shape + (cfg.embed_dim,)}")
-    tokens = np.tile(params["mask_token"], (len(vis), cfg.n_patches, 1))
-    tokens[MaskPlan.view_rows(vis)] = _linear(visible_tokens, params, "dec_proj")
-    x = tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim)
-    y, block_tapes = _stack_fwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, x)
-    z, lnc = _layernorm_fwd(y[MaskPlan.view_rows(masked)], params, "dec_norm")
-    if tape is not None:
-        tape["dec"] = (block_tapes, lnc, z, visible_tokens, vis, masked)
-    return _linear(z, params, "head")
+    return run_stages(params, forward_stages(cfg)[_n_encoder_stages(cfg):],
+                      Activations(visible_tokens), vis, masked, tape).x
 
 
 def forward(params: ModelParams, patches: np.ndarray, vis: np.ndarray, masked: np.ndarray,
@@ -540,37 +657,37 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
     """
     cfg = params.cfg
     grads = params.views(grad)
-    enc_blocks, enc_ln, proj, cls, nrm = tape["enc"]
-    dec_blocks, dec_ln, z, visible_tokens, vis, masked = tape["dec"]
+    visible_tokens, vis, masked = tape["dec_proj"]
 
     # prediction head and final norm on the masked rows, in raster order (see the
     # module docstring), then the decoder stack, whose visible rows get no seed
     raster = MaskPlan.view_rows(np.argsort(masked, axis=-1))
-    xhat, inv = dec_ln
-    dy_rows = _layernorm_bwd(_linear_bwd(d_pred[raster], z[raster], params, "head", grads),
-                             params, "dec_norm", (xhat[raster], inv[raster]), grads)
+    xhat, inv = tape["dec_norm"]
+    dy_rows = _layernorm_bwd(
+        _linear_bwd(d_pred[raster], tape["head"][raster], params, "head", grads),
+        params, "dec_norm", (xhat[raster], inv[raster]), grads)
     dy = np.zeros((len(masked), cfg.n_patches, cfg.decoder_dim))
     dy[MaskPlan.view_rows(masked[raster])] = dy_rows
-    dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads,
-                         dec_blocks, dy, grads)
+    dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, tape, dy, grads)
     if masked.shape[-1]:
         _add(grads, "mask_token", dtokens[MaskPlan.view_rows(masked)].sum(axis=-2))
     d_vis = _linear_bwd(dtokens[MaskPlan.view_rows(vis)], visible_tokens, params, "dec_proj",
                         grads)
 
     # class-vector normalization cls = raw / |raw| on (..., 1, d) rows
+    cls, nrm = tape["cls_norm"]
     d_cls = d_cls[..., None, :]
     d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
-    if proj is not None:
-        d_raw = _mlp_bwd(d_raw, params, "proj", proj, grads)
+    if cfg.proj_head:
+        d_raw = _mlp_bwd(d_raw, params, "proj", tape["proj"], grads)
 
     # encoder stack and embedding
     dz_enc = np.concatenate([d_raw, d_vis], axis=-2)
-    dy_enc = _layernorm_bwd(dz_enc, params, "enc_norm", enc_ln, grads)
-    dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads, enc_blocks, dy_enc, grads)
+    dy_enc = _layernorm_bwd(dz_enc, params, "enc_norm", tape["enc_norm"], grads)
+    dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads, tape, dy_enc, grads)
     _add(grads, "cls_token", dseq[..., 0, :])
     dtok = dseq[..., 1:, :]
-    _add(grads, "patch_proj_w", tape["patches"].swapaxes(-1, -2) @ dtok)
+    _add(grads, "patch_proj_w", tape["patch_proj"].swapaxes(-1, -2) @ dtok)
     _add(grads, "patch_proj_b", dtok.sum(axis=-2))
 
 
@@ -578,4 +695,4 @@ def attention_maps(params: ModelParams, patches: np.ndarray) -> np.ndarray:
     """One unmasked view's encoder attention, (depth, heads, 1 + N, 1 + N); row 0: class token."""
     tape: dict = {}
     encode(params, patches[None], np.arange(params.cfg.n_patches)[None], tape)
-    return np.stack([attnc[4][0] for _, attnc, _, _ in tape["enc"][0]])
+    return np.stack([tape[f"enc{i}_attn"][4][0] for i in range(params.cfg.depth)])

@@ -7,15 +7,20 @@ the exact uninterrupted trajectory. A ViewBatch is made once per batch: the
 MaskPlan.batch_indices arrays and the item count. batch_loss runs it as one
 model batch; given a tape, batch_backward makes one backward pass and reduces
 each gradient over the views in that fixed order, which keeps runs bit-for-bit
-reproducible. An untaped batch_loss reuses the batch's memoized encoder result
-(class vectors, visible tokens, alignment value) while its key holds: the
-bytes of params.flat[:encoder_stop], every group before dec_proj_w, plus the
-model and loss configs. So a finite-difference evaluation that moves a decoder
-element runs only the decoder. A taped call neither reads nor writes the memo.
+reproducible.
+
+The finite-difference check runs the model's forward stages (model.forward_stages)
+once at the unperturbed parameters and keeps the activations that enter each
+stage. An evaluation finds the first element of params.flat whose bits moved
+and resumes at the stage that reads it, since what enters a stage depends only
+on the elements before its start; the alignment value is recomputed only when
+that stage lies in the encoder. So an evaluation that moves a head element runs
+only the head, and its loss is bit-equal to a full forward pass.
 """
 
 from __future__ import annotations
 
+import bisect
 import ctypes
 import dataclasses
 import json
@@ -33,7 +38,8 @@ from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, normalize_targets, patchify, sample_crop, transform_keypoints
 from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
 from .mask_sampling import MaskPlan, num_masked, part_guided_mask, random_mask
-from .model import ModelConfig, ModelParams, backward, decode, encode, forward, init_params
+from .model import (Activations, ModelConfig, ModelParams, backward, forward, forward_stages,
+                    init_params, run_stages)
 
 logger = logging.getLogger("pmim")
 
@@ -215,10 +221,7 @@ class ViewBatch:
     out a0, b0, a1, b1, ..., the (V, n) indices of MaskPlan.batch_indices
     (every view must hide the same number of patches) and the item count.
     targets(loss_cfg) makes the reconstruction targets once per setting of
-    normalize_targets. `memo` keeps the last untaped encoder result: the class
-    vectors, the visible tokens and the alignment value, keyed on the bytes of
-    params.flat[:encoder_stop] (so 0.0 and -0.0, or two NaN payloads, never
-    alias) and on the model and loss configs.
+    normalize_targets.
     """
 
     def __init__(self, views, grid):
@@ -229,7 +232,6 @@ class ViewBatch:
         self.patches.flags.writeable = False
         plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
         self.vis, self.masked = MaskPlan.batch_indices(plans, grid)
-        self.memo = None
         self._targets = {}
 
     def targets(self, loss_cfg: LossConfig) -> np.ndarray:
@@ -245,14 +247,17 @@ class ViewBatch:
             self._targets[normalize] = rows
         return self._targets[normalize]
 
-    def encoded(self, params: ModelParams, loss_cfg: LossConfig):
-        """(cls, visible tokens, align) of an untaped pass; encodes only when the memo misses."""
-        key = (params.cfg, loss_cfg, params.flat[:params.encoder_stop].tobytes())
-        if self.memo is None or self.memo[0] != key:
-            cls, visible_tokens = encode(params, self.patches, self.vis)
-            align = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)[0]
-            self.memo = (key, cls, visible_tokens, align)
-        return self.memo[1:]
+
+def _loss(pred: np.ndarray, align: float, batch: ViewBatch, loss_cfg: LossConfig):
+    """(LossBreakdown, reconstruction gradient at pred) of the masked-patch predictions.
+
+    The per-view reconstruction losses are added item by item, then averaged.
+    """
+    recon_views, d_pred = recon_loss_and_grad(pred, batch.targets(loss_cfg))
+    recon_sum = 0.0
+    for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
+        recon_sum += pair
+    return total_loss(recon_sum / (2 * batch.n_items), align, loss_cfg), d_pred
 
 
 def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
@@ -261,25 +266,16 @@ def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
 
     Reconstruction averages the per-view masked MSE (one loss call); alignment
     is InfoNCE over the class-vector pairs. Given a tape dict, records the model
-    tape and the weighted seeds and leaves batch.memo alone; without one, runs
-    the encoder only when batch.memo does not apply (see ViewBatch).
+    tape and the weighted seeds that batch_backward reads.
     """
-    if tape is None:
-        cls, visible_tokens, align = batch.encoded(params, loss_cfg)
-        pred = decode(params, visible_tokens, batch.vis, batch.masked)
-    else:
-        cls, pred = forward(params, batch.patches, batch.vis, batch.masked, tape)
-    recon_views, d_pred = recon_loss_and_grad(pred, batch.targets(loss_cfg))
-    recon_sum = 0.0
-    for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
-        recon_sum += pair
-    recon = recon_sum / (2 * batch.n_items)
+    cls, pred = forward(params, batch.patches, batch.vis, batch.masked, tape)
+    align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
+    breakdown, d_pred = _loss(pred, align, batch, loss_cfg)
     if tape is not None:
-        align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
         d_pred *= 1.0 / (2 * batch.n_items)
         tape.update(d_pred=d_pred,
                     d_cls=loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape))
-    return total_loss(recon, align, loss_cfg)
+    return breakdown
 
 
 def batch_backward(params: ModelParams, tape: dict) -> np.ndarray:
@@ -451,6 +447,47 @@ def finite_difference_grads(loss_fn, params: ModelParams, h: float = 1e-5) -> np
     return out
 
 
+def _align(cls_rows: np.ndarray, loss_cfg: LossConfig) -> float:
+    cls = cls_rows[..., 0, :]  # as encode returns it
+    return align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)[0]
+
+
+def _staged_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig):
+    """The check's loss function, `total` of an untaped batch_loss that resumes mid-forward.
+
+    The forward stages run once here, at the parameters as they are now; the
+    activations entering each stage are kept read-only, with the alignment
+    value. An evaluation compares params.flat with that copy as uint64 bits, so
+    0.0 and -0.0 never alias, and resumes at the stage that reads the first
+    element that moved (see the module docstring).
+    """
+    stages = forward_stages(params.cfg)
+    starts = [stage.start for stage in stages]
+    kept = []
+    acts = Activations(batch.patches)
+    for stage in stages:
+        for a in acts:
+            if a is not None:
+                a.flags.writeable = False
+        kept.append(acts)
+        acts = run_stages(params, (stage,), acts, batch.vis, batch.masked)
+    align = _align(acts.cls, loss_cfg)
+    base = params.flat.view(np.uint64).copy()
+    moved = np.empty(base.shape, dtype=bool)
+    encoder_stop = params.encoder_stop
+
+    def loss_fn(p: ModelParams) -> float:
+        np.not_equal(p.flat.view(np.uint64), base, out=moved)
+        first = int(moved.argmax())
+        if not moved[first]:  # nothing moved: rerun the head alone
+            first = len(base)
+        k = bisect.bisect_right(starts, first) - 1
+        out = run_stages(p, stages[k:], kept[k], batch.vis, batch.masked)
+        a = align if first >= encoder_stop else _align(out.cls, loss_cfg)
+        return _loss(out.x, a, batch, loss_cfg)[0].total
+    return loss_fn
+
+
 def gradient_check(model_cfg: ModelConfig | None = None,
                    loss_cfg: LossConfig | None = None, seed: int = 0,
                    h: float = 1e-5, corrupt: str | None = None) -> dict[str, float]:
@@ -458,6 +495,8 @@ def gradient_check(model_cfg: ModelConfig | None = None,
 
     Uses a two-item batch with two random masks per item so every loss term
     is active. `corrupt` perturbs one analytic group, for negative controls.
+    Each evaluation resumes the forward stages where its element is read
+    (see _staged_loss).
     """
     model_cfg = model_cfg if model_cfg is not None else TINY_CHECK_MODEL
     loss_cfg = loss_cfg if loss_cfg is not None else LossConfig()
@@ -480,6 +519,6 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         if corrupt not in params.arrays:
             raise ConfigError(f"no parameter group named {corrupt!r}")
         params.views(analytic)[corrupt][...] += 1e-3
-    fd = finite_difference_grads(lambda p: batch_loss(p, batch, loss_cfg).total, params, h)
+    fd = finite_difference_grads(_staged_loss(params, batch, loss_cfg), params, h)
     rel = np.abs(analytic - fd) / np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-6)
     return {name: float(r.max()) for name, r in params.views(rel).items()}

@@ -1,5 +1,6 @@
 """Manifests, pixmaps, synthetic figures, checkpoints, and mask-plan files."""
 
+import contextlib
 import dataclasses
 import io
 import json
@@ -11,7 +12,7 @@ import struct
 import numpy as np
 import pytest
 
-from pmim import data_io
+from pmim import cli, data_io
 from pmim.data_io import (
     DatasetManifest,
     SampleRecord,
@@ -450,6 +451,74 @@ def test_mask_plan_write_failing_partway_keeps_the_old_file(tmp_path):
         write_mask_plan(entries, path)
     assert open(path, "rb").read() == before
     assert os.listdir(tmp_path) == ["plans.jsonl"]
+
+
+class _TornFile:
+    """A file open for writing whose first write stops after half its bytes, as on a full disk."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data[:len(data) // 2])
+        self.f.flush()
+        raise OSError("disk full")
+
+
+@pytest.mark.parametrize("kind", ["manifest", "ppm", "attn_json"])
+def test_a_write_failing_partway_keeps_the_old_file(tmp_path, monkeypatch, kind):
+    out = tmp_path / "out"
+    out.mkdir()
+    if kind == "manifest":
+        manifest, _ = make_synthetic_dataset(2, seed=0)
+        path = str(out / "manifest.jsonl")
+
+        def write():
+            write_manifest(manifest, path)
+    elif kind == "ppm":
+        image = ImageBuffer(np.random.default_rng(0).random((4, 2, 3)))
+        path = str(out / "image.ppm")
+
+        def write():
+            write_ppm(image, path)
+    else:  # the JSON dump of pmim attn-map
+        data = str(tmp_path / "data")
+        make_synthetic_dataset(1, seed=0, out_dir=data)
+        params = init_params(np.random.default_rng(0), SMALL)
+        ckpt = str(tmp_path / "checkpoint.bin")
+        save_checkpoint(params, init_optimizer(params), ckpt)
+        argv = ["attn-map", "--manifest", os.path.join(data, "manifest.jsonl"),
+                "--checkpoint", ckpt, "--id", "synth0000", "--query", "0", "--out", str(out)]
+        for name in ("embed_dim", "n_heads", "decoder_dim", "decoder_heads", "patch_size",
+                     "grid_h", "grid_w"):
+            argv += ["--set", f"model.{name}={getattr(SMALL, name)}"]
+        path = str(out / "synth0000_attn_q0.json")
+
+        def write():
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                if cli.entry(argv) != 0:
+                    raise OSError(err.getvalue())
+
+    write()
+    before = {name: (out / name).read_bytes() for name in os.listdir(out)}
+    assert os.path.basename(path) in before
+    real_open = open
+
+    def torn_open(file, mode="r", *args, **kwargs):
+        f = real_open(file, mode, *args, **kwargs)
+        return _TornFile(f) if file == path + ".tmp" else f
+
+    monkeypatch.setattr(data_io, "open", torn_open, raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        write()
+    assert {name: (out / name).read_bytes() for name in os.listdir(out)} == before
 
 
 def test_mask_plan_read_errors(tmp_path):

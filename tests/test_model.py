@@ -75,6 +75,29 @@ def test_encoder_stop_is_found_once_per_config():
     assert model._encoder_stop.cache_info().misses == misses
 
 
+@pytest.mark.parametrize("cfg", [
+    TINY,
+    ModelConfig(embed_dim=4, depth=1, n_heads=1, decoder_dim=4, decoder_depth=1,
+                decoder_heads=1, patch_size=4, grid_h=2, grid_w=2, proj_head=True),
+    ModelConfig(embed_dim=8, depth=2, n_heads=2, decoder_dim=8, decoder_depth=2,
+                decoder_heads=2, patch_size=4, grid_h=2, grid_w=2),
+], ids=["tiny", "micro_proj_head", "depth2"])
+def test_stage_starts_increase_on_group_starts(cfg):
+    stages = model.forward_stages(cfg)
+    starts = [stage.start for stage in stages]
+    group_starts = {start for _, start, _, _ in model._layout(cfg)}
+    assert starts[0] == 0 and set(starts) <= group_starts
+    names = [stage.name for stage in stages]
+    # the class-vector normalization reads no parameter: it starts where the decoder does
+    i = names.index("cls_norm")
+    assert names[i + 1] == "dec_proj" and starts[i] == starts[i + 1]
+    del starts[i]
+    assert all(a < b for a, b in zip(starts, starts[1:]))
+    assert len(stages) == 2 + 4 * cfg.depth + 2 + cfg.proj_head + 1 + 4 * cfg.decoder_depth + 2
+    assert stages[names.index("dec_proj")].start == init_params(
+        np.random.default_rng(0), cfg).encoder_stop
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         ModelConfig(embed_dim=10, n_heads=3)

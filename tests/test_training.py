@@ -574,26 +574,15 @@ def test_gradient_check_projection_head():
     assert max(report.values()) < 1e-4
 
 
-# The encoder memo: an untaped batch_loss reuses the batch's last encoder result
-# while params.flat[:encoder_stop] (as bits), the model config and the loss
-# config are unchanged, so a check that moves a decoder element skips the encoder.
+# The check's stage cache: each evaluation resumes the forward pass at the
+# stage that reads the first element of params.flat whose bits moved, from
+# the activations kept at the unperturbed parameters.
 
-def _fresh_batch_check(monkeypatch, **kwargs):
-    """gradient_check whose every untaped loss builds a new ViewBatch, so nothing is memoized."""
-    real_batch, real_loss = ViewBatch, batch_loss
-
-    class Recorded(real_batch):
-        def __init__(self, views, grid):
-            super().__init__(views, grid)
-            self.args = (views, grid)
-
-    def fresh_loss(params, batch, loss_cfg, tape=None):
-        return real_loss(params, real_batch(*batch.args) if tape is None else batch,
-                         loss_cfg, tape)
-
+def _full_forward_check(monkeypatch, **kwargs):
+    """gradient_check whose every evaluation runs the whole forward pass through batch_loss."""
     with monkeypatch.context() as m:
-        m.setattr(training, "ViewBatch", Recorded)
-        m.setattr(training, "batch_loss", fresh_loss)
+        m.setattr(training, "_staged_loss",
+                  lambda params, batch, loss_cfg: lambda p: batch_loss(p, batch, loss_cfg).total)
         return gradient_check(**kwargs)
 
 
@@ -605,63 +594,83 @@ def _fresh_batch_check(monkeypatch, **kwargs):
     dict(model_cfg=MICRO, corrupt="head_b"),
 ], ids=["tiny", "micro", "micro_proj_head", "corrupt_enc0_qkv_w", "corrupt_head_b"])
 def test_gradient_check_memo_matches_fresh_batches(monkeypatch, kwargs):
-    memo = gradient_check(**kwargs)
-    fresh = _fresh_batch_check(monkeypatch, **kwargs)
-    assert {k: v.hex() for k, v in memo.items()} == {k: v.hex() for k, v in fresh.items()}
+    staged = gradient_check(**kwargs)
+    full = _full_forward_check(monkeypatch, **kwargs)
+    assert {k: v.hex() for k, v in staged.items()} == {k: v.hex() for k, v in full.items()}
+
+
+def test_staged_loss_matches_batch_loss_at_every_element():
+    cfg = dataclasses.replace(MICRO, proj_head=True)
+    params = init_params(np.random.default_rng(2), cfg)
+    loss_cfg = LossConfig()
+    loss_fn = training._staged_loss(params, micro_batch(seed=3), loss_cfg)
+    h = 1e-5
+    for i in range(params.n_params):
+        orig = params.flat[i]
+        for step in (h, -h):
+            params.flat[i] = orig + step
+            want = batch_loss(params, micro_batch(seed=3), loss_cfg).total
+            assert loss_fn(params).hex() == want.hex(), (params.first_group(
+                np.arange(params.n_params) == i), step)
+        params.flat[i] = orig
+    assert loss_fn(params).hex() == batch_loss(params, micro_batch(seed=3), loss_cfg).total.hex()
 
 
 @pytest.fixture
-def encoder_runs(monkeypatch):
-    """Counts encoder passes, taped or not (both run through model.encode_tokens)."""
-    runs = []
-    real = model_module.encode_tokens
+def staged_runs(monkeypatch):
+    """Per evaluation: the names of the stages run and the number of alignment values made."""
+    runs = {"stages": [], "aligns": 0}
+    real_run, real_align = training.run_stages, training.align_loss_and_grad
 
-    def counted(*args, **kwargs):
-        runs.append(1)
-        return real(*args, **kwargs)
+    def run_stages(params, stages, *args, **kwargs):
+        runs["stages"] += [stage.name for stage in stages]
+        return real_run(params, stages, *args, **kwargs)
 
-    monkeypatch.setattr(model_module, "encode_tokens", counted)
+    def align_loss_and_grad(*args, **kwargs):
+        runs["aligns"] += 1
+        return real_align(*args, **kwargs)
+
+    monkeypatch.setattr(training, "run_stages", run_stages)
+    monkeypatch.setattr(training, "align_loss_and_grad", align_loss_and_grad)
     return runs
 
 
-def test_memo_reencodes_when_an_encoder_element_flips(encoder_runs):
+def _evaluate(loss_fn, params, runs, loss_cfg):
+    """One evaluation: (its stage names, its alignment count); its loss must be a full pass's."""
+    runs.update(stages=[], aligns=0)
+    value = loss_fn(params)
+    seen = (runs["stages"], runs["aligns"])
+    assert value.hex() == batch_loss(params, micro_batch(seed=3), loss_cfg).total.hex()
+    return seen
+
+
+def test_a_decoder_element_runs_no_encoder_stage(staged_runs):
+    params = init_params(np.random.default_rng(2), MICRO)
+    loss_cfg = LossConfig()
+    loss_fn = training._staged_loss(params, micro_batch(seed=3), loss_cfg)
+    params["dec_proj_w"].flat[0] += 1e-5  # the first decoder element
+    stages, aligns = _evaluate(loss_fn, params, staged_runs, loss_cfg)
+    assert stages[0] == "dec_proj" and aligns == 0
+    assert not any(name.startswith(("patch", "cls", "enc")) for name in stages)
+    params["dec_proj_w"].flat[0] -= 1e-5
+    params["head_b"][0] += 1e-5
+    assert _evaluate(loss_fn, params, staged_runs, loss_cfg) == (["head"], 0)
+    params["head_b"][0] -= 1e-5
+    assert _evaluate(loss_fn, params, staged_runs, loss_cfg) == (["head"], 0)  # nothing moved
+
+
+def test_a_negative_zero_flip_in_proj2_b_reruns_the_encoder(staged_runs):
     cfg = dataclasses.replace(MICRO, proj_head=True)
     params = init_params(np.random.default_rng(2), cfg)
-    batch = ViewBatch(micro_views(seed=3), cfg.grid)
     loss_cfg = LossConfig()
-
-    def check(encodes, moved=params, loss=loss_cfg):
-        before = len(encoder_runs)
-        lb = batch_loss(moved, batch, loss)
-        assert len(encoder_runs) - before == encodes
-        assert lb == batch_loss(moved, ViewBatch(micro_views(seed=3), cfg.grid), loss)
-
-    check(1)
-    check(0)
-    params["head_b"][0] += 0.5  # a decoder element moves: still a hit
-    check(0)
+    loss_fn = training._staged_loss(params, micro_batch(seed=3), loss_cfg)
     stop = params.encoder_stop
-    assert stop == params.views(np.arange(params.n_params))["dec_proj_w"].flat[0]
-    assert params.flat[stop - 1] == 0.0  # proj2_b, the last encoder-side group
+    assert params.first_group(np.arange(params.n_params) == stop - 1) == "proj2_b"
+    assert params.flat[stop - 1] == 0.0
     params.flat[stop - 1] = -0.0  # equal as a float, not as bits
-    check(1)
-    params.flat[0] += 1e-3
-    check(1)
-    params.flat[0] -= 1e-3
-    check(1)
-    check(1, loss=LossConfig(temperature=0.5))  # the loss config is part of the key
-    check(1)
-    # the same layout with two attention heads: the same bits, another encoder
-    check(1, moved=ModelParams(dataclasses.replace(cfg, n_heads=2), params.arrays))
-
-
-def test_taped_batch_loss_leaves_the_memo_alone(encoder_runs):
-    params = init_params(np.random.default_rng(2), MICRO)
-    batch = micro_batch()
-    taped = batch_loss(params, batch, LossConfig(), tape={})
-    assert batch.memo is None and len(encoder_runs) == 1
-    untaped = batch_loss(params, batch, LossConfig())
-    memo = batch.memo
-    assert memo is not None and len(encoder_runs) == 2
-    assert batch_loss(params, batch, LossConfig(), tape={}) == taped == untaped
-    assert batch.memo is memo and len(encoder_runs) == 3  # taped: encodes, never reads
+    stages, aligns = _evaluate(loss_fn, params, staged_runs, loss_cfg)
+    assert stages[:3] == ["proj", "cls_norm", "dec_proj"] and aligns == 1
+    params.flat[stop - 1] = 0.0
+    params.flat[0] += 1e-5  # the first element: the whole forward pass
+    stages, aligns = _evaluate(loss_fn, params, staged_runs, loss_cfg)
+    assert stages == [stage.name for stage in model_module.forward_stages(cfg)] and aligns == 1
