@@ -156,10 +156,16 @@ def _frame_keypoints(record, manifest, model: ModelConfig) -> KeypointSet:
     """The record's keypoints mapped into the model frame by a whole-image resize.
 
     The image is read only for its size, so a missing or corrupt one is still
-    a ConfigError; its pixels are not resized.
+    a ConfigError; its pixels are not resized. A keypoint that overflows in
+    the frame is a ConfigError naming the record.
     """
     _, crop = _whole_frame(record, manifest)
-    return transform_keypoints(record.keypoints, crop, model.grid.image_h, model.grid.image_w)
+    try:
+        return transform_keypoints(record.keypoints, crop, model.grid.image_h,
+                                   model.grid.image_w)
+    except ConfigError as e:
+        raise ConfigError(f"record {record.sample_id!r}: {e} in the {model.grid.image_h}x"
+                          f"{model.grid.image_w} model frame") from None
 
 
 def _frame_image(record, manifest, model: ModelConfig) -> ImageBuffer:

@@ -221,11 +221,12 @@ def transform_keypoints(kps: KeypointSet, crop: CropParams, out_h: int, out_w: i
     Under a flip the left/right keypoint labels are swapped so the semantic
     identity (e.g. left shoulder) still points at the left shoulder of the
     flipped figure. Keypoints landing outside [0, out_w) x [0, out_h) get
-    confidence 0.
+    confidence 0; one scaled past the float64 range is a ConfigError.
     """
     pts = kps.pts.copy()
-    pts[:, 0] = (pts[:, 0] - crop.x0) * (out_w / crop.crop_w)
-    pts[:, 1] = (pts[:, 1] - crop.y0) * (out_h / crop.crop_h)
+    with np.errstate(over="ignore"):  # a coordinate scaled past float64 is refused below
+        pts[:, 0] = (pts[:, 0] - crop.x0) * (out_w / crop.crop_w)
+        pts[:, 1] = (pts[:, 1] - crop.y0) * (out_h / crop.crop_h)
     if crop.flip:
         pts[:, 0] = out_w - pts[:, 0]
         pts = pts[list(COCO_FLIP_PERM)]

@@ -13,16 +13,17 @@ Views run together on a leading view axis, the only shape the model takes:
 patches (V, N, P) with the (V, n) index arrays of MaskPlan.batch_indices (one
 view is a batch of one), so the encoder runs on one (V, 1 + n_vis, d) tensor
 and the decoder on one (V, N, d_dec) tensor. A forward pass given a tape dict
-records its intermediates there (a GELU keeps its input and CDF, and backward
-recomputes their product); backward() replays it and adds into a flat
-gradient vector the caller owns. Each gradient is formed per view (a stacked
+records its intermediates there, one cache per stage (a GELU keeps its input
+and CDF, and backward recomputes their product); backward() walks the stages
+in reverse, hands each its cache, and adds into a flat gradient vector the
+caller owns. Each gradient is formed per view (a stacked
 x^T @ dy in _linear_bwd, or a token-axis sum), then reduced with .sum(axis=0)
 in view order: bit-identical to adding the views one by one, which folding the view
 axis into one matrix product, or einsum, is not.
 
 Predictions come in plan order, (V, n_masked, P), so the loss pairs them with
-its targets row by row. backward gathers the head's and the final norm's
-rows back into raster order before reducing their gradients over the token
+its targets row by row. The backs of the head and the final norm gather
+their rows back into raster order before reducing their gradients over the token
 axis: those sums then add the same nonzero terms in the same order as a head
 run over the full grid with zero seeds on the visible rows, so every gradient
 is bit-equal to it; summed in plan order they would differ in the last bits.
@@ -37,7 +38,9 @@ and since param_shapes lays the groups out in forward order, the tags never
 decrease and what enters a stage depends only on params.flat before its tag.
 encode, decode (so forward, which training tapes) and attention_maps run these
 stages through run_stages; the finite-difference check in training resumes
-them at the stage whose parameters moved.
+them at the stage whose parameters moved. Each stage carries its own backward,
+and backward runs those in reverse order, so the layer order is written once,
+in forward_stages.
 """
 
 from __future__ import annotations
@@ -405,7 +408,7 @@ def _attn_fwd(x, params, p, n_heads):
     return _linear(merged, params, p + "attn_out"), (x, q, k, v, attn, merged)
 
 
-def _attn_bwd(dout, params, p, cache, n_heads, grads):
+def _attn_bwd(dout, params, p, cache, grads, n_heads):
     x, q, k, v, attn, merged = cache
     *lead, n, d = x.shape
     dh = d // n_heads
@@ -435,19 +438,6 @@ def _mlp_bwd(dout, params, p, cache, grads):
     return _linear_bwd(dh_act * _gelu_grad(h_pre, cdf), x, params, p + "1", grads)
 
 
-def _stack_bwd(params: ModelParams, prefix: str, depth: int, n_heads: int,
-               tape: dict, dy, grads):
-    """Backward through the pre-norm blocks x + attn(ln(x)), then x + mlp(ln(x))."""
-    dx = dy
-    for i in reversed(range(depth)):
-        p = f"{prefix}{i}_"
-        dn2 = _mlp_bwd(dx, params, p + "mlp", tape[p + "mlp"], grads)
-        dx1 = dx + _layernorm_bwd(dn2, params, p + "ln2", tape[p + "ln2"], grads)
-        dn1 = _attn_bwd(dx1, params, p, tape[p + "attn"], n_heads, grads)
-        dx = dx1 + _layernorm_bwd(dn1, params, p + "ln1", tape[p + "ln1"], grads)
-    return dx
-
-
 # ---------------------------------------------------------------------------
 # the forward pass as stages (see the module docstring)
 
@@ -460,7 +450,16 @@ class Activations(NamedTuple):
 
 
 class Stage(NamedTuple):
-    """run(params, x, res, cls, vis, masked) -> (x, res, cls, backward cache for tape[name]).
+    """One step of the forward pass and its backward.
+
+    run(params, x, res, cls, vis, masked) -> (x, res, cls, backward cache for tape[name]).
+    back(params, dx, dres, dcls, cache, grads) -> (dx, dres, dcls): given the
+    gradients at run's outputs and its cache, adds the stage's parameter
+    gradients into grads, at most one in-place addition per group, and
+    returns the gradients at run's inputs; None where an input is None or is
+    the patches. Between enc_norm and cls_norm the class row is carried by
+    cls: cls_norm's back returns the gradient of the visible rows only, and
+    enc_norm's back puts the class row's gradient back in front of them.
 
     The activations pass as plain values: building an Activations per stage
     cost about 2% of a full gradient-check evaluation.
@@ -469,6 +468,7 @@ class Stage(NamedTuple):
     name: str
     start: int  # the first index of params.flat that it reads
     run: Callable
+    back: Callable
 
 
 def _patch_embed(params, x, res, cls, vis, masked):
@@ -477,9 +477,20 @@ def _patch_embed(params, x, res, cls, vis, masked):
     return _linear(patches_vis, params, "patch_proj") + pos, None, None, patches_vis
 
 
+def _patch_embed_bwd(params, dx, dres, dcls, patches_vis, grads):
+    _add(grads, "patch_proj_w", patches_vis.swapaxes(-1, -2) @ dx)
+    _add(grads, "patch_proj_b", dx.sum(axis=-2))
+    return None, None, None
+
+
 def _class_token(params, x, res, cls, vis, masked):
     cls_token = np.broadcast_to(params["cls_token"], x.shape[:-2] + (1, x.shape[-1]))
     return np.concatenate([cls_token, x], axis=-2), None, None, None
+
+
+def _class_token_bwd(params, dx, dres, dcls, cache, grads):
+    _add(grads, "cls_token", dx[..., 0, :])
+    return dx[..., 1:, :], None, None
 
 
 def _pre_norm(name, params, x, res, cls, vis, masked):
@@ -488,10 +499,18 @@ def _pre_norm(name, params, x, res, cls, vis, masked):
     return y, x, cls, cache
 
 
+def _pre_norm_bwd(name, params, dx, dres, dcls, cache, grads):
+    return dres + _layernorm_bwd(dx, params, name, cache, grads), None, dcls
+
+
 def _residual(sublayer, name, params, x, res, cls, vis, masked):
     """A block's attention or MLP on the normed stream, added to the residual stream."""
     out, cache = sublayer(x, params, name)
     return res + out, None, cls, cache
+
+
+def _residual_bwd(sublayer_bwd, name, params, dx, dres, dcls, cache, grads):
+    return sublayer_bwd(dx, params, name, cache, grads), dx, dcls
 
 
 def _enc_norm(params, x, res, cls, vis, masked):
@@ -501,9 +520,19 @@ def _enc_norm(params, x, res, cls, vis, masked):
     return z, None, z[..., :1, :], cache
 
 
+def _enc_norm_bwd(params, dx, dres, dcls, cache, grads):
+    """dx holds the visible rows only; the class row's gradient comes in as dcls."""
+    return _layernorm_bwd(np.concatenate([dcls, dx], axis=-2), params, "enc_norm", cache,
+                          grads), None, None
+
+
 def _proj_head(params, x, res, cls, vis, masked):
     raw, cache = _mlp_fwd(cls, params, "proj")
     return x, None, raw, cache
+
+
+def _proj_head_bwd(params, dx, dres, dcls, cache, grads):
+    return dx, None, _mlp_bwd(dcls, params, "proj", cache, grads)
 
 
 def _cls_norm(params, x, res, cls, vis, masked):
@@ -516,6 +545,11 @@ def _cls_norm(params, x, res, cls, vis, masked):
     return x[..., 1:, :], None, cls, (cls, nrm)
 
 
+def _cls_norm_bwd(params, dx, dres, dcls, cache, grads):
+    cls, nrm = cache
+    return dx, None, (dcls - cls * (cls @ dcls.swapaxes(-1, -2))) / nrm
+
+
 def _decoder_input(params, x, res, cls, vis, masked):
     """Projected visible tokens in their slots, the mask token elsewhere, plus positions."""
     cfg = params.cfg
@@ -524,27 +558,59 @@ def _decoder_input(params, x, res, cls, vis, masked):
     return tokens + sincos_pos_embed(cfg.grid, cfg.decoder_dim), None, cls, (x, vis, masked)
 
 
+def _decoder_input_bwd(params, dx, dres, dcls, cache, grads):
+    visible_tokens, vis, masked = cache
+    if masked.shape[-1]:
+        _add(grads, "mask_token", dx[MaskPlan.view_rows(masked)].sum(axis=-2))
+    return _linear_bwd(dx[MaskPlan.view_rows(vis)], visible_tokens, params, "dec_proj",
+                       grads), None, dcls
+
+
 def _dec_norm(params, x, res, cls, vis, masked):
     """The final norm, on the masked rows only, in plan order."""
-    z, cache = _layernorm_fwd(x[MaskPlan.view_rows(masked)], params, "dec_norm")
-    return z, None, cls, cache
+    z, (xhat, inv) = _layernorm_fwd(x[MaskPlan.view_rows(masked)], params, "dec_norm")
+    return z, None, cls, (xhat, inv, masked)
+
+
+def _dec_norm_bwd(params, dx, dres, dcls, cache, grads):
+    """Reduced in raster order (see the module docstring); the visible rows get zeros."""
+    xhat, inv, masked = cache
+    raster = MaskPlan.view_rows(np.argsort(masked, axis=-1))
+    dy_rows = _layernorm_bwd(dx[raster], params, "dec_norm", (xhat[raster], inv[raster]), grads)
+    dy = np.zeros((len(masked), params.cfg.n_patches, params.cfg.decoder_dim))
+    dy[MaskPlan.view_rows(masked[raster])] = dy_rows
+    return dy, None, dcls
 
 
 def _head(params, x, res, cls, vis, masked):
-    return _linear(x, params, "head"), None, cls, x
+    return _linear(x, params, "head"), None, cls, (x, masked)
+
+
+def _head_bwd(params, dx, dres, dcls, cache, grads):
+    """Reduced in raster order (see the module docstring); the input gradient in plan order."""
+    x, masked = cache
+    raster = MaskPlan.view_rows(np.argsort(masked, axis=-1))
+    dz = np.empty_like(x)
+    dz[raster] = _linear_bwd(dx[raster], x[raster], params, "head", grads)
+    return dz, None, dcls
 
 
 def _block_stages(prefix: str, depth: int, n_heads: int, start: dict) -> list[Stage]:
     attention = functools.partial(_attn_fwd, n_heads=n_heads)
+    attention_bwd = functools.partial(_attn_bwd, n_heads=n_heads)
     stages = []
     for i in range(depth):
         p = f"{prefix}{i}_"
         stages += [
-            Stage(p + "ln1", start[p + "ln1_g"], functools.partial(_pre_norm, p + "ln1")),
-            Stage(p + "attn", start[p + "qkv_w"], functools.partial(_residual, attention, p)),
-            Stage(p + "ln2", start[p + "ln2_g"], functools.partial(_pre_norm, p + "ln2")),
+            Stage(p + "ln1", start[p + "ln1_g"], functools.partial(_pre_norm, p + "ln1"),
+                  functools.partial(_pre_norm_bwd, p + "ln1")),
+            Stage(p + "attn", start[p + "qkv_w"], functools.partial(_residual, attention, p),
+                  functools.partial(_residual_bwd, attention_bwd, p)),
+            Stage(p + "ln2", start[p + "ln2_g"], functools.partial(_pre_norm, p + "ln2"),
+                  functools.partial(_pre_norm_bwd, p + "ln2")),
             Stage(p + "mlp", start[p + "mlp1_w"],
-                  functools.partial(_residual, _mlp_fwd, p + "mlp"))]
+                  functools.partial(_residual, _mlp_fwd, p + "mlp"),
+                  functools.partial(_residual_bwd, _mlp_bwd, p + "mlp"))]
     return stages
 
 
@@ -558,17 +624,17 @@ def forward_stages(cfg: ModelConfig) -> tuple[Stage, ...]:
     encoder_stop, with the decoder input.
     """
     start = {name: first for name, first, _, _ in _layout(cfg)}
-    stages = [Stage("patch_proj", start["patch_proj_w"], _patch_embed),
-              Stage("cls_token", start["cls_token"], _class_token),
+    stages = [Stage("patch_proj", start["patch_proj_w"], _patch_embed, _patch_embed_bwd),
+              Stage("cls_token", start["cls_token"], _class_token, _class_token_bwd),
               *_block_stages("enc", cfg.depth, cfg.n_heads, start),
-              Stage("enc_norm", start["enc_norm_g"], _enc_norm)]
+              Stage("enc_norm", start["enc_norm_g"], _enc_norm, _enc_norm_bwd)]
     if cfg.proj_head:
-        stages.append(Stage("proj", start["proj1_w"], _proj_head))
-    stages += [Stage("cls_norm", start["dec_proj_w"], _cls_norm),
-               Stage("dec_proj", start["dec_proj_w"], _decoder_input),
+        stages.append(Stage("proj", start["proj1_w"], _proj_head, _proj_head_bwd))
+    stages += [Stage("cls_norm", start["dec_proj_w"], _cls_norm, _cls_norm_bwd),
+               Stage("dec_proj", start["dec_proj_w"], _decoder_input, _decoder_input_bwd),
                *_block_stages("dec", cfg.decoder_depth, cfg.decoder_heads, start),
-               Stage("dec_norm", start["dec_norm_g"], _dec_norm),
-               Stage("head", start["head_w"], _head)]
+               Stage("dec_norm", start["dec_norm_g"], _dec_norm, _dec_norm_bwd),
+               Stage("head", start["head_w"], _head, _head_bwd)]
     return tuple(stages)
 
 
@@ -653,42 +719,13 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
 
     d_pred is the loss gradient at the masked-patch predictions, d_cls at the
     normalized class vectors, shaped like forward's outputs. Requires the tape
-    recorded by forward. Each group receives one in-place addition per call.
+    recorded by forward. Runs each stage's back in reverse stage order; each
+    group receives one in-place addition per call.
     """
-    cfg = params.cfg
     grads = params.views(grad)
-    visible_tokens, vis, masked = tape["dec_proj"]
-
-    # prediction head and final norm on the masked rows, in raster order (see the
-    # module docstring), then the decoder stack, whose visible rows get no seed
-    raster = MaskPlan.view_rows(np.argsort(masked, axis=-1))
-    xhat, inv = tape["dec_norm"]
-    dy_rows = _layernorm_bwd(
-        _linear_bwd(d_pred[raster], tape["head"][raster], params, "head", grads),
-        params, "dec_norm", (xhat[raster], inv[raster]), grads)
-    dy = np.zeros((len(masked), cfg.n_patches, cfg.decoder_dim))
-    dy[MaskPlan.view_rows(masked[raster])] = dy_rows
-    dtokens = _stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, tape, dy, grads)
-    if masked.shape[-1]:
-        _add(grads, "mask_token", dtokens[MaskPlan.view_rows(masked)].sum(axis=-2))
-    d_vis = _linear_bwd(dtokens[MaskPlan.view_rows(vis)], visible_tokens, params, "dec_proj",
-                        grads)
-
-    # class-vector normalization cls = raw / |raw| on (..., 1, d) rows
-    cls, nrm = tape["cls_norm"]
-    d_cls = d_cls[..., None, :]
-    d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
-    if cfg.proj_head:
-        d_raw = _mlp_bwd(d_raw, params, "proj", tape["proj"], grads)
-
-    # encoder stack and embedding
-    dz_enc = np.concatenate([d_raw, d_vis], axis=-2)
-    dy_enc = _layernorm_bwd(dz_enc, params, "enc_norm", tape["enc_norm"], grads)
-    dseq = _stack_bwd(params, "enc", cfg.depth, cfg.n_heads, tape, dy_enc, grads)
-    _add(grads, "cls_token", dseq[..., 0, :])
-    dtok = dseq[..., 1:, :]
-    _add(grads, "patch_proj_w", tape["patch_proj"].swapaxes(-1, -2) @ dtok)
-    _add(grads, "patch_proj_b", dtok.sum(axis=-2))
+    d = d_pred, None, d_cls[..., None, :]
+    for stage in reversed(forward_stages(params.cfg)):
+        d = stage.back(params, *d, tape[stage.name], grads)
 
 
 def attention_maps(params: ModelParams, patches: np.ndarray) -> np.ndarray:

@@ -19,7 +19,7 @@ from pmim import cli, data_io, training
 from pmim.cli import entry
 from pmim.data_io import DatasetManifest, SampleRecord, make_synthetic_dataset, read_mask_plan
 from pmim.errors import ConfigError
-from pmim.geometry import CropParams, transform_keypoints
+from pmim.geometry import CropParams, KeypointSet, transform_keypoints
 from pmim.mask_sampling import (all_part_patches, mask_stats, num_masked, part_guided_mask,
                                 random_mask, stats_delta)
 from pmim.training import TrainConfig
@@ -318,6 +318,31 @@ def test_mask_plan_and_stats_map_keypoints_of_off_frame_images(tmp_path):
     want = {"files": {path: dataclasses.asdict(r) for path, r in zip(paths.values(), reports)},
             "delta": dict(stats_delta(*reports), a=paths["part"], b=paths["random"])}
     assert json.loads(stdout) == json.loads(json.dumps(want))
+
+
+def test_a_keypoint_overflowing_the_frame_names_its_record(tmp_path):
+    # The 32x16 image is scaled up 2x into the 64x32 frame, where x = 1e308 overflows.
+    manifest, records = _off_frame_manifest(tmp_path)
+    pts = records[1].keypoints.pts.copy()
+    pts[0, 0] = 1e308
+    records[1] = SampleRecord("small", "small.pgm", KeypointSet(pts))
+    data_io.write_manifest(DatasetManifest(records, root=os.path.dirname(manifest)), manifest)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmim.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+
+    def run(*argv):  # a new interpreter, so numpy's warnings reach stderr
+        return subprocess.run([sys.executable, "-W", "default", "-m", "pmim.cli", *argv,
+                               "--manifest", manifest], capture_output=True, text=True,
+                              env=env, timeout=120)
+
+    for strategy in ("part", "random"):
+        done = run("mask-plan", "--strategy", strategy, "--out", str(tmp_path / "plans.jsonl"))
+        assert done.returncode == 2 and "'small'" in done.stderr, (strategy, done.stderr)
+        assert "RuntimeWarning" not in done.stderr, done.stderr
+    done = run("pretrain", "--out", str(tmp_path / "run"), "--set", "train.total_epochs=1",
+               "--set", "train.batch_size=2")
+    assert done.returncode == 0 and "skipping sample small" in done.stderr, done.stderr
+    assert "RuntimeWarning" not in done.stderr, done.stderr
 
 
 def test_mask_plan_and_stats_exit_2_on_a_missing_or_truncated_image(tmp_path):

@@ -28,43 +28,33 @@ def old_normalize_targets(patches, eps=1e-6):
     return (patches - mean) / np.sqrt(var + eps)
 
 
+def before_dec_norm(cfg):
+    """The model's stages up to, not including, its final norm."""
+    stages = M.forward_stages(cfg)
+    return stages[:[stage.name for stage in stages].index("dec_norm")]
+
+
 def full_grid_forward(params, patches, vis, masked, tape):
     """The model's stages up to its final norm, then the norm and head over every patch.
 
     Returns (cls, (V, N, P)).
     """
-    stages = M.forward_stages(params.cfg)
-    last = [stage.name for stage in stages].index("dec_norm")
-    acts = M.run_stages(params, stages[:last], M.Activations(patches), vis, masked, tape)
+    acts = M.run_stages(params, before_dec_norm(params.cfg), M.Activations(patches), vis,
+                        masked, tape)
     z, tape["dec_norm"] = M._layernorm_fwd(acts.x, params, "dec_norm")
     tape["head"] = z
     return acts.cls[..., 0, :], M._linear(z, params, "head")
 
 
 def full_grid_backward(params, tape, d_pred, d_cls):
-    cfg = params.cfg
+    """The head and final norm reduced over every patch, then the model's stage backs."""
     grad = np.zeros(params.n_params)
     grads = params.views(grad)
-    visible_tokens, vis, masked = tape["dec_proj"]
     dy = M._layernorm_bwd(M._linear_bwd(d_pred, tape["head"], params, "head", grads),
                           params, "dec_norm", tape["dec_norm"], grads)
-    dtokens = M._stack_bwd(params, "dec", cfg.decoder_depth, cfg.decoder_heads, tape, dy, grads)
-    if masked.shape[-1]:
-        M._add(grads, "mask_token", dtokens[MaskPlan.view_rows(masked)].sum(axis=-2))
-    d_vis = M._linear_bwd(dtokens[MaskPlan.view_rows(vis)], visible_tokens, params,
-                          "dec_proj", grads)
-    cls, nrm = tape["cls_norm"]
-    d_cls = d_cls[..., None, :]
-    d_raw = (d_cls - cls * (cls @ d_cls.swapaxes(-1, -2))) / nrm
-    if cfg.proj_head:
-        d_raw = M._mlp_bwd(d_raw, params, "proj", tape["proj"], grads)
-    dy_enc = M._layernorm_bwd(np.concatenate([d_raw, d_vis], axis=-2), params, "enc_norm",
-                              tape["enc_norm"], grads)
-    dseq = M._stack_bwd(params, "enc", cfg.depth, cfg.n_heads, tape, dy_enc, grads)
-    M._add(grads, "cls_token", dseq[..., 0, :])
-    dtok = dseq[..., 1:, :]
-    M._add(grads, "patch_proj_w", tape["patch_proj"].swapaxes(-1, -2) @ dtok)
-    M._add(grads, "patch_proj_b", dtok.sum(axis=-2))
+    d = dy, None, d_cls[..., None, :]
+    for stage in reversed(before_dec_norm(params.cfg)):
+        d = stage.back(params, *d, tape[stage.name], grads)
     return grad
 
 

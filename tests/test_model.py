@@ -369,3 +369,58 @@ def test_erf_matches_scipy_oracle():
     far = np.abs(edges) >= 6.0
     assert np.array_equal(got[far], np.sign(edges[far]))
     assert np.isnan(_erf(np.array([np.nan, 0.5, 2.0]))).tolist() == [True, False, False]
+
+
+# Between enc_norm and cls_norm the class row rides in cls, and the stream's
+# copy of it is dead: a back there takes and returns the visible rows' gradient.
+SEEDS_SKIP_CLASS_ROW = {"enc_norm", "proj"}  # back takes dx without the class row
+GRADIENT_SKIPS_CLASS_ROW = {"proj", "cls_norm"}  # back returns dx without it
+
+
+def test_each_stage_back_is_the_adjoint_of_its_run():
+    # <w, run(inputs + t u, params + t u_params)> differentiated along u at t = 0
+    # must equal <back(w), u>, stage by stage, so a wrong back fails by name.
+    cfg = ModelConfig(embed_dim=4, depth=2, n_heads=2, decoder_dim=4, decoder_depth=2,
+                      decoder_heads=2, patch_size=4, grid_h=2, grid_w=2, proj_head=True)
+    rng = np.random.default_rng(0)
+    params = init_params(rng, cfg)
+    params.flat += rng.normal(0.0, 0.05, params.n_params)  # no unit gain, no zero bias
+    patches = rng.random((2, cfg.n_patches, cfg.patch_dim))
+    vis = np.array([[3, 0], [1, 2]])
+    masked = np.array([[2, 1], [3, 0]])  # plan order is not raster order
+    stages = model.forward_stages(cfg)
+    stops = [stage.start for stage in stages[1:]] + [params.n_params]
+    acts = model.Activations(patches)
+    wrong = []
+    for stage, stop in zip(stages, stops):
+        *outs, cache = stage.run(params, *acts, vis, masked)
+        w = [None if out is None else rng.normal(size=out.shape) for out in outs]
+        seeds = list(w)
+        if stage.name in SEEDS_SKIP_CLASS_ROW:
+            w[0][..., 0, :] = 0.0
+            seeds[0] = w[0][..., 1:, :]
+        grad = np.zeros(params.n_params)
+        d = list(stage.back(params, *seeds, cache, params.views(grad)))
+        if stage.name in GRADIENT_SKIPS_CLASS_ROW:
+            d[0] = np.concatenate([np.zeros_like(d[0][..., :1, :]), d[0]], axis=-2)
+        # the patches are data: the embedding returns no gradient for them
+        assert [g is None for g in d] == [a is None or stage.name == "patch_proj"
+                                          for a in acts], stage.name
+        u = [None if g is None else rng.normal(size=a.shape) for a, g in zip(acts, d)]
+        u_params = np.zeros(params.n_params)
+        u_params[stage.start:stop] = rng.normal(size=stop - stage.start)
+
+        def value(t):
+            moved = model.ModelParams(cfg, params.views(params.flat + t * u_params))
+            inputs = [a if v is None else a + t * v for a, v in zip(acts, u)]
+            outs = stage.run(moved, *inputs, vis, masked)[:3]
+            return sum(float((o * s).sum()) for o, s in zip(outs, w) if s is not None)
+
+        h = 1e-6
+        fd = (value(h) - value(-h)) / (2 * h)
+        analytic = float(grad @ u_params) + sum(float((g * v).sum())
+                                                for g, v in zip(d, u) if g is not None)
+        if abs(analytic - fd) > 1e-7 * max(abs(analytic), abs(fd), 1.0):
+            wrong.append((stage.name, analytic, fd))
+        acts = model.Activations(*outs)
+    assert wrong == []

@@ -574,6 +574,14 @@ def test_gradient_check_projection_head():
     assert max(report.values()) < 1e-4
 
 
+def test_gradient_check_two_blocks_per_stack():
+    # backward walks the stages in reverse: each block's back must meet its own
+    # tape entry. No projection head: MICRO2 + head reads too close to the bound.
+    cfg = dataclasses.replace(MICRO, n_heads=2, decoder_heads=2, depth=2, decoder_depth=2)
+    assert max(gradient_check(model_cfg=cfg).values()) < 1e-4
+    assert gradient_check(model_cfg=cfg, corrupt="enc1_qkv_w")["enc1_qkv_w"] > 1e-4
+
+
 # The check's stage cache: each evaluation resumes the forward pass at the
 # stage that reads the first element of params.flat whose bits moved, from
 # the activations kept at the unperturbed parameters.
