@@ -11,6 +11,10 @@ view. An anchor's positive is its own image's second view; its denominator
 ranges over every image's second view, the positive included, so the value is
 nonnegative and a batch of one gives exactly zero.
 
+Each term gives its value and a cache, and its gradient reads the cache, as a
+model stage's run and back do: recon_loss and recon_grad, infonce and
+infonce_grad. align_loss_and_grad checks both batches for unit rows, then runs both.
+
 total = recon + align_weight * align is the one scalar that training
 differentiates, logs and gradient-checks.
 """
@@ -55,8 +59,8 @@ class LossBreakdown:
     total: float
 
 
-def recon_loss_and_grad(pred, targets):
-    """Per-view MSE over the masked rows, (V,), and its gradient at the predictions.
+def recon_loss(pred, targets):
+    """Per-view MSE over the masked rows, (V,), and pred - targets, the cache recon_grad reads.
 
     pred and targets are (V, n_masked, P), the masked patches in plan order.
     """
@@ -69,8 +73,12 @@ def recon_loss_and_grad(pred, targets):
     if diff.shape[1] == 0:
         warnings.warn("empty mask: reconstruction loss has no support", RuntimeWarning)
         return np.zeros(len(diff)), diff
-    n = diff.shape[-2] * diff.shape[-1]
-    return (diff * diff).sum(axis=(-2, -1)) / n, 2.0 * diff / n
+    return (diff * diff).sum(axis=(-2, -1)) / (diff.shape[-2] * diff.shape[-1]), diff
+
+
+def recon_grad(diff: np.ndarray) -> np.ndarray:
+    """The gradient of each view's recon_loss value at its predictions, from recon_loss's diff."""
+    return 2.0 * diff / (diff.shape[-2] * diff.shape[-1])
 
 
 def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:
@@ -84,31 +92,37 @@ def _check_unit_rows(name: str, z: np.ndarray) -> np.ndarray:
     return z
 
 
-def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
-                        cfg: LossConfig | None = None):
-    """InfoNCE value, mean over the batch, plus gradients at both (normalized) class batches.
+def infonce(z: np.ndarray, z_tilde: np.ndarray, tau: float):
+    """InfoNCE value, mean over the batch, and its softmax rows, the cache infonce_grad reads.
 
     Each row of z is scored against every row of z_tilde; its own partner is
     the positive, and the denominator includes it.
     """
-    if cfg is None:
-        cfg = LossConfig()
-    z = _check_unit_rows("z", z)
-    z_tilde = _check_unit_rows("z_tilde", z_tilde)
-    if z.shape != z_tilde.shape:
-        raise ConfigError(f"view batches disagree: {z.shape} vs {z_tilde.shape}")
-    b = z.shape[0]
-    tau = cfg.temperature
     pos = np.sum(z * z_tilde, axis=1) / tau  # (B,)
     s = (z @ z_tilde.T) / tau  # (B, B)
     m = s.max(axis=1, keepdims=True)
     e = np.exp(s - m)
     denom = e.sum(axis=1, keepdims=True)
     lse = (m + np.log(denom))[:, 0]
-    value = float((lse - pos).sum() / b)
-    p = e / denom  # softmax rows
-    ds = (p - np.eye(b)) / (b * tau)
-    return value, ds @ z_tilde, ds.T @ z
+    return float((lse - pos).sum() / z.shape[0]), e / denom
+
+
+def infonce_grad(p: np.ndarray, z: np.ndarray, z_tilde: np.ndarray, tau: float):
+    """The gradients of infonce's value at z and z_tilde, from its softmax rows p."""
+    ds = (p - np.eye(len(p))) / (len(p) * tau)
+    return ds @ z_tilde, ds.T @ z
+
+
+def align_loss_and_grad(z: np.ndarray, z_tilde: np.ndarray,
+                        cfg: LossConfig | None = None):
+    """infonce's value and infonce_grad's gradients, for two (B, dim) batches of unit rows."""
+    cfg = cfg if cfg is not None else LossConfig()
+    z = _check_unit_rows("z", z)
+    z_tilde = _check_unit_rows("z_tilde", z_tilde)
+    if z.shape != z_tilde.shape:
+        raise ConfigError(f"view batches disagree: {z.shape} vs {z_tilde.shape}")
+    value, p = infonce(z, z_tilde, cfg.temperature)
+    return (value, *infonce_grad(p, z, z_tilde, cfg.temperature))
 
 
 def total_loss(recon: float, align: float, cfg: LossConfig | None = None) -> LossBreakdown:

@@ -145,7 +145,7 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     (truncated normal). The order fixes both initialization draws and
     checkpoint layout. Groups come in the order the forward stages read them
     (see forward_stages), so every group that encode reads, the projection
-    head's included, comes before dec_proj_w (see ModelParams.encoder_stop).
+    head's included, comes before dec_proj_w.
     """
     d, dd = cfg.embed_dim, cfg.decoder_dim
     shapes: list[tuple[str, tuple, str]] = [
@@ -240,16 +240,6 @@ class ModelParams:
     @property
     def n_params(self) -> int:
         return _layout(self.cfg)[-1][2]
-
-    @property
-    def encoder_stop(self) -> int:
-        """Length of the prefix of `flat` that encode reads: every group before dec_proj_w."""
-        return _encoder_stop(self.cfg)
-
-
-@functools.lru_cache(maxsize=8)
-def _encoder_stop(cfg: ModelConfig) -> int:
-    return next(start for name, start, _, _ in _layout(cfg) if name == "dec_proj_w")
 
 
 def _trunc_normal(rng: np.random.Generator, shape: tuple, std: float = 0.02) -> np.ndarray:
@@ -621,7 +611,7 @@ def forward_stages(cfg: ModelConfig) -> tuple[Stage, ...]:
     Each start is a group start of _layout, and a stage reads the elements
     from its start up to the next stage's. Starts never decrease: the
     class-vector normalization reads no parameter and shares its start,
-    encoder_stop, with the decoder input.
+    dec_proj_w's, with the decoder input.
     """
     start = {name: first for name, first, _, _ in _layout(cfg)}
     stages = [Stage("patch_proj", start["patch_proj_w"], _patch_embed, _patch_embed_bwd),

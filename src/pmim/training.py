@@ -5,16 +5,16 @@ sample index), never from carried generator state, so a resumed run replays
 the exact uninterrupted trajectory. A ViewBatch is made once per batch: the
 2B views' patches stacked as (V, N, P), laid out a0, b0, a1, b1, ..., their
 MaskPlan.batch_indices arrays and the item count. batch_loss runs it as one
-model batch; given a tape, batch_backward makes one backward pass and reduces
-each gradient over the views in that fixed order, which keeps runs bit-for-bit
-reproducible.
+model batch and forms no gradient; batch_backward forms the loss gradients from
+a taped batch_loss and makes one backward pass, reducing each gradient over the
+views in that fixed order, which keeps runs bit-for-bit reproducible.
 
 The finite-difference check runs the model's forward stages (model.forward_stages)
 once at the unperturbed parameters and keeps the activations that enter each
 stage. An evaluation finds the first element of params.flat whose bits moved
 and resumes at the stage that reads it, since what enters a stage depends only
 on the elements before its start; the alignment value is recomputed only when
-that stage lies in the encoder. So an evaluation that moves a head element runs
+that stage comes before dec_proj. So an evaluation that moves a head element runs
 only the head, and its loss is bit-equal to a full forward pass.
 """
 
@@ -36,7 +36,8 @@ import numpy as np
 from . import data_io
 from .errors import ConfigError, NumericsError
 from .geometry import apply_crop, normalize_targets, patchify, sample_crop, transform_keypoints
-from .losses import LossBreakdown, LossConfig, align_loss_and_grad, recon_loss_and_grad, total_loss
+from .losses import (LossBreakdown, LossConfig, infonce, infonce_grad, recon_grad, recon_loss,
+                     total_loss)
 from .mask_sampling import MaskPlan, num_masked, part_guided_mask, random_mask
 from .model import (Activations, ModelConfig, ModelParams, backward, forward, forward_stages,
                     init_params, run_stages)
@@ -248,16 +249,21 @@ class ViewBatch:
         return self._targets[normalize]
 
 
-def _loss(pred: np.ndarray, align: float, batch: ViewBatch, loss_cfg: LossConfig):
-    """(LossBreakdown, reconstruction gradient at pred) of the masked-patch predictions.
+def _loss(cls: np.ndarray, pred: np.ndarray, batch: ViewBatch, loss_cfg: LossConfig, align=None):
+    """(LossBreakdown, cache) of the model's class rows, (V, d), and masked-patch predictions.
 
     The per-view reconstruction losses are added item by item, then averaged.
+    align, infonce's (value, softmax rows) on cls, is made unless given. The
+    cache (diff, cls, softmax rows, loss_cfg) is what batch_backward reads.
     """
-    recon_views, d_pred = recon_loss_and_grad(pred, batch.targets(loss_cfg))
+    if align is None:
+        align = infonce(cls[0::2], cls[1::2], loss_cfg.temperature)
+    recon_views, diff = recon_loss(pred, batch.targets(loss_cfg))
     recon_sum = 0.0
     for pair in (recon_views[0::2] + recon_views[1::2]).tolist():  # item by item
         recon_sum += pair
-    return total_loss(recon_sum / (2 * batch.n_items), align, loss_cfg), d_pred
+    return (total_loss(recon_sum / (2 * batch.n_items), align[0], loss_cfg),
+            (diff, cls, align[1], loss_cfg))
 
 
 def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
@@ -265,27 +271,29 @@ def batch_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig,
     """Loss over a prepared batch, its 2B views run as one model batch.
 
     Reconstruction averages the per-view masked MSE (one loss call); alignment
-    is InfoNCE over the class-vector pairs. Given a tape dict, records the model
-    tape and the weighted seeds that batch_backward reads.
+    is InfoNCE over the class-vector pairs. No gradient is formed. Given a tape
+    dict, records the model tape and, as tape["loss"], the cache batch_backward reads.
     """
     cls, pred = forward(params, batch.patches, batch.vis, batch.masked, tape)
-    align, dz, dzt = align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)
-    breakdown, d_pred = _loss(pred, align, batch, loss_cfg)
+    breakdown, cache = _loss(cls, pred, batch, loss_cfg)
     if tape is not None:
-        d_pred *= 1.0 / (2 * batch.n_items)
-        tape.update(d_pred=d_pred,
-                    d_cls=loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape))
+        tape["loss"] = cache
     return breakdown
 
 
 def batch_backward(params: ModelParams, tape: dict) -> np.ndarray:
     """params.grad, zeroed, then refilled with the exact gradient of a taped batch_loss."""
+    diff, cls, p, loss_cfg = tape["loss"]
+    d_pred = recon_grad(diff)
+    d_pred *= 1.0 / len(cls)  # 1 / (2B): reconstruction averages over the views
+    dz, dzt = infonce_grad(p, cls[0::2], cls[1::2], loss_cfg.temperature)
+    d_cls = loss_cfg.align_weight * np.stack([dz, dzt], axis=1).reshape(cls.shape)
     # Made on first use: under glibc it then sits on the heap above a step's temporaries,
     # which keeps the freed heap from being returned and faulted back in every step.
     if params.grad is None:
         params.grad = np.zeros(params.n_params)
     params.grad.fill(0.0)
-    backward(params, tape, tape["d_pred"], tape["d_cls"], params.grad)
+    backward(params, tape, d_pred, d_cls, params.grad)
     return params.grad
 
 
@@ -321,7 +329,12 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
             f"non-finite gradient in {params.first_group(~np.isfinite(grad))} "
             f"at step {opt.step + 1}; batch ids {used}")
     lr = lr_at(opt.step, cfg)
-    adamw_update(params, grad, opt, lr, cfg.weight_decay)
+    with np.errstate(all="ignore"):  # an overflow shows as the non-finite parameter below
+        adamw_update(params, grad, opt, lr, cfg.weight_decay)
+    if not np.isfinite(params.flat).all():  # no checkpoint could load it
+        raise NumericsError(
+            f"non-finite parameter in {params.first_group(~np.isfinite(params.flat))} after "
+            f"the AdamW update at step {opt.step} (lr {lr}, weight decay {cfg.weight_decay})")
     return lr, breakdown
 
 
@@ -447,19 +460,14 @@ def finite_difference_grads(loss_fn, params: ModelParams, h: float = 1e-5) -> np
     return out
 
 
-def _align(cls_rows: np.ndarray, loss_cfg: LossConfig) -> float:
-    cls = cls_rows[..., 0, :]  # as encode returns it
-    return align_loss_and_grad(cls[0::2], cls[1::2], loss_cfg)[0]
-
-
 def _staged_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig):
     """The check's loss function, `total` of an untaped batch_loss that resumes mid-forward.
 
     The forward stages run once here, at the parameters as they are now; the
-    activations entering each stage are kept read-only, with the alignment
-    value. An evaluation compares params.flat with that copy as uint64 bits, so
-    0.0 and -0.0 never alias, and resumes at the stage that reads the first
-    element that moved (see the module docstring).
+    activations entering each stage are kept read-only, with infonce's output,
+    which holds from dec_proj on. An evaluation compares params.flat with that
+    copy as uint64 bits, so 0.0 and -0.0 never alias, and resumes at the stage
+    that reads the first element that moved (see the module docstring).
     """
     stages = forward_stages(params.cfg)
     starts = [stage.start for stage in stages]
@@ -471,10 +479,10 @@ def _staged_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig):
                 a.flags.writeable = False
         kept.append(acts)
         acts = run_stages(params, (stage,), acts, batch.vis, batch.masked)
-    align = _align(acts.cls, loss_cfg)
+    align = infonce(acts.cls[0::2, 0], acts.cls[1::2, 0], loss_cfg.temperature)
+    decoder = [stage.name for stage in stages].index("dec_proj")
     base = params.flat.view(np.uint64).copy()
     moved = np.empty(base.shape, dtype=bool)
-    encoder_stop = params.encoder_stop
 
     def loss_fn(p: ModelParams) -> float:
         np.not_equal(p.flat.view(np.uint64), base, out=moved)
@@ -483,8 +491,8 @@ def _staged_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig):
             first = len(base)
         k = bisect.bisect_right(starts, first) - 1
         out = run_stages(p, stages[k:], kept[k], batch.vis, batch.masked)
-        a = align if first >= encoder_stop else _align(out.cls, loss_cfg)
-        return _loss(out.x, a, batch, loss_cfg)[0].total
+        return _loss(out.cls[:, 0], out.x, batch, loss_cfg,
+                     align if k >= decoder else None)[0].total
     return loss_fn
 
 

@@ -103,6 +103,27 @@ def test_pretrain_exits_3_on_a_non_finite_gradient(tmp_path, manifest_path, monk
     assert err.startswith("numerical failure: non-finite gradient in ") and " at step 1;" in err, err
 
 
+@pytest.mark.parametrize("overrides", [("lr=1e300", "train.weight_decay=1e300"), ("lr=1e308",)],
+                         ids=["decay_overflow", "peak_lr_overflow"])
+def test_pretrain_exits_3_on_a_non_finite_update(tmp_path, overrides):
+    # An AdamW update that overflows must stop the run before it logs the step
+    # or writes a checkpoint that load_checkpoint would refuse.
+    make_synthetic_dataset(8, seed=0, out_dir=str(tmp_path))
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pmim.__file__)))
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    done = subprocess.run(  # a new interpreter, so numpy's warnings reach stderr
+        [sys.executable, "-W", "default", "-m", "pmim.cli", "pretrain", "--manifest",
+         str(tmp_path / "manifest.jsonl"), "--out", str(tmp_path / "run"),
+         "--set", "train.total_epochs=1", *sets],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert done.returncode == 3 and done.stdout == "", (done.returncode, done.stdout)
+    assert done.stderr.startswith("numerical failure: non-finite parameter in patch_proj_w "
+                                  "after the AdamW update at step 1 "), done.stderr
+    assert "RuntimeWarning" not in done.stderr, done.stderr
+    assert os.listdir(tmp_path / "run") == ["metrics.jsonl"]
+    assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+
+
 def test_config_file_and_seed_precedence(tmp_path, manifest_path):
     cfg = {
         "model": {"embed_dim": 4, "n_heads": 1, "decoder_dim": 4,

@@ -12,7 +12,10 @@ from pmim.geometry import make_patch_grid, normalize_targets
 from pmim.losses import (
     LossConfig,
     align_loss_and_grad,
-    recon_loss_and_grad,
+    infonce,
+    infonce_grad,
+    recon_grad,
+    recon_loss,
     total_loss,
 )
 from pmim.mask_sampling import MaskPlan
@@ -43,7 +46,7 @@ def test_loss_config_validation():
 def test_recon_constant_offset():
     rng = np.random.default_rng(0)
     tgt = rng.random((1, 2, 48))
-    value = recon_loss_and_grad(tgt + 0.5, tgt)[0][0]
+    value = recon_loss(tgt + 0.5, tgt)[0][0]
     assert value == pytest.approx(0.25, abs=1e-12)
 
 
@@ -59,8 +62,8 @@ def test_recon_ignores_visible_rows():
     assert np.array_equal(tgt, patches[None, [0, 3]].repeat(2, axis=0))
     moved = ViewBatch([(tampered, plan, tampered, plan)], plan.grid).targets(cfg)
     assert np.array_equal(moved, tgt)
-    values, grad = recon_loss_and_grad(tgt, moved)
-    assert not values.any() and not grad.any()
+    values, diff = recon_loss(tgt, moved)
+    assert not values.any() and not recon_grad(diff).any()
 
 
 def test_recon_normalized_targets_zero_at_match():
@@ -69,7 +72,7 @@ def test_recon_normalized_targets_zero_at_match():
     plan = plan_2x2()
     tgt = ViewBatch([(patches, plan, patches, plan)], plan.grid).targets(LossConfig())
     pred = normalize_targets(patches[[0, 3]])[None].repeat(2, axis=0)
-    value = recon_loss_and_grad(pred, tgt)[0][0]
+    value = recon_loss(pred, tgt)[0][0]
     assert value == pytest.approx(0.0, abs=1e-24)
 
 
@@ -77,11 +80,11 @@ def test_recon_gradient_matches_finite_differences():
     rng = np.random.default_rng(3)
     tgt = rng.random((1, 2, 48))
     pred = rng.random((1, 2, 48))
-    _, grad = recon_loss_and_grad(pred, tgt)
+    grad = recon_grad(recon_loss(pred, tgt)[1])
     delta = rng.normal(size=pred.shape)
     h = 1e-6
-    fd = (recon_loss_and_grad(pred + h * delta, tgt)[0][0]
-          - recon_loss_and_grad(pred - h * delta, tgt)[0][0]) / (2 * h)
+    fd = (recon_loss(pred + h * delta, tgt)[0][0]
+          - recon_loss(pred - h * delta, tgt)[0][0]) / (2 * h)
     assert float((grad * delta).sum()) == pytest.approx(fd, rel=1e-7)
     assert np.array_equal(grad, 2.0 * (pred - tgt) / (2 * 48))
 
@@ -91,7 +94,7 @@ def test_loss_values_equal_the_np_mean_reductions():
     rng = np.random.default_rng(8)
     pred, tgt = rng.random((4, 2, 192)), rng.random((4, 2, 192))
     diff = pred - tgt
-    assert np.array_equal(recon_loss_and_grad(pred, tgt)[0], np.mean(diff * diff, axis=(-2, -1)))
+    assert np.array_equal(recon_loss(pred, tgt)[0], np.mean(diff * diff, axis=(-2, -1)))
     z, zt = unit_rows(rng, 5), unit_rows(rng, 5)
     s = (z @ zt.T) / 0.2
     m = s.max(axis=1, keepdims=True)
@@ -101,17 +104,17 @@ def test_loss_values_equal_the_np_mean_reductions():
 
 def test_recon_empty_mask_warns():
     with pytest.warns(RuntimeWarning):
-        values, grad = recon_loss_and_grad(np.ones((1, 0, 48)), np.zeros((1, 0, 48)))
-    assert values[0] == 0.0 and grad.shape == (1, 0, 48)
+        values, diff = recon_loss(np.ones((1, 0, 48)), np.zeros((1, 0, 48)))
+    assert values[0] == 0.0 and recon_grad(diff).shape == (1, 0, 48)
 
 
 def test_recon_shape_checks():
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((1, 2, 48)), np.zeros((1, 2, 47)))
+        recon_loss(np.zeros((1, 2, 48)), np.zeros((1, 2, 47)))
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((1, 3, 48)), np.zeros((1, 2, 48)))
+        recon_loss(np.zeros((1, 3, 48)), np.zeros((1, 2, 48)))
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((2, 48)), np.zeros((2, 48)))
+        recon_loss(np.zeros((2, 48)), np.zeros((2, 48)))
 
 
 @pytest.mark.parametrize("normalize", [True, False], ids=["normalized", "raw"])
@@ -127,14 +130,14 @@ def test_recon_batch_matches_batches_of_one(normalize):
     tgt = batch.targets(cfg)
     assert tgt is batch.targets(cfg)  # made once per batch
     pred = rng.random(tgt.shape)
-    values, grads = recon_loss_and_grad(pred, tgt)
+    values, diffs = recon_loss(pred, tgt)
+    grads = recon_grad(diffs)
     assert values.shape == (4,)
     for v, plan in enumerate(plans):
         one = patches[v][plan.masked][None]
-        value, grad = recon_loss_and_grad(pred[v:v + 1],
-                                          normalize_targets(one) if normalize else one)
+        value, diff = recon_loss(pred[v:v + 1], normalize_targets(one) if normalize else one)
         assert values[v] == value[0]
-        assert np.array_equal(grads[v], grad[0])
+        assert np.array_equal(grads[v], recon_grad(diff)[0])
 
 
 def test_recon_view_axis_checks():
@@ -143,9 +146,10 @@ def test_recon_view_axis_checks():
     with pytest.raises(ConfigError, match="one number of patches"):
         masked_of(*ragged)
     with pytest.raises(ConfigError):
-        recon_loss_and_grad(np.zeros((3, 2, 48)), np.zeros((2, 2, 48)))
+        recon_loss(np.zeros((3, 2, 48)), np.zeros((2, 2, 48)))
     with pytest.warns(RuntimeWarning) as caught:
-        values, grads = recon_loss_and_grad(np.ones((3, 0, 48)), np.zeros((3, 0, 48)))
+        values, diffs = recon_loss(np.ones((3, 0, 48)), np.zeros((3, 0, 48)))
+        grads = recon_grad(diffs)
     assert len(caught) == 1
     assert np.array_equal(values, np.zeros(3)) and grads.shape == (3, 0, 48)
 
@@ -179,6 +183,20 @@ def test_align_requires_unit_rows():
         align_loss_and_grad(np.ones(8), np.ones(8))
     with pytest.raises(ConfigError):
         align_loss_and_grad(np.eye(2, 8), np.eye(3, 8))
+
+
+@pytest.mark.parametrize("tau", [0.2, 0.07])
+def test_align_loss_and_grad_is_infonce_then_infonce_grad(tau):
+    # The checked entry adds only its checks: the value and both gradients are
+    # the unchecked pair's, bit for bit.
+    rng = np.random.default_rng(9)
+    z, zt = unit_rows(rng, 5), unit_rows(rng, 5)
+    value, p = infonce(z, zt, tau)
+    assert np.allclose(p.sum(axis=1), 1.0)
+    want = (value, *infonce_grad(p, z, zt, tau))
+    got = align_loss_and_grad(z, zt, LossConfig(temperature=tau))
+    assert got[0] == want[0]
+    assert all(np.array_equal(a, b) for a, b in zip(got[1:], want[1:]))
 
 
 @pytest.mark.parametrize("cfg", [LossConfig(), LossConfig(temperature=0.07)])

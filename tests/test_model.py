@@ -65,16 +65,6 @@ def test_param_shapes_layout():
     assert with_head[i + 1:i + 5] == ["proj1_w", "proj1_b", "proj2_w", "proj2_b"]
 
 
-def test_encoder_stop_is_found_once_per_config():
-    params = init_params(np.random.default_rng(0), TINY)
-    stop = params.encoder_stop
-    assert stop == params.views(np.arange(params.n_params))["dec_proj_w"].flat[0]
-    misses = model._encoder_stop.cache_info().misses
-    twin = ModelParams(params.cfg, params.arrays)  # another instance, the same config
-    assert twin.encoder_stop == stop
-    assert model._encoder_stop.cache_info().misses == misses
-
-
 @pytest.mark.parametrize("cfg", [
     TINY,
     ModelConfig(embed_dim=4, depth=1, n_heads=1, decoder_dim=4, decoder_depth=1,
@@ -94,8 +84,8 @@ def test_stage_starts_increase_on_group_starts(cfg):
     del starts[i]
     assert all(a < b for a, b in zip(starts, starts[1:]))
     assert len(stages) == 2 + 4 * cfg.depth + 2 + cfg.proj_head + 1 + 4 * cfg.decoder_depth + 2
-    assert stages[names.index("dec_proj")].start == init_params(
-        np.random.default_rng(0), cfg).encoder_stop
+    assert stages[names.index("dec_proj")].start == next(
+        start for name, start, _, _ in model._layout(cfg) if name == "dec_proj_w")
 
 
 def test_config_validation():

@@ -10,6 +10,7 @@ import warnings
 import numpy as np
 import pytest
 
+from pmim import losses as losses_module
 from pmim import model as model_module
 from pmim import training
 from pmim.data_io import load_image, make_synthetic_dataset, save_checkpoint
@@ -202,13 +203,21 @@ def test_batch_loss_matches_grad_variant():
         ViewBatch([], MICRO.grid)
 
 
-def test_batch_matches_batch_of_one_views():
+def test_batch_matches_batch_of_one_views(monkeypatch):
     # The batched engine equals its views run one at a time (a0, b0, a1, b1,
-    # ...), and batch_backward equals their gradients added in that order.
+    # ...), and batch_backward equals their gradients added in that order,
+    # each view backpropagating its rows of the seeds batch_backward forms.
     cfg = dataclasses.replace(MICRO, proj_head=True)
     params = init_params(np.random.default_rng(6), cfg)
     views = micro_views(seed=7, n=3)
     tape = {}
+    seeds = {}
+
+    def seeded_backward(params, tape, d_pred, d_cls, grad):
+        seeds.update(d_pred=d_pred, d_cls=d_cls)
+        backward(params, tape, d_pred, d_cls, grad)
+
+    monkeypatch.setattr(training, "backward", seeded_backward)
     batch_loss(params, ViewBatch(views, cfg.grid), LossConfig(), tape)
     grad = batch_backward(params, tape)
     patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
@@ -221,7 +230,7 @@ def test_batch_matches_batch_of_one_views():
         cls, pred = forward(params, p[None], *MaskPlan.batch_indices([plan], cfg.grid), one)
         assert np.array_equal(cls[0], cls_batch[i]) and np.array_equal(pred[0], pred_batch[i])
         g = np.zeros(params.n_params)
-        backward(params, one, tape["d_pred"][i:i + 1], tape["d_cls"][i:i + 1], g)
+        backward(params, one, seeds["d_pred"][i:i + 1], seeds["d_cls"][i:i + 1], g)
         serial += g
     assert np.array_equal(grad, serial)
 
@@ -229,6 +238,39 @@ def test_batch_matches_batch_of_one_views():
                            views[2][2], views[2][3])]
     with pytest.raises(ConfigError, match="one number of patches"):
         ViewBatch(ragged, MICRO.grid)
+
+
+def test_value_paths_form_no_gradient(monkeypatch):
+    # The untaped batch_loss and every gradient-check evaluation form loss
+    # values only; a taped batch_loss plus batch_backward forms each gradient once.
+    def refused(*args):
+        raise AssertionError("a loss gradient was formed on a value path")
+
+    cfg = dataclasses.replace(MICRO, proj_head=True)
+    params = init_params(np.random.default_rng(2), cfg)
+    batch = micro_batch(seed=3)
+    real = {name: getattr(training, name) for name in ("recon_grad", "infonce_grad")}
+    with monkeypatch.context() as m:
+        for name in real:  # reached directly, or through align_loss_and_grad
+            m.setattr(training, name, refused)
+            m.setattr(losses_module, name, refused)
+        want = batch_loss(params, batch, LossConfig())
+        loss_fn = training._staged_loss(params, batch, LossConfig())
+        assert finite_difference_grads(loss_fn, params).any()
+    calls = []
+
+    def counted(name):
+        def grad(*args):
+            calls.append(name)
+            return real[name](*args)
+        return grad
+
+    for name in real:
+        monkeypatch.setattr(training, name, counted(name))
+    tape = {}
+    assert batch_loss(params, batch, LossConfig(), tape) == want and calls == []
+    assert batch_backward(params, tape).any()
+    assert sorted(calls) == ["infonce_grad", "recon_grad"]
 
 
 def test_batch_loss_builds_plan_indices_once(monkeypatch):
@@ -626,20 +668,20 @@ def test_staged_loss_matches_batch_loss_at_every_element():
 
 @pytest.fixture
 def staged_runs(monkeypatch):
-    """Per evaluation: the names of the stages run and the number of alignment values made."""
+    """Per evaluation: the names of the stages run and the number of infonce calls."""
     runs = {"stages": [], "aligns": 0}
-    real_run, real_align = training.run_stages, training.align_loss_and_grad
+    real_run, real_infonce = training.run_stages, training.infonce
 
     def run_stages(params, stages, *args, **kwargs):
         runs["stages"] += [stage.name for stage in stages]
         return real_run(params, stages, *args, **kwargs)
 
-    def align_loss_and_grad(*args, **kwargs):
+    def infonce(*args, **kwargs):
         runs["aligns"] += 1
-        return real_align(*args, **kwargs)
+        return real_infonce(*args, **kwargs)
 
     monkeypatch.setattr(training, "run_stages", run_stages)
-    monkeypatch.setattr(training, "align_loss_and_grad", align_loss_and_grad)
+    monkeypatch.setattr(training, "infonce", infonce)
     return runs
 
 
@@ -672,7 +714,7 @@ def test_a_negative_zero_flip_in_proj2_b_reruns_the_encoder(staged_runs):
     params = init_params(np.random.default_rng(2), cfg)
     loss_cfg = LossConfig()
     loss_fn = training._staged_loss(params, micro_batch(seed=3), loss_cfg)
-    stop = params.encoder_stop
+    stop = next(start for name, start, _, _ in model_module._layout(cfg) if name == "dec_proj_w")
     assert params.first_group(np.arange(params.n_params) == stop - 1) == "proj2_b"
     assert params.flat[stop - 1] == 0.0
     params.flat[stop - 1] = -0.0  # equal as a float, not as bits
