@@ -353,23 +353,23 @@ def _polevl(x, coeffs):
 def _erf(x):
     """The error function, as the Cephes routine scipy.special.erf wraps.
 
-    On |x| <= 1 it runs the same float64 operations in the same order, so
-    it is bit-equal to scipy there; above, it stays within 2 ulp, since
-    numpy's exp is not the C library's.
-    From |x| = 6 on, 1 - erfc(|x|) rounds to 1; clamping there also maps
-    +-inf to +-1. A NaN stays NaN.
+    One path: the |x| <= 1 rational runs on every element, then one indexed
+    assignment overwrites the rest, NaN included; those are zeroed first, so
+    the rational cannot overflow or warn on them. Each step is elementwise and
+    in Cephes' order: bit-equal to scipy on |x| <= 1, within 2 ulp above, since
+    numpy's exp is not the C library's. From |x| = 6 on, 1 - erfc(|x|) rounds
+    to 1; clamping there also maps +-inf to +-1. A NaN stays NaN.
     """
     a = np.abs(x)
-    if a.max(initial=0.0) <= 1.0:
-        z = x * x
-        return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
-    out = np.empty_like(a)
     small = a <= 1.0
-    out[small] = _erf(x[small])  # all within 1: the branch above
-    big = ~small
-    ab = np.minimum(a[big], 6.0)
-    out[big] = np.copysign(1.0 - np.exp(-ab * ab) * _polevl(ab, _ERFC_P) / _polevl(ab, _ERFC_Q),
-                           x[big])
+    big = (~small).ravel().nonzero()[0]  # np.flatnonzero, without its per-call cost
+    xs = np.where(small, x, 0.0) if big.size else x
+    z = xs * xs
+    out = np.asarray(xs * _polevl(z, _ERF_T) / _polevl(z, _ERF_U))  # else a 0-d x gives a scalar
+    if big.size:
+        ab = np.minimum(a.flat[big], 6.0)
+        out.flat[big] = np.copysign(
+            1.0 - np.exp(-ab * ab) * _polevl(ab, _ERFC_P) / _polevl(ab, _ERFC_Q), x.flat[big])
     return out
 
 

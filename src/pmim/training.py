@@ -90,6 +90,10 @@ class TrainConfig:
                 f"warmup_epochs {self.warmup_epochs} exceeds total_epochs {self.total_epochs}")
         if self.base_lr < 0.0 or self.weight_decay < 0.0:
             raise ConfigError("base_lr and weight_decay must be >= 0")
+        peak = self.base_lr * self.batch_size / 256.0  # lr_at's peak, in its order
+        if not (math.isfinite(peak) and math.isfinite(peak * self.weight_decay)):
+            raise ConfigError(f"peak learning rate base_lr * batch_size / 256 = {peak} and its "
+                              f"product with weight_decay {self.weight_decay} must be finite")
         if not (0.0 <= self.masking_ratio <= 1.0):
             raise ConfigError(f"masking_ratio must be in [0, 1], got {self.masking_ratio}")
         if not (0.0 < self.scale_min <= 1.0):
@@ -318,18 +322,18 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
     if not views:
         raise ConfigError(f"no loadable record in batch {[r.sample_id for r in records]}")
     tape: dict = {}
-    breakdown = batch_loss(params, ViewBatch(views, params.cfg.grid), cfg.loss, tape)
-    if not (math.isfinite(breakdown.total) and math.isfinite(breakdown.recon)
-            and math.isfinite(breakdown.align)):
-        raise NumericsError(
-            f"non-finite loss {breakdown} at step {opt.step + 1}; batch ids {used}")
-    grad = batch_backward(params, tape)
-    if not np.isfinite(grad).all():  # AdamW would spread it into every moment it touches
-        raise NumericsError(
-            f"non-finite gradient in {params.first_group(~np.isfinite(grad))} "
-            f"at step {opt.step + 1}; batch ids {used}")
-    lr = lr_at(opt.step, cfg)
-    with np.errstate(all="ignore"):  # an overflow shows as the non-finite parameter below
+    with np.errstate(all="ignore"):  # an overflow shows as a non-finite value checked below
+        breakdown = batch_loss(params, ViewBatch(views, params.cfg.grid), cfg.loss, tape)
+        if not (math.isfinite(breakdown.total) and math.isfinite(breakdown.recon)
+                and math.isfinite(breakdown.align)):
+            raise NumericsError(
+                f"non-finite loss {breakdown} at step {opt.step + 1}; batch ids {used}")
+        grad = batch_backward(params, tape)
+        if not np.isfinite(grad).all():  # AdamW would spread it into every moment it touches
+            raise NumericsError(
+                f"non-finite gradient in {params.first_group(~np.isfinite(grad))} "
+                f"at step {opt.step + 1}; batch ids {used}")
+        lr = lr_at(opt.step, cfg)
         adamw_update(params, grad, opt, lr, cfg.weight_decay)
     if not np.isfinite(params.flat).all():  # no checkpoint could load it
         raise NumericsError(

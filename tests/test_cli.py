@@ -105,23 +105,34 @@ def test_pretrain_exits_3_on_a_non_finite_gradient(tmp_path, manifest_path, monk
 
 @pytest.mark.parametrize("overrides", [("lr=1e300", "train.weight_decay=1e300"), ("lr=1e308",)],
                          ids=["decay_overflow", "peak_lr_overflow"])
-def test_pretrain_exits_3_on_a_non_finite_update(tmp_path, overrides):
-    # An AdamW update that overflows must stop the run before it logs the step
-    # or writes a checkpoint that load_checkpoint would refuse.
+def test_pretrain_refuses_a_peak_lr_that_overflows(tmp_path, manifest_path, overrides):
+    # A peak rate, or its product with the decay, that is inf is bad input:
+    # refused before the run directory is made.
+    sets = [arg for kv in overrides for arg in ("--set", kv)]
+    code, stdout, err = run_cli(["pretrain", "--manifest", manifest_path,
+                                 "--out", str(tmp_path / "run"), *sets])
+    assert code == 2 and stdout == "", (code, stdout)
+    assert err.startswith("error: peak learning rate base_lr * batch_size / 256 = "), err
+    assert not (tmp_path / "run").exists()
+
+
+def test_pretrain_exits_3_on_a_step_that_overflows(tmp_path):
+    # lr=1e306 passes the config check; step 1's update leaves finite parameters
+    # near 1e304, and step 2's forward pass overflows. The run must stop there
+    # without a numpy warning, keeping step 1's row and epoch checkpoint.
     make_synthetic_dataset(8, seed=0, out_dir=str(tmp_path))
     src = os.path.dirname(os.path.dirname(os.path.abspath(pmim.__file__)))
-    sets = [arg for kv in overrides for arg in ("--set", kv)]
     done = subprocess.run(  # a new interpreter, so numpy's warnings reach stderr
         [sys.executable, "-W", "default", "-m", "pmim.cli", "pretrain", "--manifest",
          str(tmp_path / "manifest.jsonl"), "--out", str(tmp_path / "run"),
-         "--set", "train.total_epochs=1", *sets],
+         "--set", "train.total_epochs=2", "--set", "lr=1e306"],
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 3 and done.stdout == "", (done.returncode, done.stdout)
-    assert done.stderr.startswith("numerical failure: non-finite parameter in patch_proj_w "
-                                  "after the AdamW update at step 1 "), done.stderr
-    assert "RuntimeWarning" not in done.stderr, done.stderr
-    assert os.listdir(tmp_path / "run") == ["metrics.jsonl"]
-    assert (tmp_path / "run" / "metrics.jsonl").read_text() == ""
+    assert done.stderr.startswith("numerical failure: "), done.stderr
+    assert done.stderr.count("\n") == 1 and "RuntimeWarning" not in done.stderr, done.stderr
+    assert sorted(os.listdir(tmp_path / "run")) == ["checkpoint_ep1.bin", "metrics.jsonl"]
+    rows = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
+    assert [json.loads(row)["step"] for row in rows] == [1]
 
 
 def test_config_file_and_seed_precedence(tmp_path, manifest_path):

@@ -1,5 +1,8 @@
 """Encoder/decoder transformer: shapes, invariances, and gradient checks."""
 
+import math
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +13,14 @@ from pmim.mask_sampling import MaskPlan, random_mask
 from pmim.model import (
     ModelConfig,
     ModelParams,
+    _ERF_T,
+    _ERF_U,
+    _ERFC_P,
+    _ERFC_Q,
     _erf,
+    _gelu,
+    _gelu_grad,
+    _polevl,
     attention_maps,
     backward,
     decode,
@@ -359,6 +369,60 @@ def test_erf_matches_scipy_oracle():
     far = np.abs(edges) >= 6.0
     assert np.array_equal(got[far], np.sign(edges[far]))
     assert np.isnan(_erf(np.array([np.nan, 0.5, 2.0]))).tolist() == [True, False, False]
+
+
+def _two_branch_erf(x):
+    """The former _erf: an all-|x| <= 1 early return, else a split and a recursion."""
+    a = np.abs(x)
+    if a.max(initial=0.0) <= 1.0:
+        z = x * x
+        return x * _polevl(z, _ERF_T) / _polevl(z, _ERF_U)
+    out = np.empty_like(a)
+    small = a <= 1.0
+    out[small] = _two_branch_erf(x[small])
+    big = ~small
+    ab = np.minimum(a[big], 6.0)
+    out[big] = np.copysign(1.0 - np.exp(-ab * ab) * _polevl(ab, _ERFC_P) / _polevl(ab, _ERFC_Q),
+                           x[big])
+    return out
+
+
+def test_erf_matches_the_two_branch_form_bit_for_bit():
+    def bits(a):
+        return np.asarray(a, dtype=np.float64).view(np.int64)
+
+    one_up, one_down = np.nextafter(1.0, 2.0), np.nextafter(1.0, 0.0)
+    tiny = np.finfo(np.float64).smallest_subnormal
+    special = np.array([0.0, 1.0, one_up, one_down, 6.0, 7.0, np.inf, np.nan, 1e300,
+                        tiny, 1000 * tiny, np.finfo(np.float64).tiny])
+    special = np.concatenate([special, -special])
+    assert np.signbit(special[np.isnan(special)]).tolist() == [False, True]
+    rng = np.random.default_rng(0)
+    cases = [special, special.reshape(4, 6), special.reshape(4, 6).T, special[::3]]  # any layout
+    for share in (0.0, 0.02, 0.10, 0.30):
+        x = rng.uniform(-1.0, 1.0, size=(4, 17, 32))
+        where = rng.random(x.shape) < share
+        x[where] = rng.uniform(1.0, 9.0, where.sum()) * rng.choice([-1.0, 1.0], where.sum())
+        assert abs(where.mean() - share) < 0.02
+        cases.append(x)
+    cases += [np.array(0.5), np.array(-2.0), np.array(np.nan), np.empty((0, 3))]  # 0-d, empty
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for x in cases:
+            got, want = _erf(x), _two_branch_erf(x)
+            assert np.shape(got) == np.shape(want)
+            assert np.array_equal(bits(got), bits(want)), x
+
+
+def test_gelu_grad_matches_central_differences_on_both_erf_branches():
+    # |x / sqrt 2| = 1 at x = +-sqrt 2; _erf clamps at |x / sqrt 2| = 6, x = +-8.49
+    r2 = math.sqrt(2.0)
+    edges = np.array([r2, 6.0 * r2])[:, None] + np.array([-1e-3, -1e-6, 0.0, 1e-6, 1e-3])
+    x = np.concatenate([np.linspace(-10.0, 10.0, 2_001), edges.ravel(), -edges.ravel()])
+    assert (np.abs(x) / r2 > 1.0).any() and (np.abs(x) / r2 > 6.0).any()
+    h = 1e-5
+    fd = (_gelu(x + h)[0] - _gelu(x - h)[0]) / (2.0 * h)
+    np.testing.assert_allclose(_gelu_grad(x, _gelu(x)[1]), fd, rtol=1e-7, atol=1e-8)
 
 
 # Between enc_norm and cls_norm the class row rides in cls, and the stream's

@@ -78,6 +78,14 @@ def test_train_config_validation():
         TrainConfig(batch_size=0)
     with pytest.raises(ConfigError):
         TrainConfig(masking_ratio=1.5)
+    # the peak rate base_lr * batch_size / 256 and its product with the decay must be finite
+    with pytest.raises(ConfigError, match="peak learning rate"):
+        TrainConfig(base_lr=1e308)
+    with pytest.raises(ConfigError, match="peak learning rate"):
+        TrainConfig(base_lr=1e300, weight_decay=1e300)
+    with pytest.raises(ConfigError, match="peak learning rate"):
+        TrainConfig(base_lr=1e308, weight_decay=0.0)
+    TrainConfig(base_lr=1e306)  # the peak 3.1e304 and its decay 1.6e303 are finite
 
 
 def test_resolve_schedule_from_epochs():
@@ -390,6 +398,21 @@ def test_train_step_stops_a_non_finite_gradient_before_adamw(disk_dataset, monke
         train_step(params, opt, records, cfg, rngs, disk_dataset.root)
     assert opt.step == 0 and not opt.m.any() and not opt.v.any()
     np.testing.assert_array_equal(params.flat, before)
+
+
+def test_train_step_stops_a_non_finite_update(disk_dataset, monkeypatch):
+    # A rate that passes TrainConfig can still overflow the update; the step
+    # must name the first non-finite group and the step, with no numpy warning.
+    cfg, _ = resolve_schedule(run_cfg(), len(disk_dataset))
+    params = init_params(np.random.default_rng(0), MICRO)
+    opt = init_optimizer(params)
+    monkeypatch.setattr(training, "lr_at", lambda step, cfg: math.inf)
+    rngs = [np.random.default_rng(1), np.random.default_rng(2)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match=r"non-finite parameter in patch_proj_w after "
+                                                r"the AdamW update at step 1 \(lr inf, "):
+            train_step(params, opt, disk_dataset.records[:2], cfg, rngs, disk_dataset.root)
 
 
 def test_metrics_log_round_trip(tmp_path):
