@@ -180,6 +180,12 @@ def _frame_image(record, manifest, model: ModelConfig) -> ImageBuffer:
 def cmd_pretrain(args) -> int:
     train, manifest = _configs_and_manifest(args)
     out_dir = args.out or "run"
+    if args.resume is None and os.path.isdir(out_dir):  # a fresh run would overwrite its log
+        held = sorted(name for name in os.listdir(out_dir) if name == "metrics.jsonl"
+                      or name.startswith("checkpoint") and name.endswith(".bin"))
+        if held:
+            raise ConfigError(f"{out_dir} holds a run ({', '.join(held)}): continue it with "
+                              f"--resume, or choose another --out")
     params, opt, log = run_pretrain(train, manifest, out_dir=out_dir,
                                     resume_from=args.resume)
     summary = {"steps": opt.step, "out": out_dir}
@@ -355,7 +361,8 @@ def make_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", parents=[common], help="run pre-training")
     p.add_argument("--manifest", metavar="PATH")
     p.add_argument("--resume", metavar="CKPT", help="continue from a checkpoint")
-    p.add_argument("--out", metavar="DIR", help="run directory (default: run)")
+    p.add_argument("--out", metavar="DIR", help="run directory (default: run); without "
+                   "--resume it must hold no metrics.jsonl or checkpoint*.bin")
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("mask-plan", parents=[common],

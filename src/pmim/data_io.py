@@ -157,11 +157,7 @@ def write_manifest(manifest: DatasetManifest, path: str):
 
 def load_image(path: str) -> ImageBuffer:
     """Read a binary P6 pixmap (or P5 graymap, broadcast to RGB) into [0, 1]."""
-    try:
-        with open(path, "rb") as f:
-            data = f.read()
-    except OSError as e:
-        raise ConfigError(f"cannot read image {path}: {e}")
+    data = _read_file(path, "image")
     magic = data[:2]
     if magic not in (b"P6", b"P5"):
         raise ConfigError(

@@ -12,11 +12,11 @@ scipy.special wraps, so numpy is the only runtime dependency.
 Views run together on a leading view axis, the only shape the model takes:
 patches (V, N, P) with the (V, n) index arrays of MaskPlan.batch_indices (one
 view is a batch of one), so the encoder runs on one (V, 1 + n_vis, d) tensor
-and the decoder on one (V, N, d_dec) tensor. A forward pass given a tape dict
-records its intermediates there, one cache per stage (a GELU keeps its input
-and CDF, and backward recomputes their product); backward() walks the stages
-in reverse, hands each its cache, and adds into a flat gradient vector the
-caller owns. Each gradient is formed per view (a stacked
+and the decoder on one (V, N, d_dec) tensor. forward is the model's one entry;
+given a tape dict it records the intermediates there, one cache per stage (a
+GELU keeps its input and CDF, and backward recomputes their product);
+backward() walks the stages in reverse, hands each its cache, and adds into a
+flat gradient vector the caller owns. Each gradient is formed per view (a stacked
 x^T @ dy in _linear_bwd, or a token-axis sum), then reduced with .sum(axis=0)
 in view order: bit-identical to adding the views one by one, which folding the view
 axis into one matrix product, or einsum, is not.
@@ -30,17 +30,17 @@ is bit-equal to it; summed in plan order they would differ in the last bits.
 
 The forward pass is one ordered list of stages, forward_stages(cfg), one per
 primitive: the patch embedding, the class token; per block ln1, attention,
-ln2 and the MLP, each with its residual add; enc_norm, the projection head,
-the class-vector normalization; the decoder input (dec_proj, the mask token
-and the positions); the decoder blocks, dec_norm on the masked rows and the
-head. Each stage is tagged with the first index of params.flat that it reads,
-and since param_shapes lays the groups out in forward order, the tags never
-decrease and what enters a stage depends only on params.flat before its tag.
-encode, decode (so forward, which training tapes) and attention_maps run these
-stages through run_stages; the finite-difference check in training resumes
-them at the stage whose parameters moved. Each stage carries its own backward,
-and backward runs those in reverse order, so the layer order is written once,
-in forward_stages.
+ln2 and the MLP, each with its residual add; enc_norm, which splits the class
+row off the token stream, the projection head, the class-vector normalization;
+the decoder input (dec_proj, the mask token and the positions); the decoder
+blocks, dec_norm on the masked rows and the head. Each stage is tagged with the
+first index of params.flat that it reads, and since param_shapes lays the
+groups out in forward order, the tags never decrease and what enters a stage
+depends only on params.flat before its tag. forward runs all the stages
+through run_stages, attention_maps the first _n_encoder_stages of them; the
+finite-difference check in training resumes them at the stage whose
+parameters moved. Each stage carries its own backward, and backward runs those
+in reverse order, so the layer order is written once, in forward_stages.
 """
 
 from __future__ import annotations
@@ -144,8 +144,8 @@ def param_shapes(cfg: ModelConfig) -> list[tuple[str, tuple, str]]:
     Kinds: weight (truncated normal), bias (zeros), gain (ones), token
     (truncated normal). The order fixes both initialization draws and
     checkpoint layout. Groups come in the order the forward stages read them
-    (see forward_stages), so every group that encode reads, the projection
-    head's included, comes before dec_proj_w.
+    (see forward_stages), so every group that the encoder stages read, the
+    projection head's included, comes before dec_proj_w.
     """
     d, dd = cfg.embed_dim, cfg.decoder_dim
     shapes: list[tuple[str, tuple, str]] = [
@@ -264,7 +264,7 @@ def init_params(rng: np.random.Generator, cfg: ModelConfig) -> ModelParams:
 def sincos_pos_embed(grid: PatchGrid, dim: int) -> np.ndarray:
     """2D sine-cosine position table, (n_patches, dim), raster order.
 
-    Half the channels encode the patch row, half the column; each half is
+    Half the channels carry the patch row, half the column; each half is
     sin then cos over dim/4 frequencies 10000^(-k/(dim/4)). The table depends
     only on (grid, dim), so it is built once per pair and returned read-only.
     """
@@ -447,9 +447,9 @@ class Stage(NamedTuple):
     gradients at run's outputs and its cache, adds the stage's parameter
     gradients into grads, at most one in-place addition per group, and
     returns the gradients at run's inputs; None where an input is None or is
-    the patches. Between enc_norm and cls_norm the class row is carried by
-    cls: cls_norm's back returns the gradient of the visible rows only, and
-    enc_norm's back puts the class row's gradient back in front of them.
+    the patches. From enc_norm on, the stream holds the visible rows only and
+    cls the class rows: enc_norm splits its output into the two, and its back
+    joins their gradients.
 
     The activations pass as plain values: building an Activations per stage
     cost about 2% of a full gradient-check evaluation.
@@ -504,14 +504,14 @@ def _residual_bwd(sublayer_bwd, name, params, dx, dres, dcls, cache, grads):
 
 
 def _enc_norm(params, x, res, cls, vis, masked):
+    """The final norm; its visible rows go on as the stream, its class row as cls."""
     # The class row keeps its length-1 token axis, so the projection head is
     # the block MLP on a one-row sequence and the norm one dot product per view.
     z, cache = _layernorm_fwd(x, params, "enc_norm")
-    return z, None, z[..., :1, :], cache
+    return z[..., 1:, :], None, z[..., :1, :], cache
 
 
 def _enc_norm_bwd(params, dx, dres, dcls, cache, grads):
-    """dx holds the visible rows only; the class row's gradient comes in as dcls."""
     return _layernorm_bwd(np.concatenate([dcls, dx], axis=-2), params, "enc_norm", cache,
                           grads), None, None
 
@@ -526,13 +526,13 @@ def _proj_head_bwd(params, dx, dres, dcls, cache, grads):
 
 
 def _cls_norm(params, x, res, cls, vis, masked):
-    """Unit class rows; the stream keeps only the visible tokens."""
+    """Unit class rows."""
     nrm = np.sqrt(cls @ cls.swapaxes(-1, -2))  # (..., 1, 1)
     bad = ~(np.isfinite(nrm) & (nrm >= 1e-30))
     if bad.any():
         raise NumericsError(f"class token norm degenerate: {float(nrm[bad][0])}")
     cls = cls / nrm
-    return x[..., 1:, :], None, cls, (cls, nrm)
+    return x, None, cls, (cls, nrm)
 
 
 def _cls_norm_bwd(params, dx, dres, dcls, cache, grads):
@@ -630,6 +630,7 @@ def forward_stages(cfg: ModelConfig) -> tuple[Stage, ...]:
 
 @functools.lru_cache(maxsize=8)
 def _n_encoder_stages(cfg: ModelConfig) -> int:
+    """How many of forward_stages(cfg) make up the encoder: all before the decoder input."""
     return [stage.name for stage in forward_stages(cfg)].index("dec_proj")
 
 
@@ -647,60 +648,23 @@ def run_stages(params: ModelParams, stages, acts: Activations, vis: np.ndarray,
 # ---------------------------------------------------------------------------
 # model forward / backward
 
-def encode_tokens(params: ModelParams, tokens: np.ndarray, tape: dict | None = None):
-    """Encoder over already-embedded tokens (any row order), (V, n, d).
-
-    Prepends the class token, runs the blocks and final norm, and returns
-    (unit-norm cls vector, per-token outputs). Row order of `tokens` is
-    preserved in the outputs.
-    """
-    cfg = params.cfg
-    if tokens.ndim != 3 or tokens.shape[-1] != cfg.embed_dim:
-        raise ConfigError(f"tokens must be (V, n, {cfg.embed_dim}), got {tokens.shape}")
-    acts = run_stages(params, forward_stages(cfg)[1:_n_encoder_stages(cfg)],
-                      Activations(tokens), None, None, tape)
-    return acts.cls[..., 0, :], acts.x
-
-
-def encode(params: ModelParams, patches: np.ndarray, vis: np.ndarray,
-           tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Embed visible patches (projection + position); returns (unit cls, visible tokens).
-
-    patches is (V, N, P) and vis the (V, n_vis) visible indices of
-    MaskPlan.batch_indices; the outputs are (V, d) and (V, n_vis, d).
-    """
-    cfg = params.cfg
-    if vis.ndim != 2 or patches.shape != (len(vis), cfg.n_patches, cfg.patch_dim):
-        raise ConfigError(f"patches {patches.shape} and visible indices {vis.shape} are not "
-                          f"(V, {cfg.n_patches}, {cfg.patch_dim}) and (V, n)")
-    acts = run_stages(params, forward_stages(cfg)[:_n_encoder_stages(cfg)],
-                      Activations(patches), vis, None, tape)
-    return acts.cls[..., 0, :], acts.x
-
-
-def decode(params: ModelParams, visible_tokens: np.ndarray, vis: np.ndarray,
-           masked: np.ndarray, tape: dict | None = None) -> np.ndarray:
-    """Project visible tokens, fill masked slots with the mask token, run the blocks.
-
-    Returns the pixel predictions of the masked patches only, (V, n_masked, P)
-    in the order of `masked`: the final norm and the head skip the visible rows.
-    """
-    cfg = params.cfg
-    if visible_tokens.shape != vis.shape + (cfg.embed_dim,):
-        raise ConfigError(f"visible tokens {visible_tokens.shape} do not match "
-                          f"{vis.shape + (cfg.embed_dim,)}")
-    return run_stages(params, forward_stages(cfg)[_n_encoder_stages(cfg):],
-                      Activations(visible_tokens), vis, masked, tape).x
-
-
 def forward(params: ModelParams, patches: np.ndarray, vis: np.ndarray, masked: np.ndarray,
             tape: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Encode then decode a batch of views; returns (cls, masked-patch predictions).
+    """The model on a batch of views; returns (unit cls, masked-patch predictions).
 
-    See encode and decode for the shapes: (V, d) and (V, n_masked, P).
+    patches is (V, N, P), vis and masked the (V, n_vis) and (V, n_masked)
+    indices of MaskPlan.batch_indices. The outputs are (V, d) and
+    (V, n_masked, P) in the order of `masked`: the decoder's final norm and
+    head skip the visible rows.
     """
-    cls, visible_tokens = encode(params, patches, vis, tape)
-    return cls, decode(params, visible_tokens, vis, masked, tape)
+    cfg = params.cfg
+    if (vis.ndim != 2 or masked.ndim != 2 or len(masked) != len(vis)
+            or patches.shape != (len(vis), cfg.n_patches, cfg.patch_dim)):
+        raise ConfigError(f"patches {patches.shape}, visible indices {vis.shape} and masked "
+                          f"indices {masked.shape} are not (V, {cfg.n_patches}, "
+                          f"{cfg.patch_dim}), (V, n) and (V, m)")
+    acts = run_stages(params, forward_stages(cfg), Activations(patches), vis, masked, tape)
+    return acts.cls[..., 0, :], acts.x
 
 
 def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
@@ -719,7 +683,14 @@ def backward(params: ModelParams, tape: dict, d_pred: np.ndarray,
 
 
 def attention_maps(params: ModelParams, patches: np.ndarray) -> np.ndarray:
-    """One unmasked view's encoder attention, (depth, heads, 1 + N, 1 + N); row 0: class token."""
+    """One unmasked view's encoder attention, (depth, heads, 1 + N, 1 + N); row 0: class token.
+
+    patches is the view's (N, P); only the encoder stages run.
+    """
+    cfg = params.cfg
+    if patches.shape != (cfg.n_patches, cfg.patch_dim):
+        raise ConfigError(f"patches {patches.shape} are not ({cfg.n_patches}, {cfg.patch_dim})")
     tape: dict = {}
-    encode(params, patches[None], np.arange(params.cfg.n_patches)[None], tape)
-    return np.stack([tape[f"enc{i}_attn"][4][0] for i in range(params.cfg.depth)])
+    run_stages(params, forward_stages(cfg)[:_n_encoder_stages(cfg)], Activations(patches[None]),
+               np.arange(cfg.n_patches)[None], None, tape)
+    return np.stack([tape[f"enc{i}_attn"][4][0] for i in range(cfg.depth)])

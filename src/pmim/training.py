@@ -39,8 +39,8 @@ from .geometry import apply_crop, normalize_targets, patchify, sample_crop, tran
 from .losses import (LossBreakdown, LossConfig, infonce, infonce_grad, recon_grad, recon_loss,
                      total_loss)
 from .mask_sampling import MaskPlan, num_masked, part_guided_mask, random_mask
-from .model import (Activations, ModelConfig, ModelParams, backward, forward, forward_stages,
-                    init_params, run_stages)
+from .model import (Activations, ModelConfig, ModelParams, _n_encoder_stages, backward, forward,
+                    forward_stages, init_params, run_stages)
 
 logger = logging.getLogger("pmim")
 
@@ -202,7 +202,7 @@ def lr_at(step: int, cfg: TrainConfig) -> float:
 
 def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
                 cfg: TrainConfig, root: str = "."):
-    """One crop and two part-guided masks on it: (patches, plan_a, patches, plan_b).
+    """One crop and two part-guided masks on it: (patches, plan_a, plan_b).
 
     That tuple is the item a ViewBatch takes. Both plans hide
     num_masked(masking_ratio, N) patches. Draw order: crop, plan_a, plan_b.
@@ -216,15 +216,16 @@ def build_views(rng: np.random.Generator, record: data_io.SampleRecord,
     n_masked = num_masked(cfg.masking_ratio, grid.n_patches)
     plan_a = part_guided_mask(rng, kps, grid, n_masked)
     plan_b = part_guided_mask(rng, kps, grid, n_masked)
-    return patches, plan_a, patches, plan_b
+    return patches, plan_a, plan_b
 
 
 class ViewBatch:
-    """A batch of (patches_a, plan_a, patches_b, plan_b) items, prepared once.
+    """A batch of (patches, plan_a, plan_b) items, prepared once.
 
     Holds the 2B views' patches stacked as one read-only (V, N, P) array laid
-    out a0, b0, a1, b1, ..., the (V, n) indices of MaskPlan.batch_indices
-    (every view must hide the same number of patches) and the item count.
+    out a0, b0, a1, b1, ... (each item's patches twice), the (V, n) indices of
+    MaskPlan.batch_indices (every view must hide the same number of patches)
+    and the item count.
     targets(loss_cfg) makes the reconstruction targets once per setting of
     normalize_targets.
     """
@@ -233,9 +234,9 @@ class ViewBatch:
         if not views:
             raise ConfigError("empty batch")
         self.n_items = len(views)
-        self.patches = np.stack([p for pa, _, pb, _ in views for p in (pa, pb)])
+        self.patches = np.stack([p for p, _, _ in views for _ in range(2)])
         self.patches.flags.writeable = False
-        plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
+        plans = [plan for _, plan_a, plan_b in views for plan in (plan_a, plan_b)]
         self.vis, self.masked = MaskPlan.batch_indices(plans, grid)
         self._targets = {}
 
@@ -323,7 +324,10 @@ def train_step(params: ModelParams, opt: OptimizerState, records, cfg: TrainConf
         raise ConfigError(f"no loadable record in batch {[r.sample_id for r in records]}")
     tape: dict = {}
     with np.errstate(all="ignore"):  # an overflow shows as a non-finite value checked below
-        breakdown = batch_loss(params, ViewBatch(views, params.cfg.grid), cfg.loss, tape)
+        try:
+            breakdown = batch_loss(params, ViewBatch(views, params.cfg.grid), cfg.loss, tape)
+        except NumericsError as e:  # the model's own checks do not know the step
+            raise NumericsError(f"{e} at step {opt.step + 1}; batch ids {used}") from e
         if not (math.isfinite(breakdown.total) and math.isfinite(breakdown.recon)
                 and math.isfinite(breakdown.align)):
             raise NumericsError(
@@ -484,7 +488,7 @@ def _staged_loss(params: ModelParams, batch: ViewBatch, loss_cfg: LossConfig):
         kept.append(acts)
         acts = run_stages(params, (stage,), acts, batch.vis, batch.masked)
     align = infonce(acts.cls[0::2, 0], acts.cls[1::2, 0], loss_cfg.temperature)
-    decoder = [stage.name for stage in stages].index("dec_proj")
+    decoder = _n_encoder_stages(params.cfg)
     base = params.flat.view(np.uint64).copy()
     moved = np.empty(base.shape, dtype=bool)
 
@@ -521,7 +525,7 @@ def gradient_check(model_cfg: ModelConfig | None = None,
         patches = rng.uniform(0.0, 1.0, size=(model_cfg.n_patches, model_cfg.patch_dim))
         plan_a = random_mask(rng, grid, target)
         plan_b = random_mask(rng, grid, target)
-        views.append((patches, plan_a, patches, plan_b))
+        views.append((patches, plan_a, plan_b))
     batch = ViewBatch(views, grid)
 
     tape: dict = {}

@@ -28,7 +28,8 @@ from pmim.mask_sampling import (
     part_patches,
     random_mask,
 )
-from pmim.model import ModelConfig, encode, encode_tokens, init_params
+from pmim.model import (Activations, ModelConfig, _n_encoder_stages, forward, forward_stages,
+                        init_params, run_stages)
 from pmim.training import (
     TINY_CHECK_MODEL,
     TrainConfig,
@@ -298,20 +299,22 @@ def test_criterion_10_encoder_invariants():
         rng = np.random.default_rng(1000 + i)
         patches = rng.uniform(0.0, 1.0, (cfg.n_patches, cfg.patch_dim))
         plan = random_mask(rng, cfg.grid, int(rng.integers(0, cfg.n_patches + 1)))
-        vis, _ = MaskPlan.batch_indices([plan], cfg.grid)  # one view as a batch of one
-        cls, _ = encode(params, patches[None], vis)
+        vis, masked = MaskPlan.batch_indices([plan], cfg.grid)  # one view as a batch of one
+        cls, _ = forward(params, patches[None], vis, masked)
         worst_norm = max(worst_norm, abs(float(np.linalg.norm(cls[0])) - 1.0))
 
+    # the encoder after the patch embedding, on already-embedded tokens
+    encoder = forward_stages(cfg)[1:_n_encoder_stages(cfg)]
     worst_perm = 0.0
     for i in range(100):
         rng = np.random.default_rng(5000 + i)
         tok = rng.random((1, 5, cfg.embed_dim))
         perm = rng.permutation(5)
-        cls_a, out_a = encode_tokens(params, tok)
-        cls_b, out_b = encode_tokens(params, tok[:, perm])
+        a = run_stages(params, encoder, Activations(tok), None, None)
+        b = run_stages(params, encoder, Activations(tok[:, perm]), None, None)
         worst_perm = max(worst_perm,
-                         float(np.abs(cls_b - cls_a).max()),
-                         float(np.abs(out_b - out_a[:, perm]).max()))
+                         float(np.abs(b.cls - a.cls).max()),
+                         float(np.abs(b.x - a.x[:, perm]).max()))
     report(10, worst_norm <= 1e-6 and worst_perm <= 1e-10,
            f"unit-norm deviation {worst_norm:.2e} over 1,000 forwards, "
            f"permutation equivariance {worst_perm:.2e}")

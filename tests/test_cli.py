@@ -129,10 +129,45 @@ def test_pretrain_exits_3_on_a_step_that_overflows(tmp_path):
         capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src), timeout=120)
     assert done.returncode == 3 and done.stdout == "", (done.returncode, done.stdout)
     assert done.stderr.startswith("numerical failure: "), done.stderr
+    assert " at step 2;" in done.stderr, done.stderr  # a failure inside the model names its step
     assert done.stderr.count("\n") == 1 and "RuntimeWarning" not in done.stderr, done.stderr
     assert sorted(os.listdir(tmp_path / "run")) == ["checkpoint_ep1.bin", "metrics.jsonl"]
     rows = (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()
     assert [json.loads(row)["step"] for row in rows] == [1]
+
+
+def _tree(path):
+    """Every file under path, by relative name, with its bytes."""
+    return {os.path.relpath(os.path.join(d, f), path): open(os.path.join(d, f), "rb").read()
+            for d, _, files in os.walk(path) for f in files}
+
+
+def test_a_fresh_pretrain_refuses_an_out_that_holds_a_run(tmp_path, manifest_path, micro_run):
+    # Without --resume, a run would truncate the old log and leave its checkpoints beside it.
+    args = ["pretrain", "--manifest", manifest_path, *MICRO_SET, "--set", "train.batch_size=3",
+            "--set", "train.total_epochs=2"]
+    run_dir = tmp_path / "run"
+    for keep in ("metrics.jsonl", "checkpoint_ep1.bin", "checkpoint.bin", None):
+        shutil.rmtree(run_dir, ignore_errors=True)
+        shutil.copytree(micro_run["out"], run_dir)
+        for name in os.listdir(run_dir):
+            if keep is not None and name != keep:
+                os.remove(run_dir / name)
+        before = _tree(run_dir)
+        code, stdout, err = run_cli([*args, "--out", str(run_dir)])
+        assert code == 2 and stdout == "", (keep, code, stdout)
+        held = keep or "checkpoint.bin, checkpoint_ep1.bin, checkpoint_ep2.bin, metrics.jsonl"
+        assert err == (f"error: {run_dir} holds a run ({held}): continue it with --resume, "
+                       f"or choose another --out\n"), err
+        assert _tree(run_dir) == before
+    code, _, err = run_cli([*args, "--out", str(run_dir),
+                            "--resume", str(run_dir / "checkpoint_ep1.bin")])
+    assert code == 0, err
+    assert (run_dir / "checkpoint.bin").read_bytes() == _tree(micro_run["out"])["checkpoint.bin"]
+    shutil.rmtree(run_dir)
+    os.makedirs(run_dir)
+    (run_dir / "notes.txt").write_text("")
+    assert run_cli([*args, "--out", str(run_dir)])[0] == 0  # other files do not count
 
 
 def test_config_file_and_seed_precedence(tmp_path, manifest_path):

@@ -445,7 +445,7 @@ def test_mask_plan_write_failing_partway_keeps_the_old_file(tmp_path):
     path = str(tmp_path / "plans.jsonl")
     write_mask_plan([("s0", "a", MaskPlan(grid, 1, [5], ["head"]))], path)
     before = open(path, "rb").read()
-    unwritable = MaskPlan(grid, 1, [np.int64(7)], ["fill"])  # json cannot encode a numpy integer
+    unwritable = MaskPlan(grid, 1, [np.int64(7)], ["fill"])  # json cannot serialize a numpy integer
     entries = [("s0", "a", MaskPlan(grid, 1, [9], ["block"])), ("s1", "a", unwritable)]
     with pytest.raises(TypeError):
         write_mask_plan(entries, path)

@@ -58,9 +58,9 @@ def test_recon_ignores_visible_rows():
     tampered[[1, 2]] += 100.0  # the visible rows of plan_2x2
     plan = plan_2x2()
     cfg = LossConfig(normalize_targets=False)
-    tgt = ViewBatch([(patches, plan, patches, plan)], plan.grid).targets(cfg)
+    tgt = ViewBatch([(patches, plan, plan)], plan.grid).targets(cfg)
     assert np.array_equal(tgt, patches[None, [0, 3]].repeat(2, axis=0))
-    moved = ViewBatch([(tampered, plan, tampered, plan)], plan.grid).targets(cfg)
+    moved = ViewBatch([(tampered, plan, plan)], plan.grid).targets(cfg)
     assert np.array_equal(moved, tgt)
     values, diff = recon_loss(tgt, moved)
     assert not values.any() and not recon_grad(diff).any()
@@ -70,7 +70,7 @@ def test_recon_normalized_targets_zero_at_match():
     rng = np.random.default_rng(2)
     patches = rng.random((4, 48))
     plan = plan_2x2()
-    tgt = ViewBatch([(patches, plan, patches, plan)], plan.grid).targets(LossConfig())
+    tgt = ViewBatch([(patches, plan, plan)], plan.grid).targets(LossConfig())
     pred = normalize_targets(patches[[0, 3]])[None].repeat(2, axis=0)
     value = recon_loss(pred, tgt)[0][0]
     assert value == pytest.approx(0.0, abs=1e-24)
@@ -123,9 +123,8 @@ def test_recon_batch_matches_batches_of_one(normalize):
     grid = make_patch_grid(8, 8, 4)
     plans = [MaskPlan(grid, 2, list(rng.permutation(4)[:2]), ["fill", "fill"])
              for _ in range(4)]
-    patches = rng.random((4, 4, 48))
-    batch = ViewBatch([(patches[v], plans[v], patches[v + 1], plans[v + 1]) for v in (0, 2)],
-                      grid)
+    patches = rng.random((2, 4, 48))  # one crop per item, shared by its two views
+    batch = ViewBatch([(patches[i], plans[2 * i], plans[2 * i + 1]) for i in (0, 1)], grid)
     cfg = LossConfig(normalize_targets=normalize)
     tgt = batch.targets(cfg)
     assert tgt is batch.targets(cfg)  # made once per batch
@@ -134,7 +133,7 @@ def test_recon_batch_matches_batches_of_one(normalize):
     grads = recon_grad(diffs)
     assert values.shape == (4,)
     for v, plan in enumerate(plans):
-        one = patches[v][plan.masked][None]
+        one = patches[v // 2][plan.masked][None]
         value, diff = recon_loss(pred[v:v + 1], normalize_targets(one) if normalize else one)
         assert values[v] == value[0]
         assert np.array_equal(grads[v], recon_grad(diff)[0])

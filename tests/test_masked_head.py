@@ -14,10 +14,10 @@ import pytest
 
 from pmim import model as M
 from pmim.cli import _paste_reconstruction
-from pmim.data_io import load_image, make_synthetic_dataset
-from pmim.geometry import apply_crop, patchify, sample_crop, transform_keypoints, unpatchify
+from pmim.data_io import make_synthetic_dataset
+from pmim.geometry import unpatchify
 from pmim.losses import LossConfig, align_loss_and_grad, total_loss
-from pmim.mask_sampling import MaskPlan, num_masked, part_guided_mask
+from pmim.mask_sampling import MaskPlan
 from pmim.model import ModelConfig, forward, init_params
 from pmim.training import TrainConfig, ViewBatch, batch_backward, batch_loss, build_views
 
@@ -97,29 +97,6 @@ def part_batch(manifest, cfg):
     return ViewBatch(views, cfg.model.grid)
 
 
-def two_crop_batch(manifest, cfg):
-    """A ViewBatch whose items hold two crops of their image, each with its own plan.
-
-    Draw order per item: crop_a, plan_a, crop_b, plan_b. The views of an item
-    differ in their patches as well as in their masks.
-    """
-    grid = cfg.model.grid
-    n_masked = num_masked(cfg.masking_ratio, grid.n_patches)
-    views = []
-    for i, record in enumerate(manifest.records):
-        rng = np.random.default_rng(i)
-        image = load_image(manifest.image_path(record))
-        item = []
-        for _ in range(2):
-            crop = sample_crop(rng, image.height, image.width, cfg.scale_min,
-                               grid.image_h / grid.image_w)
-            kps = transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
-            item += [patchify(apply_crop(image, crop, grid.image_h, grid.image_w), grid),
-                     part_guided_mask(rng, kps, grid, n_masked)]
-        views.append(tuple(item))
-    return ViewBatch(views, grid)
-
-
 def moved_params(model_cfg, seed=0):
     """Initial parameters plus noise, so no gain is one and no bias zero."""
     params = init_params(np.random.default_rng(seed), model_cfg)
@@ -133,18 +110,14 @@ CASES = {
     "ratio1": TrainConfig(masking_ratio=1.0),
     "proj_head": TrainConfig(model=ModelConfig(proj_head=True)),
     "raw_targets": TrainConfig(loss=LossConfig(normalize_targets=False)),
-    "independent_crops": TrainConfig(masking_ratio=0.75),  # items built by two_crop_batch
+    "ratio075": TrainConfig(masking_ratio=0.75),
 }
 
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_masked_head_matches_the_full_grid_head(dataset, name):
     cfg = CASES[name]
-    if name == "independent_crops":
-        batch = two_crop_batch(dataset, cfg)
-        assert not np.array_equal(batch.patches[0::2], batch.patches[1::2])
-    else:
-        batch = part_batch(dataset, cfg)
+    batch = part_batch(dataset, cfg)
     params = moved_params(cfg.model)
     n_masked = batch.masked.shape[-1]
     if name in ("part", "proj_head"):  # plan order: part, then block, then fill

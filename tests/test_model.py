@@ -23,9 +23,6 @@ from pmim.model import (
     _polevl,
     attention_maps,
     backward,
-    decode,
-    encode,
-    encode_tokens,
     forward,
     init_params,
     param_shapes,
@@ -208,44 +205,59 @@ def test_visible_indices_complement():
     assert not vis.flags.writeable
 
 
-def test_encode_outputs():
+def test_forward_outputs():
     params, patches, plan = tiny_setup()
-    cls, tokens = encode(params, patches, indices(plan)[0])
+    cls, pred = forward(params, patches, *indices(plan))
     assert cls.shape == (1, 8)
     np.testing.assert_allclose(np.linalg.norm(cls[0]), 1.0, atol=1e-12)
-    assert tokens.shape == (1, 2, 8)
+    assert pred.shape == (1, 2, TINY.patch_dim)
 
 
-def test_encode_rejects_mismatches():
+def test_forward_rejects_mismatched_patches():
     params, patches, plan = tiny_setup()
-    vis, _ = indices(plan)
+    vis, masked = indices(plan)
     with pytest.raises(ConfigError):
-        encode(params, patches[:, :, :10], vis)
+        forward(params, patches[:, :, :10], vis, masked)
     with pytest.raises(ConfigError):  # one view's indices without the view axis
-        encode(params, patches, vis[0])
+        forward(params, patches, vis[0], masked[0])
     other = MaskPlan(PatchGrid(3, 3, 4), 0, [], [])
     with pytest.raises(ConfigError):
-        encode(params, patches, indices(other)[0])
+        forward(params, patches, *indices(other))
+
+
+def test_forward_rejects_masked_indices_of_another_batch():
+    params, patches, plan = tiny_setup(seed=7)
+    vis, masked = indices(plan)
+    for bad in (masked[0], np.concatenate([masked, masked])):  # no view axis; V = 2, not 1
+        with pytest.raises(ConfigError, match="masked indices"):
+            forward(params, patches, vis, bad)
 
 
 def test_encoder_ignores_masked_patch_content():
     params, patches, plan = tiny_setup(seed=3)
     tampered = patches.copy()
     tampered[0, plan.masked] = 0.123
-    vis, _ = indices(plan)
-    cls_a, tokens_a = encode(params, patches, vis)
-    cls_b, tokens_b = encode(params, tampered, vis)
+    vis, masked = indices(plan)
+    cls_a, pred_a = forward(params, patches, vis, masked)
+    cls_b, pred_b = forward(params, tampered, vis, masked)
     np.testing.assert_array_equal(cls_a, cls_b)
-    np.testing.assert_array_equal(tokens_a, tokens_b)
+    np.testing.assert_array_equal(pred_a, pred_b)
+
+
+def encoder_over_tokens(params, tokens):
+    """The encoder stages after the patch embedding, on already-embedded tokens (V, n, d)."""
+    stages = model.forward_stages(params.cfg)[1:model._n_encoder_stages(params.cfg)]
+    acts = model.run_stages(params, stages, model.Activations(tokens), None, None)
+    return acts.cls[..., 0, :], acts.x
 
 
 def test_encoder_token_order_equivariant():
     params, patches, plan = tiny_setup(seed=4, n_mask=0)
     rng = np.random.default_rng(9)
     tok = rng.random((1, 4, 8))
-    cls_a, out_a = encode_tokens(params, tok)
+    cls_a, out_a = encoder_over_tokens(params, tok)
     perm = np.array([2, 0, 3, 1])
-    cls_b, out_b = encode_tokens(params, tok[:, perm])
+    cls_b, out_b = encoder_over_tokens(params, tok[:, perm])
     np.testing.assert_allclose(cls_b, cls_a, atol=1e-12)
     np.testing.assert_allclose(out_b, out_a[:, perm], atol=1e-12)
 
@@ -254,21 +266,12 @@ def test_decoder_fills_every_patch():
     # every masked patch gets a prediction, in plan order; visible ones get none
     params, patches, plan = tiny_setup(seed=5)
     vis, masked = indices(plan)
-    _, tokens = encode(params, patches, vis)
-    pred = decode(params, tokens, vis, masked)
+    _, pred = forward(params, patches, vis, masked)
     assert pred.shape == (1, plan.n_masked, TINY.patch_dim)
     assert np.isfinite(pred).all()
     flipped = MaskPlan(plan.grid, plan.n_masked, plan.masked[::-1], plan.provenance[::-1])
     vis_f, masked_f = indices(flipped)
-    assert np.array_equal(decode(params, tokens, vis_f, masked_f), pred[:, ::-1])
-
-
-def test_decode_rejects_wrong_token_count():
-    params, patches, plan = tiny_setup(seed=7)
-    vis, masked = indices(plan)
-    _, tokens = encode(params, patches, vis)
-    with pytest.raises(ConfigError):
-        decode(params, tokens[:, :1], vis, masked)
+    assert np.array_equal(forward(params, patches, vis_f, masked_f)[1], pred[:, ::-1])
 
 
 def test_backward_zero_pred_seed_leaves_decoder_untouched():
@@ -322,13 +325,10 @@ def test_projection_head_leaves_pixels_alone():
     with_head = ModelParams(cfg2, arrays)
 
     vis, masked = indices(plan)
-    cls_a, tokens_a = encode(params, patches, vis)
-    cls_b, tokens_b = encode(with_head, patches, vis)
-    np.testing.assert_array_equal(tokens_b, tokens_a)
+    cls_a, pred_a = forward(params, patches, vis, masked)
+    cls_b, pred_b = forward(with_head, patches, vis, masked)
     assert not np.allclose(cls_b, cls_a)
     np.testing.assert_allclose(np.linalg.norm(cls_b[0]), 1.0, atol=1e-12)
-    pred_a = decode(params, tokens_a, vis, masked)
-    pred_b = decode(with_head, tokens_b, vis, masked)
     np.testing.assert_array_equal(pred_b, pred_a)
 
 
@@ -425,12 +425,6 @@ def test_gelu_grad_matches_central_differences_on_both_erf_branches():
     np.testing.assert_allclose(_gelu_grad(x, _gelu(x)[1]), fd, rtol=1e-7, atol=1e-8)
 
 
-# Between enc_norm and cls_norm the class row rides in cls, and the stream's
-# copy of it is dead: a back there takes and returns the visible rows' gradient.
-SEEDS_SKIP_CLASS_ROW = {"enc_norm", "proj"}  # back takes dx without the class row
-GRADIENT_SKIPS_CLASS_ROW = {"proj", "cls_norm"}  # back returns dx without it
-
-
 def test_each_stage_back_is_the_adjoint_of_its_run():
     # <w, run(inputs + t u, params + t u_params)> differentiated along u at t = 0
     # must equal <back(w), u>, stage by stage, so a wrong back fails by name.
@@ -449,14 +443,8 @@ def test_each_stage_back_is_the_adjoint_of_its_run():
     for stage, stop in zip(stages, stops):
         *outs, cache = stage.run(params, *acts, vis, masked)
         w = [None if out is None else rng.normal(size=out.shape) for out in outs]
-        seeds = list(w)
-        if stage.name in SEEDS_SKIP_CLASS_ROW:
-            w[0][..., 0, :] = 0.0
-            seeds[0] = w[0][..., 1:, :]
         grad = np.zeros(params.n_params)
-        d = list(stage.back(params, *seeds, cache, params.views(grad)))
-        if stage.name in GRADIENT_SKIPS_CLASS_ROW:
-            d[0] = np.concatenate([np.zeros_like(d[0][..., :1, :]), d[0]], axis=-2)
+        d = stage.back(params, *w, cache, params.views(grad))
         # the patches are data: the embedding returns no gradient for them
         assert [g is None for g in d] == [a is None or stage.name == "patch_proj"
                                           for a in acts], stage.name

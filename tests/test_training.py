@@ -62,8 +62,7 @@ def micro_views(seed=0, n=2):
     views = []
     for _ in range(n):
         patches = rng.uniform(0.0, 1.0, (4, 48))
-        views.append((patches, random_mask(rng, MICRO.grid, 2),
-                      patches, random_mask(rng, MICRO.grid, 2)))
+        views.append((patches, random_mask(rng, MICRO.grid, 2), random_mask(rng, MICRO.grid, 2)))
     return views
 
 
@@ -173,17 +172,15 @@ def test_adamw_matches_per_group_loop():
 def test_build_views_shares_one_crop(disk_dataset):
     cfg = run_cfg()
     record = disk_dataset.records[0]
-    patches_a, plan_a, patches_b, plan_b = build_views(
-        np.random.default_rng(5), record, cfg, disk_dataset.root)
-    assert patches_a is patches_b
-    assert patches_a.shape == (4, 48)
+    patches, plan_a, plan_b = build_views(np.random.default_rng(5), record, cfg, disk_dataset.root)
+    assert patches.shape == (4, 48)
     # replay of the draw order: one crop, then both plans from its keypoints
     rng, grid = np.random.default_rng(5), MICRO.grid
     image = load_image(os.path.join(disk_dataset.root, record.image))
     crop = sample_crop(rng, image.height, image.width, cfg.scale_min, grid.image_h / grid.image_w)
     kps = transform_keypoints(record.keypoints, crop, grid.image_h, grid.image_w)
     aug = apply_crop(image, crop, grid.image_h, grid.image_w)
-    np.testing.assert_array_equal(patchify(aug, grid), patches_a)
+    np.testing.assert_array_equal(patchify(aug, grid), patches)
     for plan in (plan_a, plan_b):
         want = part_guided_mask(rng, kps, grid, num_masked(cfg.masking_ratio, grid.n_patches))
         assert (plan.masked, plan.provenance) == (want.masked, want.provenance)
@@ -194,7 +191,7 @@ def test_build_views_masks_rarely_collide(disk_dataset):
     record = disk_dataset.records[0]
     differing = 0
     for seed in range(50):
-        _, plan_a, _, plan_b = build_views(
+        _, plan_a, plan_b = build_views(
             np.random.default_rng(seed), record, cfg, disk_dataset.root)
         if plan_a.masked != plan_b.masked:
             differing += 1
@@ -228,8 +225,8 @@ def test_batch_matches_batch_of_one_views(monkeypatch):
     monkeypatch.setattr(training, "backward", seeded_backward)
     batch_loss(params, ViewBatch(views, cfg.grid), LossConfig(), tape)
     grad = batch_backward(params, tape)
-    patches = [p for pa, _, pb, _ in views for p in (pa, pb)]
-    plans = [plan for _, plan_a, _, plan_b in views for plan in (plan_a, plan_b)]
+    patches = [p for p, _, _ in views for _ in range(2)]
+    plans = [plan for _, plan_a, plan_b in views for plan in (plan_a, plan_b)]
     cls_batch, pred_batch = forward(params, np.stack(patches),
                                     *MaskPlan.batch_indices(plans, cfg.grid))
     serial = np.zeros(params.n_params)
@@ -243,7 +240,7 @@ def test_batch_matches_batch_of_one_views(monkeypatch):
     assert np.array_equal(grad, serial)
 
     ragged = views[:2] + [(views[2][0], random_mask(np.random.default_rng(0), MICRO.grid, 1),
-                           views[2][2], views[2][3])]
+                           views[2][2])]
     with pytest.raises(ConfigError, match="one number of patches"):
         ViewBatch(ragged, MICRO.grid)
 
@@ -310,7 +307,7 @@ def test_batch_at_extreme_masking_ratios(n_masked):
     for _ in range(3):
         patches = rng.uniform(0.0, 1.0, (4, 48))
         views.append((patches, random_mask(rng, MICRO.grid, n_masked),
-                      patches, random_mask(rng, MICRO.grid, n_masked)))
+                      random_mask(rng, MICRO.grid, n_masked)))
     tape = {}
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
