@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericsError
-from .geometry import ImageBuffer, KeypointSet, PatchGrid
+from .geometry import COCO_KEYPOINT_NAMES, ImageBuffer, KeypointSet, PatchGrid
 from .mask_sampling import MaskPlan
 
 CHECKPOINT_MAGIC = b"PMIM"
@@ -214,6 +214,7 @@ def write_ppm(image: ImageBuffer, path: str):
 # synthetic stick figures
 
 LINE_RADIUS = 1.1  # pixels
+RENDER_CHUNK = 4  # figures drawn and rasterized together; bounds the window arrays' size
 
 
 @dataclass
@@ -242,8 +243,28 @@ class SyntheticSpec:
     fg: float = 0.85
 
 
-def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
-    """Joint positions in pixels, once every joint and the head disc fit the canvas."""
+# random_spec's uniform range for each drawn field, in draw order
+_SPEC_RANGES = {
+    "height_frac": (0.78, 0.83),
+    "center_x": (0.49, 0.51),
+    "center_y": (0.49, 0.51),
+    "l_shoulder_angle": (0.12, 0.28),
+    "l_elbow_angle": (0.08, 0.30),
+    "r_shoulder_angle": (0.12, 0.28),
+    "r_elbow_angle": (0.08, 0.30),
+    "l_hip_angle": (0.05, 0.18),
+    "l_knee_angle": (0.02, 0.12),
+    "r_hip_angle": (0.05, 0.18),
+    "r_knee_angle": (0.02, 0.12),
+    "bg": (0.08, 0.22),
+    "fg": (0.78, 0.92),
+}
+_SPEC_LOWS, _SPEC_HIGHS = np.array(list(_SPEC_RANGES.values())).T
+
+
+def _figure_joints(spec: SyntheticSpec) -> tuple[np.ndarray, float]:
+    """The 17 keypoints in COCO order, then the head disc's centre, as (18, 2) pixels,
+    and the disc's radius; a joint or the disc off the canvas is a ConfigError."""
     s = spec.height_frac * spec.canvas_h
     cx = spec.center_x * spec.canvas_w
     y0 = spec.center_y * spec.canvas_h - 0.5 * s
@@ -287,9 +308,7 @@ def _figure_joints(spec: SyntheticSpec) -> dict[str, np.ndarray]:
     if not (margin + radius <= head[0] < spec.canvas_w - margin - radius
             and margin + radius <= head[1] < spec.canvas_h - margin - radius):
         raise ConfigError(f"{spec.sample_id}: head disc leaves the canvas")
-    j["_head_center"] = head
-    j["_head_radius"] = np.array([radius])
-    return j
+    return np.array([j[name] for name in COCO_KEYPOINT_NAMES] + [head]), radius
 
 
 _FIGURE_SEGMENTS = (
@@ -308,81 +327,116 @@ _FIGURE_SEGMENTS = (
     ("nose", "left_shoulder"),
     ("nose", "right_shoulder"),
 )
+# rows of _figure_joints' points: each segment's two ends, then the head disc as a
+# zero-length segment at the disc's centre (row 17)
+_SEGMENT_ENDS = np.array([[COCO_KEYPOINT_NAMES.index(a), COCO_KEYPOINT_NAMES.index(b)]
+                          for a, b in _FIGURE_SEGMENTS] + [[17, 17]])
+
+
+def _rasterize(figures, block: np.ndarray) -> list[tuple[ImageBuffer, KeypointSet]]:
+    """Paint each (spec, points, radius) of `figures` into its (H, W, 3) slice of `block`.
+
+    A segment covers the pixels whose centre lies within its reach (LINE_RADIUS, or
+    the head disc's radius for its zero-length segment). Each segment is tested only
+    on its window, its bounding box grown by reach + 1 px and clipped to the canvas,
+    which holds every such pixel; the windows of all the figures are tested at once,
+    with the per-canvas expression of each pixel, in the same order of operations.
+    """
+    h, w = block.shape[1:3]
+    per_fig = len(_SEGMENT_ENDS)
+    pts = np.stack([p for _, p, _ in figures])
+    a = pts[:, _SEGMENT_ENDS[:, 0]].reshape(-1, 2)
+    b = pts[:, _SEGMENT_ENDS[:, 1]].reshape(-1, 2)
+    ab = b - a
+    denom = np.array([float(v @ v) for v in ab])
+    point = denom < 1e-12  # the distance to a: t = 0 gives a0 + 0 * ab0 == a0 exactly
+    denom[point] = 1.0
+    reach = np.array([[LINE_RADIUS] * (per_fig - 1) + [r] for _, _, r in figures]).ravel()
+    reach2 = np.array([[LINE_RADIUS ** 2] * (per_fig - 1) + [r ** 2]
+                       for _, _, r in figures]).ravel()
+
+    lo = np.floor(np.minimum(a, b) - (reach + 1.0)[:, None])
+    hi = np.ceil(np.maximum(a, b) + (reach + 1.0)[:, None])
+    x0, x1 = (np.clip(v[:, 0], 0, w).astype(np.intp) for v in (lo, hi))
+    y0, y1 = (np.clip(v[:, 1], 0, h).astype(np.intp) for v in (lo, hi))
+    nx = x1 - x0
+    sizes = nx * (y1 - y0)
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    dy, dx = np.divmod(np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes),
+                       nx[seg])
+    x, y = x0[seg] + dx, y0[seg] + dy
+    px, py = x + 0.5, y + 0.5
+    a0, a1, ab0, ab1 = a[seg, 0], a[seg, 1], ab[seg, 0], ab[seg, 1]
+    t = np.clip(((px - a0) * ab0 + (py - a1) * ab1) / denom[seg], 0.0, 1.0)
+    t[point[seg]] = 0.0
+    d2 = (px - (a0 + t * ab0)) ** 2 + (py - (a1 + t * ab1)) ** 2
+    hit = d2 <= reach2[seg]
+
+    fig = seg[hit] // per_fig
+    # both callers pass a C-contiguous block, so the reshape is a view the writes land in
+    block[:] = np.array([spec.bg for spec, _, _ in figures])[:, None, None, None]
+    block.reshape(-1, 3)[(fig * h + y[hit]) * w + x[hit]] = \
+        np.array([spec.fg for spec, _, _ in figures])[fig, None]
+    out = []
+    for img, (_, p, _) in zip(block, figures):
+        kps = np.ones((17, 3))
+        kps[:, :2] = p[:17]
+        out.append((ImageBuffer(img), KeypointSet(kps)))
+    return out
 
 
 def render_stick_figure(spec: SyntheticSpec) -> tuple[ImageBuffer, KeypointSet]:
-    """Rasterize one figure; every keypoint confidence is 1.0."""
-    from .geometry import COCO_KEYPOINT_NAMES
+    """Rasterize one figure; every keypoint confidence is 1.0.
 
-    joints = _figure_joints(spec)
-    radius = float(joints["_head_radius"][0])
-    hc = joints["_head_center"]
+    A batch of one through the windowed rasterizer: each limb segment is tested
+    only on its bounding box grown by LINE_RADIUS + 1 px (the head disc on its
+    centre grown by its radius + 1 px), which holds every pixel centre that it covers.
+    """
+    points, radius = _figure_joints(spec)
+    return _rasterize([(spec, points, radius)],
+                      np.empty((1, spec.canvas_h, spec.canvas_w, 3)))[0]
 
-    ys, xs = np.mgrid[0:spec.canvas_h, 0:spec.canvas_w]
-    px = xs + 0.5
-    py = ys + 0.5
-    img = np.full((spec.canvas_h, spec.canvas_w), spec.bg)
-    for a_name, b_name in _FIGURE_SEGMENTS:
-        a, b = joints[a_name], joints[b_name]
-        ab = b - a
-        denom = float(ab @ ab)
-        if denom < 1e-12:
-            d2 = (px - a[0]) ** 2 + (py - a[1]) ** 2
-        else:
-            t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
-            d2 = (px - (a[0] + t * ab[0])) ** 2 + (py - (a[1] + t * ab[1])) ** 2
-        img[d2 <= LINE_RADIUS ** 2] = spec.fg
-    img[(px - hc[0]) ** 2 + (py - hc[1]) ** 2 <= radius ** 2] = spec.fg
 
-    pts = np.ones((17, 3))
-    for i, name in enumerate(COCO_KEYPOINT_NAMES):
-        pts[i, :2] = joints[name]
-    return ImageBuffer(np.repeat(img[:, :, None], 3, axis=2)), KeypointSet(pts)
+def _draw_figure(rng: np.random.Generator, sample_id: str, canvas_h: int, canvas_w: int):
+    """random_spec's draw, returned as (spec, points, radius) of the figure that fits."""
+    for _ in range(100):
+        values = rng.uniform(_SPEC_LOWS, _SPEC_HIGHS).tolist()  # one draw per field, in order
+        spec = SyntheticSpec(sample_id, canvas_h, canvas_w, **dict(zip(_SPEC_RANGES, values)))
+        # This draw once seeded optional pixel noise. It is still made, and thrown away,
+        # so the draws after it, and with them every synthetic dataset, stay byte-identical.
+        rng.integers(0, 2 ** 31)
+        try:
+            return (spec, *_figure_joints(spec))
+        except ConfigError:
+            continue
+    raise ConfigError("could not place a figure inside the canvas after 100 tries")
 
 
 def random_spec(rng: np.random.Generator, sample_id: str, canvas_h: int = 64,
                 canvas_w: int = 32) -> SyntheticSpec:
     """Draw a plausible in-canvas pose; retries until the figure fits."""
-    for _ in range(100):
-        spec = SyntheticSpec(
-            sample_id=sample_id,
-            canvas_h=canvas_h,
-            canvas_w=canvas_w,
-            height_frac=float(rng.uniform(0.78, 0.83)),
-            center_x=float(rng.uniform(0.49, 0.51)),
-            center_y=float(rng.uniform(0.49, 0.51)),
-            l_shoulder_angle=float(rng.uniform(0.12, 0.28)),
-            l_elbow_angle=float(rng.uniform(0.08, 0.30)),
-            r_shoulder_angle=float(rng.uniform(0.12, 0.28)),
-            r_elbow_angle=float(rng.uniform(0.08, 0.30)),
-            l_hip_angle=float(rng.uniform(0.05, 0.18)),
-            l_knee_angle=float(rng.uniform(0.02, 0.12)),
-            r_hip_angle=float(rng.uniform(0.05, 0.18)),
-            r_knee_angle=float(rng.uniform(0.02, 0.12)),
-            bg=float(rng.uniform(0.08, 0.22)),
-            fg=float(rng.uniform(0.78, 0.92)),
-        )
-        # This draw once seeded optional pixel noise. It is still made, and thrown away,
-        # so the draws after it, and with them every synthetic dataset, stay byte-identical.
-        rng.integers(0, 2 ** 31)
-        try:
-            _figure_joints(spec)
-        except ConfigError:
-            continue
-        return spec
-    raise ConfigError("could not place a figure inside the canvas after 100 tries")
+    return _draw_figure(rng, sample_id, canvas_h, canvas_w)[0]
 
 
 def make_synthetic_dataset(n: int, seed: int, out_dir: str | None = None, canvas_h: int = 64,
                            canvas_w: int = 32) -> tuple[DatasetManifest, list[ImageBuffer]]:
-    """Render n random figures from one seed; optionally write images plus manifest.jsonl."""
+    """Render n random figures from one seed; optionally write images plus manifest.jsonl.
+
+    Figures are drawn and rasterized RENDER_CHUNK at a time, into one (n, H, W, 3)
+    block of which each image is a view.
+    """
+    if n < 1:
+        raise ConfigError(f"a synthetic dataset needs at least one figure, got n={n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    block = np.empty((n, canvas_h, canvas_w, 3))
     records, images = [], []
-    for i in range(n):
-        spec = random_spec(rng, f"synth{i:04d}", canvas_h, canvas_w)
-        img, kps = render_stick_figure(spec)
-        records.append(SampleRecord(spec.sample_id, spec.sample_id + ".ppm", kps))
-        images.append(img)
+    for start in range(0, n, RENDER_CHUNK):
+        figures = [_draw_figure(rng, f"synth{i:04d}", canvas_h, canvas_w)
+                   for i in range(start, min(start + RENDER_CHUNK, n))]
+        rendered = _rasterize(figures, block[start:start + len(figures)])
+        for (spec, _, _), (img, kps) in zip(figures, rendered):
+            records.append(SampleRecord(spec.sample_id, spec.sample_id + ".ppm", kps))
+            images.append(img)
     manifest = DatasetManifest(records, root=out_dir or ".")
     if out_dir is not None:
         os.makedirs(out_dir, exist_ok=True)

@@ -60,7 +60,8 @@ class ImageBuffer:
         self.data = np.asarray(self.data, dtype=np.float64)
         if self.data.ndim != 3 or self.data.shape[2] != 3:
             raise ConfigError(f"image data must be (H, W, 3), got {self.data.shape}")
-        if self.data.size and (self.data.min() < 0.0 or self.data.max() > 1.0):
+        # NaN fails both bounds, so it is refused with them
+        if self.data.size and not (self.data.min() >= 0.0 and self.data.max() <= 1.0):
             raise ConfigError("image values must lie in [0, 1]")
 
     @property

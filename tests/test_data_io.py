@@ -328,6 +328,124 @@ def test_synthetic_dataset_on_disk(tmp_path):
             manifest.by_id(record.sample_id).keypoints.pts)
 
 
+@pytest.mark.parametrize("n", [0, -3])
+def test_synthetic_dataset_refuses_no_figures(tmp_path, n):
+    # an empty manifest.jsonl would be refused by load_manifest
+    out = tmp_path / "ds"
+    with pytest.raises(ConfigError, match="at least one figure"):
+        make_synthetic_dataset(n, seed=0, out_dir=str(out))
+    assert not out.exists()
+
+
+# The per-segment renderer and per-field spec draws the windowed batch rasterizer
+# replaced, kept as the oracle: every image must match it bit for bit.
+
+def _oracle_spec(rng, sample_id, canvas_h, canvas_w, tries):
+    for _ in range(100):
+        tries.append(sample_id)
+        spec = SyntheticSpec(
+            sample_id=sample_id, canvas_h=canvas_h, canvas_w=canvas_w,
+            height_frac=float(rng.uniform(0.78, 0.83)),
+            center_x=float(rng.uniform(0.49, 0.51)),
+            center_y=float(rng.uniform(0.49, 0.51)),
+            l_shoulder_angle=float(rng.uniform(0.12, 0.28)),
+            l_elbow_angle=float(rng.uniform(0.08, 0.30)),
+            r_shoulder_angle=float(rng.uniform(0.12, 0.28)),
+            r_elbow_angle=float(rng.uniform(0.08, 0.30)),
+            l_hip_angle=float(rng.uniform(0.05, 0.18)),
+            l_knee_angle=float(rng.uniform(0.02, 0.12)),
+            r_hip_angle=float(rng.uniform(0.05, 0.18)),
+            r_knee_angle=float(rng.uniform(0.02, 0.12)),
+            bg=float(rng.uniform(0.08, 0.22)),
+            fg=float(rng.uniform(0.78, 0.92)),
+        )
+        rng.integers(0, 2 ** 31)
+        try:
+            data_io._figure_joints(spec)
+        except ConfigError:
+            continue
+        return spec
+    raise AssertionError("no figure fits")
+
+
+def _oracle_render(spec):
+    points, radius = data_io._figure_joints(spec)
+    joints = dict(zip(COCO_KEYPOINT_NAMES, points))
+    hc = points[17]
+    ys, xs = np.mgrid[0:spec.canvas_h, 0:spec.canvas_w]
+    px = xs + 0.5
+    py = ys + 0.5
+    img = np.full((spec.canvas_h, spec.canvas_w), spec.bg)
+    for a_name, b_name in data_io._FIGURE_SEGMENTS:
+        a, b = joints[a_name], joints[b_name]
+        ab = b - a
+        denom = float(ab @ ab)
+        if denom < 1e-12:
+            d2 = (px - a[0]) ** 2 + (py - a[1]) ** 2
+        else:
+            t = np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0.0, 1.0)
+            d2 = (px - (a[0] + t * ab[0])) ** 2 + (py - (a[1] + t * ab[1])) ** 2
+        img[d2 <= data_io.LINE_RADIUS ** 2] = spec.fg
+    img[(px - hc[0]) ** 2 + (py - hc[1]) ** 2 <= radius ** 2] = spec.fg
+    pts = np.ones((17, 3))
+    for i, name in enumerate(COCO_KEYPOINT_NAMES):
+        pts[i, :2] = joints[name]
+    return np.repeat(img[:, :, None], 3, axis=2), pts
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _assert_matches_oracle(n, seed, canvas_h, canvas_w):
+    """make_synthetic_dataset against the oracle; returns the oracle's pose draws."""
+    manifest, images = make_synthetic_dataset(n, seed, canvas_h=canvas_h, canvas_w=canvas_w)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xDA7A]))
+    tries = []
+    assert len(images) == len(manifest.records) == n
+    for i, (record, img) in enumerate(zip(manifest.records, images)):
+        want, pts = _oracle_render(_oracle_spec(rng, f"synth{i:04d}", canvas_h, canvas_w, tries))
+        assert img.data.shape == (canvas_h, canvas_w, 3)
+        np.testing.assert_array_equal(_bits(img.data), _bits(want), err_msg=record.sample_id)
+        np.testing.assert_array_equal(_bits(record.keypoints.pts), _bits(pts))
+    return tries
+
+
+@pytest.mark.parametrize("canvas", [(64, 32), (128, 64), (32, 16), (48, 40)])
+def test_synthetic_images_match_the_per_segment_oracle(canvas):
+    for seed in range(6):
+        _assert_matches_oracle(3, seed, *canvas)
+
+
+def test_synthetic_chunks_match_the_oracle_at_their_edges():
+    for n in (1, data_io.RENDER_CHUNK + 1):
+        _assert_matches_oracle(n, 4, 64, 32)
+
+
+def test_synthetic_redrawn_poses_match_the_oracle():
+    # on a 64x24 canvas about half the drawn poses do not fit and are drawn again
+    tries = _assert_matches_oracle(6, 3, 64, 24)
+    assert len(tries) > 6
+
+
+def test_degenerate_figure_matches_the_oracle():
+    # every segment, and the head disc, is shorter than the 1e-12 squared-length cut
+    spec = SyntheticSpec(height_frac=1e-9)
+    img, kps = render_stick_figure(spec)
+    want, pts = _oracle_render(spec)
+    np.testing.assert_array_equal(_bits(img.data), _bits(want))
+    np.testing.assert_array_equal(_bits(kps.pts), _bits(pts))
+    assert (img.data == spec.fg).any()
+
+
+def test_written_pixmaps_match_the_oracle(tmp_path):
+    for i, spec in enumerate([SyntheticSpec(), random_spec(np.random.default_rng(2), "s")]):
+        img, _ = render_stick_figure(spec)
+        write_ppm(img, str(tmp_path / f"new{i}.ppm"))
+        write_ppm(ImageBuffer(_oracle_render(spec)[0]), str(tmp_path / f"old{i}.ppm"))
+        assert (tmp_path / f"new{i}.ppm").read_bytes() == (tmp_path / f"old{i}.ppm").read_bytes()
+
+
 def test_checkpoint_round_trip(tmp_path):
     cfg = ModelConfig()
     params = init_params(np.random.default_rng(0), cfg)

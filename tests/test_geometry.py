@@ -62,6 +62,15 @@ def test_image_buffer_validation():
         ImageBuffer(np.full((2, 2, 3), -0.1))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_image_buffer_refuses_non_finite_pixels(bad):
+    # NaN compares false to both bounds; write_ppm would cast it to an undefined byte
+    data = np.full((2, 2, 3), 0.5)
+    data[1, 0, 2] = bad
+    with pytest.raises(ConfigError, match=r"\[0, 1\]"):
+        ImageBuffer(data)
+
+
 def test_keypoint_set_validation():
     with pytest.raises(ConfigError):
         KeypointSet(np.zeros((16, 3)))
